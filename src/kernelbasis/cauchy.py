@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from ._lowrank import rank_product
+
 __all__ = [
     "cauchy_kernel",
     "cauchy_psi_complex",
@@ -120,14 +122,7 @@ def cauchy_truncated(lam: float, n: int, t, u):
         raise ValueError(f"lam must be positive, got {lam}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    x = lam * np.asarray(t, dtype=float)
-    y = lam * np.asarray(u, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    bx = _real_basis_block(n, x.ravel())
-    by = _real_basis_block(n, y.ravel())
-    vals = np.sum(bx * by, axis=0).reshape(x.shape)
-    return float(vals.reshape(-1)[0]) if scalar else vals
+    return rank_product(lambda x: _real_basis_block(n, x), lam, t, u)
 
 
 def cauchy_partial_sum_closed_form(n: int, t: float, u: float) -> complex:

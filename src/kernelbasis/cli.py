@@ -143,8 +143,10 @@ def _cmd_demo_krr(args) -> int:
         n=args.n,
         nu=args.nu if args.family == "matern" else None,
     )
-    pred = krr_fit_predict(spec, train_x, train_y, args.ridge, test_x)
-    pred_train = krr_fit_predict(spec, train_x, train_y, args.ridge, train_x)
+    pred, pred_train = np.split(
+        krr_fit_predict(spec, train_x, train_y, args.ridge, np.concatenate([test_x, train_x])),
+        [test_x.size],
+    )
     # dense full-kernel ridge reference on the same data
     K = spec.kernel(train_x[:, None], train_x[None, :])
     Kt = spec.kernel(test_x[:, None], train_x[None, :])

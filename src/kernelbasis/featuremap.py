@@ -49,8 +49,8 @@ class FeatureMapSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.family == "matern":
@@ -126,8 +126,8 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
     train_y = np.asarray(train_y, dtype=float)
     if train_x.shape != train_y.shape:
         raise ValueError("train_x and train_y must have the same length")
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
     F = features(spec, train_x)
     F_test = features(spec, test_x)
     if ridge > 0:

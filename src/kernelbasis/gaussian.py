@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lowrank import rank_product
 from .orthopoly import hermite_normalized, hermite_normalized_table
 from .report import VerificationReport
 
@@ -174,14 +175,7 @@ def gaussian_truncated(scale: GaussianScale, n: int, t, u):
     """Partial sum r_n(t, u) = sum_{m<n} psi_m(lam t) psi_m(lam u)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    x = scale.lam * np.asarray(t, dtype=float)
-    y = scale.lam * np.asarray(u, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    bx = _psi_block(n, x.ravel())
-    by = _psi_block(n, y.ravel())
-    vals = np.sum(bx * by, axis=0).reshape(x.shape)
-    return float(vals.reshape(-1)[0]) if scalar else vals
+    return rank_product(lambda x: _psi_block(n, x), scale.lam, t, u)
 
 
 def gaussian_truncation_error(n: int) -> float:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ._lowrank import rank_product
 from .laguerre import laguerre_fn
 from .orthopoly import assoc_laguerre_table
 
@@ -193,14 +194,7 @@ def matern_truncated(tr: MaternTruncation, t, u):
     Whenever sign t != sign u every handed term vanishes and the value
     reduces to the null-space sum, which equals the kernel exactly.
     """
-    x = tr.order.lam * np.asarray(t, dtype=float)
-    y = tr.order.lam * np.asarray(u, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    bx = _basis_block(tr, x.ravel())
-    by = _basis_block(tr, y.ravel())
-    vals = np.sum(bx * by, axis=0).reshape(x.shape)
-    return float(vals.reshape(-1)[0]) if scalar else vals
+    return rank_product(lambda x: _basis_block(tr, x), tr.order.lam, t, u)
 
 
 def matern_feature_map(tr: MaternTruncation, t) -> np.ndarray:

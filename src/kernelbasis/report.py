@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 __all__ = ["VerificationReport"]
@@ -13,7 +14,8 @@ class VerificationReport:
 
     For scalar checks ``abs_error == |computed - reference|``; for grid
     checks ``computed`` is the maximum deviation and ``reference`` is 0.
-    ``passed`` always equals ``abs_error <= tolerance``.
+    ``passed`` always equals ``abs_error <= tolerance``, so a non-finite
+    ``computed`` (a NaN or infinite error) fails instead of raising.
     """
 
     check_name: str
@@ -26,7 +28,8 @@ class VerificationReport:
 
     def __post_init__(self):
         expect = abs(self.computed - self.reference)
-        if not (self.abs_error == expect or abs(self.abs_error - expect) <= 1e-300):
+        both_nan = math.isnan(expect) and math.isnan(self.abs_error)
+        if not (both_nan or self.abs_error == expect or abs(self.abs_error - expect) <= 1e-300):
             raise ValueError("abs_error must equal |computed - reference|")
         if self.passed != (self.abs_error <= self.tolerance):
             raise ValueError("passed must equal (abs_error <= tolerance)")

@@ -118,6 +118,22 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "gaussian", "--tol", "1e-3")
         assert code == 0
 
+    def test_nonfinite_result_reported_as_fail(self, capsys, monkeypatch):
+        import kernelbasis.cli as cli_mod
+        from kernelbasis.report import VerificationReport
+
+        reports = [
+            VerificationReport.scalar_check("demo/nan", math.nan, 1.0, 1e-8),
+            VerificationReport.deviation_check("demo/inf", math.inf, 1e-8),
+        ]
+        monkeypatch.setattr(cli_mod, "run_suite", lambda *args, **kwargs: reports)
+        code, out, err = run_cli(capsys, "verify", "identities")
+        assert code == 1
+        assert "FAIL demo/nan (error nan" in out
+        assert "FAIL demo/inf (error inf" in out
+        assert "0/2 checks passed" in out
+        assert "failed: demo/nan" in err
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])

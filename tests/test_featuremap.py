@@ -35,6 +35,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             FeatureMapSpec("gaussian", n=0)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_nonfinite_lam_rejected(self, lam):
+        with pytest.raises(ValueError):
+            FeatureMapSpec("gaussian", lam=lam, n=3)
+
 
 class TestFeatures:
     def test_single_gaussian_feature(self):
@@ -77,6 +82,51 @@ class TestFeatures:
     def test_rejects_nonfinite_points(self):
         with pytest.raises(ValueError):
             features(FeatureMapSpec("gaussian", n=2), [np.nan])
+
+
+def _rowwise_truncated(spec, t, u):
+    """Reference: the dot product of the two feature rows of every pair."""
+    t, u = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
+    dots = np.sum(features(spec, t.ravel()) * features(spec, u.ravel()), axis=1)
+    return dots.reshape(t.shape)
+
+
+_AXIS = np.array([-2.5, -0.5, 0.0, 0.5, 0.5, 2.0])
+# distinct pairs <= output pairs takes the Gram branch, otherwise the gather
+# branch: "elementwise" and "equal_2d" gather, every other case forms a Gram
+_LAYOUTS = {
+    "meshgrid_repeats": tuple(np.meshgrid(_AXIS, _AXIS[::-1], indexing="ij")),
+    "column_by_row": (_AXIS[:, None], _AXIS[None, :4]),
+    "elementwise": (np.linspace(-3.0, 3.0, 7), np.linspace(2.9, -2.6, 7)),
+    "scalar_by_array": (0.4, _AXIS),
+    "signed_zeros": (np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, 1.2])),
+    "empty": (np.array([]), np.array([])),
+    "equal_2d": tuple(np.random.default_rng(5).uniform(-3.0, 3.0, (2, 3, 4))),
+}
+_SPECS = {
+    "matern": FeatureMapSpec("matern", lam=1.3, n=6, nu=2),
+    "cauchy": FeatureMapSpec("cauchy", lam=0.7, n=6),
+    "gaussian": FeatureMapSpec("gaussian", lam=1.1, n=9),
+}
+
+
+class TestTruncatedContraction:
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_matches_rowwise_features(self, family, layout):
+        spec = _SPECS[family]
+        t, u = _LAYOUTS[layout]
+        got = spec.truncated_kernel(t, u)
+        ref = _rowwise_truncated(spec, t, u)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    def test_scalar_pair_returns_float(self, family):
+        spec = _SPECS[family]
+        got = spec.truncated_kernel(0.3, -1.1)
+        assert type(got) is float
+        assert got == pytest.approx(float(_rowwise_truncated(spec, 0.3, -1.1)), abs=1e-14)
 
 
 class TestKRR:
@@ -123,6 +173,11 @@ class TestKRR:
         spec = FeatureMapSpec("gaussian", n=4)
         with pytest.raises(ValueError):
             krr_fit_predict(spec, [0.0, 1.0], [0.0, 1.0], -1.0, [0.5])
+
+    def test_nan_ridge_rejected(self):
+        spec = FeatureMapSpec("gaussian", n=4)
+        with pytest.raises(ValueError):
+            krr_fit_predict(spec, [0.0, 1.0], [0.0, 1.0], np.nan, [0.5])
 
     def test_length_mismatch_rejected(self):
         spec = FeatureMapSpec("gaussian", n=4)

@@ -274,15 +274,21 @@ class TestNormsAndErrors:
             assert matern_exact_hs_error(o, n) == pytest.approx(expected, rel=1e-13)
 
     def test_exact_error_against_mpmath_tail(self):
-        mpmath.mp.dps = 40
-        for nu, n in [(1, 3), (3, 16), (4, 64)]:
-            f = lambda m: (mpmath.gamma(m + 1) / mpmath.gamma(m + nu + 2)) ** 2
-            tail = mpmath.nsum(f, [n, mpmath.inf], method="r+s+e")
-            pref = mpmath.gamma(nu + 1) ** 2 / mpmath.gamma(2 * nu + 1)
-            expected = float(pref * mpmath.sqrt(2 * tail))
-            assert matern_exact_hs_error(MaternOrder(nu), n) == pytest.approx(
-                expected, rel=1e-12
-            )
+        # partial fractions: prod_{j=1..nu+1} (m+j)^-2 = sum_j a_j/(m+j)^2 + b_j/(m+j);
+        # the b_j sum to zero, so the 1/(m+j) tails telescope into digammas
+        with mpmath.workdps(40):
+            for nu, n in [(1, 3), (3, 16), (4, 64)]:
+                tail = mpmath.mpf(0)
+                for j in range(1, nu + 2):
+                    others = [k for k in range(1, nu + 2) if k != j]
+                    a = mpmath.fprod(mpmath.mpf(k - j) ** -2 for k in others)
+                    b = -2 * a * mpmath.fsum(mpmath.mpf(1) / (k - j) for k in others)
+                    tail += a * mpmath.zeta(2, n + j) - b * mpmath.digamma(n + j)
+                pref = mpmath.gamma(nu + 1) ** 2 / mpmath.gamma(2 * nu + 1)
+                expected = float(pref * mpmath.sqrt(2 * tail))
+                assert matern_exact_hs_error(MaternOrder(nu), n) == pytest.approx(
+                    expected, rel=1e-12
+                )
 
     def test_exact_error_monotone_in_n(self):
         o = MaternOrder(2)

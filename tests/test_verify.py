@@ -26,6 +26,14 @@ class TestReport:
         with pytest.raises(ValueError):
             VerificationReport("x", 1.0, 1.0, 0.0, 1e-8, passed=False)
 
+    @pytest.mark.parametrize("computed, reference", [
+        (np.nan, 1.0), (np.inf, 1.0), (np.inf, np.inf),
+    ])
+    def test_nonfinite_result_fails(self, computed, reference):
+        rep = VerificationReport.scalar_check("x", computed, reference, 1e-8)
+        assert not rep.passed
+        assert not np.isfinite(rep.abs_error)
+
     def test_tolerance_override(self):
         rep = VerificationReport.scalar_check("x", 1.0, 1.5, 1e-8)
         assert not rep.passed
