@@ -1,8 +1,15 @@
-"""Truncated kernels as rank-dim inner products of basis blocks."""
+"""Shared by the kernel families: the length-scale check, and truncated
+kernels as rank-dim inner products of basis blocks."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def check_lam(lam) -> None:
+    """Reject a length-scale that is not positive and finite (inf, NaN, <= 0)."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
 def rank_product(block, lam: float, t, u):

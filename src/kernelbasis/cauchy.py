@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from ._lowrank import rank_product
+from ._lowrank import check_lam, rank_product
 
 __all__ = [
     "cauchy_kernel",
@@ -42,8 +42,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def cauchy_kernel(lam: float, t, u):
     """Cauchy kernel with length-scale: 1 / (1 + lam^2 (t-u)^2)."""
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     d = lam * (np.asarray(t, dtype=float) - np.asarray(u, dtype=float))
     vals = 1.0 / (1.0 + d * d)
     return float(vals) if vals.ndim == 0 else vals
@@ -74,6 +73,18 @@ def _polar_parts(x: np.ndarray):
     return s, np.sqrt(s), root, theta, np.sign(x)
 
 
+def _polar_pair(mu: int, parts) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_mu and beta_mu from the _polar_parts of the points."""
+    s, rs, root, theta, sg = parts
+    half, odd = divmod(mu, 2)
+    sign_half = (-1.0) ** half
+    if not odd:
+        c = sign_half * s**half * root
+        return c * np.cos((mu + 1) * theta), c * np.sin((mu + 1) * theta)
+    c = sign_half * s**half * rs * root * sg
+    return c * np.sin((mu + 1) * theta), -c * np.cos((mu + 1) * theta)
+
+
 def cauchy_real_basis(kind: str, m: int, t):
     """Real Cauchy--Laguerre basis function alpha_m or beta_m."""
     if kind not in ("alpha", "beta"):
@@ -81,45 +92,22 @@ def cauchy_real_basis(kind: str, m: int, t):
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     x = np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
-    s, rs, root, theta, sg = _polar_parts(np.atleast_1d(x))
-    half, odd = divmod(m, 2)
-    sign_half = (-1.0) ** half
-    if not odd:
-        c = sign_half * s**half * root
-        vals = c * (np.cos((m + 1) * theta) if kind == "alpha" else np.sin((m + 1) * theta))
-    else:
-        c = sign_half * s**half * rs * root * sg
-        if kind == "alpha":
-            vals = c * np.sin((m + 1) * theta)
-        else:
-            vals = -c * np.cos((m + 1) * theta)
-    vals = vals.reshape(np.shape(x))
-    return float(vals) if scalar else vals
+    vals = _polar_pair(m, _polar_parts(x.ravel()))[kind == "beta"].reshape(x.shape)
+    return float(vals) if x.ndim == 0 else vals
 
 
 def _real_basis_block(n: int, x: np.ndarray) -> np.ndarray:
     """Rows [alpha_0..alpha_{n-1}, beta_0..beta_{n-1}] at points x."""
-    s, rs, root, theta, sg = _polar_parts(x)
+    parts = _polar_parts(x)
     out = np.empty((2 * n, x.size))
     for mu in range(n):
-        half, odd = divmod(mu, 2)
-        sign_half = (-1.0) ** half
-        if not odd:
-            c = sign_half * s**half * root
-            out[mu] = c * np.cos((mu + 1) * theta)
-            out[n + mu] = c * np.sin((mu + 1) * theta)
-        else:
-            c = sign_half * s**half * rs * root * sg
-            out[mu] = c * np.sin((mu + 1) * theta)
-            out[n + mu] = -c * np.cos((mu + 1) * theta)
+        out[mu], out[n + mu] = _polar_pair(mu, parts)
     return out
 
 
 def cauchy_truncated(lam: float, n: int, t, u):
     """Partial expansion sum_{m<n} [alpha_m(lam t) alpha_m(lam u) + beta beta]."""
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    check_lam(lam)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return rank_product(lambda x: _real_basis_block(n, x), lam, t, u)

@@ -16,6 +16,7 @@ import numpy as np
 from . import cauchy as _c
 from . import gaussian as _g
 from . import matern as _m
+from ._lowrank import check_lam
 from .featuremap import ConditioningError, FeatureMapSpec, features, krr_fit_predict
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 
@@ -79,6 +80,7 @@ def _basis_columns(args, grid: np.ndarray) -> dict[str, np.ndarray]:
         klass = args.klass or "alpha"
         if klass not in ("alpha", "beta"):
             raise ValueError("cauchy basis columns are --class alpha or beta")
+        check_lam(args.lam)
         for m in ms:
             cols[f"{klass}_{m}"] = _c.cauchy_real_basis(klass, m, args.lam * grid)
     else:
@@ -88,27 +90,23 @@ def _basis_columns(args, grid: np.ndarray) -> dict[str, np.ndarray]:
     return cols
 
 
+def _spec(args) -> FeatureMapSpec:
+    return FeatureMapSpec(
+        family=args.family,
+        lam=args.lam,
+        n=args.n,
+        nu=args.nu if args.family == "matern" else None,
+    )
+
+
 def _cmd_eval(args) -> int:
     grid = args.grid
     if args.what == "basis":
         cols = _basis_columns(args, grid)
     elif args.what == "kernel":
-        if args.family == "matern":
-            vals = _m.matern_kernel(_m.MaternOrder(args.nu, args.lam), grid, args.u)
-        elif args.family == "cauchy":
-            vals = _c.cauchy_kernel(args.lam, grid, args.u)
-        else:
-            vals = _g.gaussian_kernel(_g.GaussianScale(args.lam), grid, args.u)
-        cols = {"t": grid, "kernel": vals}
+        cols = {"t": grid, "kernel": _spec(args).kernel(grid, args.u)}
     else:  # truncated
-        if args.family == "matern":
-            tr = _m.MaternTruncation(_m.MaternOrder(args.nu, args.lam), args.n)
-            vals = _m.matern_truncated(tr, grid, args.u)
-        elif args.family == "cauchy":
-            vals = _c.cauchy_truncated(args.lam, args.n, grid, args.u)
-        else:
-            vals = _g.gaussian_truncated(_g.GaussianScale(args.lam), args.n, grid, args.u)
-        cols = {"t": grid, f"truncated_n{args.n}": vals}
+        cols = {"t": grid, f"truncated_n{args.n}": _spec(args).truncated_kernel(grid, args.u)}
     _emit(cols, args.format, args.out)
     return 0
 
@@ -137,12 +135,7 @@ def _cmd_demo_krr(args) -> int:
     train_y = np.sin(2.0 * train_x) + noise
     test_x = np.linspace(-3.0, 3.0, 200)
     test_y = np.sin(2.0 * test_x)
-    spec = FeatureMapSpec(
-        family=args.family,
-        lam=args.lam,
-        n=args.n,
-        nu=args.nu if args.family == "matern" else None,
-    )
+    spec = _spec(args)
     pred, pred_train = np.split(
         krr_fit_predict(spec, train_x, train_y, args.ridge, np.concatenate([test_x, train_x])),
         [test_x.size],

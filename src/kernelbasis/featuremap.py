@@ -16,6 +16,7 @@ import scipy.linalg
 from . import cauchy as _cauchy
 from . import gaussian as _gaussian
 from . import matern as _matern
+from ._lowrank import check_lam, rank_product
 
 __all__ = ["FeatureMapSpec", "ConditioningError", "features", "krr_fit_predict"]
 
@@ -49,8 +50,7 @@ class FeatureMapSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        check_lam(self.lam)
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.family == "matern":
@@ -79,14 +79,18 @@ class FeatureMapSpec:
             return [f"alpha_{m}" for m in range(self.n)] + [f"beta_{m}" for m in range(self.n)]
         return [f"psi_{m}" for m in range(self.n)]
 
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        """Basis rows (dim, N) at already scaled points x of shape (N,)."""
+        if self.family == "matern":
+            order = _matern.MaternOrder(self.nu, self.lam)
+            return _matern._basis_block(_matern.MaternTruncation(order, self.n), x)
+        if self.family == "cauchy":
+            return _cauchy._real_basis_block(self.n, x)
+        return _gaussian._psi_block(self.n, x)
+
     def truncated_kernel(self, t, u):
         """Truncated kernel the feature inner products reproduce."""
-        if self.family == "matern":
-            tr = _matern.MaternTruncation(_matern.MaternOrder(self.nu, self.lam), self.n)
-            return _matern.matern_truncated(tr, t, u)
-        if self.family == "cauchy":
-            return _cauchy.cauchy_truncated(self.lam, self.n, t, u)
-        return _gaussian.gaussian_truncated(_gaussian.GaussianScale(self.lam), self.n, t, u)
+        return rank_product(self._block, self.lam, t, u)
 
     def kernel(self, t, u):
         """Closed-form kernel of the family."""
@@ -100,17 +104,11 @@ class FeatureMapSpec:
 def features(spec: FeatureMapSpec, points) -> np.ndarray:
     """Feature matrix: row i holds the feature vector of points[i]."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if pts.ndim > 1:
+        raise ValueError(f"points must be a scalar or a 1-D array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    x = spec.lam * pts
-    if spec.family == "matern":
-        tr = _matern.MaternTruncation(_matern.MaternOrder(spec.nu, spec.lam), spec.n)
-        block = _matern._basis_block(tr, x)
-    elif spec.family == "cauchy":
-        block = _cauchy._real_basis_block(spec.n, x)
-    else:
-        block = _gaussian._psi_block(spec.n, x)
-    return block.T.copy()
+    return spec._block(spec.lam * pts).T.copy()
 
 
 def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lowrank import rank_product
+from ._lowrank import check_lam, rank_product
 from .orthopoly import hermite_normalized, hermite_normalized_table
 from .report import VerificationReport
 
@@ -52,8 +52,7 @@ class GaussianScale:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        check_lam(self.lam)
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,8 @@ def gaussian_psi(m: int, t, scale: GaussianScale = GaussianScale()):
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     x = scale.lam * np.asarray(t, dtype=float)
-    vals = (
-        _PSI_COEFF
-        * 3.0 ** (-0.5 * m)
-        * np.exp(-x * x / 3.0)
-        * hermite_normalized(m, 2.0 * x / _SQRT3)
-    )
-    return float(vals) if np.ndim(t) == 0 else vals
+    vals = _psi_block(m + 1, x.ravel())[-1].reshape(x.shape)
+    return float(vals) if x.ndim == 0 else vals
 
 
 def _psi_block(n: int, x: np.ndarray) -> np.ndarray:

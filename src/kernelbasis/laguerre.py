@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .orthopoly import laguerre
+from .orthopoly import assoc_laguerre_table
 from .report import VerificationReport
 
 __all__ = ["laguerre_fn", "laguerre_fn_ft", "check_identity", "IDENTITIES"]
@@ -25,20 +25,22 @@ __all__ = ["laguerre_fn", "laguerre_fn_ft", "check_identity", "IDENTITIES"]
 _SQRT2 = math.sqrt(2.0)
 
 
+def _laguerre_rows(count: int, x: np.ndarray) -> np.ndarray:
+    """Rows j = 0..count-1 of sqrt(2) L_j(2|x|) e^{-|x|} at points x (N,).
+
+    Row j is phi_j on x >= 0 and -phi_{-j-1} on x < 0.
+    """
+    ax = np.abs(x)
+    return _SQRT2 * assoc_laguerre_table(count, 0, 2.0 * ax) * np.exp(-ax)
+
+
 def laguerre_fn(m: int, t):
     """Laguerre function phi_m(t) for any integer index m."""
     x = np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
-    if m >= 0:
-        mask = x >= 0
-        xm = np.where(mask, x, 0.0)
-        vals = np.where(mask, _SQRT2 * laguerre(m, 2.0 * xm) * np.exp(-xm), 0.0)
-    else:
-        mm = -m - 1
-        mask = x < 0
-        xm = np.where(mask, x, 0.0)
-        vals = np.where(mask, -_SQRT2 * laguerre(mm, -2.0 * xm) * np.exp(xm), 0.0)
-    return float(vals) if scalar else vals
+    j, side, sign = (m, x >= 0, 1.0) if m >= 0 else (-m - 1, x < 0, -1.0)
+    row = _laguerre_rows(j + 1, x.ravel())[-1].reshape(x.shape)
+    vals = np.where(side, sign * row, 0.0)
+    return float(vals) if x.ndim == 0 else vals
 
 
 def _ratio(omega: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._lowrank import rank_product
-from .laguerre import laguerre_fn
+from ._lowrank import check_lam, rank_product
+from .laguerre import _laguerre_rows
 from .orthopoly import assoc_laguerre_table
 
 __all__ = [
@@ -54,8 +54,7 @@ class MaternOrder:
     def __post_init__(self):
         if self.nu < 0 or int(self.nu) != self.nu:
             raise ValueError(f"nu must be a nonnegative integer, got {self.nu}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        check_lam(self.lam)
 
 
 @dataclass(frozen=True)
@@ -123,55 +122,69 @@ def matern_kernel(order: MaternOrder, t, u):
     return float(vals) if scalar else vals
 
 
-def _plus_block(nu: int, count: int, x: np.ndarray) -> np.ndarray:
-    """Rows m = 0..count-1 of psi+_{m,nu} at (already scaled) points x."""
+def _handed_rows(nu: int, count: int, x: np.ndarray) -> np.ndarray:
+    """Rows m = 0..count-1 of psi+_{m,nu}(|x|) at (already scaled) points x."""
+    ax = np.abs(x)
     m = np.arange(count)
     logpref = _log_c(nu) + gammaln(m + 1) - gammaln(m + nu + 2)
-    pos = x >= 0
-    xp = np.where(pos, x, 0.0)
-    table = assoc_laguerre_table(count, nu + 1, 2.0 * xp)
-    vals = np.exp(logpref)[:, None] * (2.0 * xp) ** (nu + 1) * table * np.exp(-xp)
-    return np.where(pos[None, :], vals, 0.0)
+    table = assoc_laguerre_table(count, nu + 1, 2.0 * ax)
+    return np.exp(logpref)[:, None] * (2.0 * ax) ** (nu + 1) * table * np.exp(-ax)
+
+
+def _put_handed(out: np.ndarray, rows: np.ndarray, x: np.ndarray, kind: str, nu: int) -> None:
+    """Write the ``kind`` class from _handed_rows into the zero-filled out:
+    plus lives on x >= 0, minus on x < 0 with the sign (-1)^nu."""
+    side, sign = (x < 0, (-1.0) ** nu) if kind == "minus" else (x >= 0, 1.0)
+    np.multiply(rows, sign, out=out, where=side)
 
 
 def _null_block(nu: int, x: np.ndarray) -> np.ndarray:
-    """Rows m = 0..nu of psi0_{m,nu} at (already scaled) points x."""
-    pref = math.exp(_log_c(nu)) / math.sqrt(2.0)
-    out = np.empty((nu + 1, x.size))
+    """Rows m = 0..nu of psi0_{m,nu} at (already scaled) points x.
+
+    psi0_m = c_nu/sqrt 2 sum_k C(nu+1, k) (-1)^k phi_{-nu-1+m+k}.  The indices
+    run over -nu-1..nu, and each phi_i is one of the nu+1 Laguerre-function
+    rows on one side of the origin and zero on the other, so each side is a
+    signed binomial matrix times those rows.
+    """
+    right = np.zeros((nu + 1, nu + 1))
+    left = np.zeros((nu + 1, nu + 1))
     for m in range(nu + 1):
-        acc = np.zeros_like(x)
         for k in range(nu + 2):
-            acc += math.comb(nu + 1, k) * (-1) ** k * laguerre_fn(-nu - 1 + m + k, x)
-        out[m] = pref * acc
-    return out
+            c = math.comb(nu + 1, k) * (-1) ** k
+            i = -nu - 1 + m + k
+            if i >= 0:
+                right[m, i] = c  # phi_i = row i on x >= 0
+            else:
+                left[m, -i - 1] = -c  # phi_i = -row (-i-1) on x < 0
+    rows = _laguerre_rows(nu + 1, x)
+    pref = math.exp(_log_c(nu)) / math.sqrt(2.0)
+    return pref * np.where(x >= 0, right @ rows, left @ rows)
 
 
 def _basis_block(tr: MaternTruncation, x: np.ndarray) -> np.ndarray:
     """All nu+1+2n basis values at scaled points, ordered null/minus/plus."""
-    nu = tr.order.nu
-    null = _null_block(nu, x)
-    minus = (-1.0) ** nu * _plus_block(nu, tr.n, -x)
-    # minus class lives on the open negative axis; kill the shared t = 0 point
-    minus[:, x >= 0] = 0.0
-    plus = _plus_block(nu, tr.n, x)
-    return np.concatenate([null, minus, plus], axis=0)
+    nu, n = tr.order.nu, tr.n
+    out = np.zeros((tr.dim, x.size))
+    out[: nu + 1] = _null_block(nu, x)
+    rows = _handed_rows(nu, n, x)
+    _put_handed(out[nu + 1 : nu + 1 + n], rows, x, "minus", nu)
+    _put_handed(out[nu + 1 + n :], rows, x, "plus", nu)
+    return out
 
 
 def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
     """Evaluate one Matern--Laguerre basis function at lam * t."""
     basis_id.validate_for(order)
     x = order.lam * np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
-    flat = np.atleast_1d(x).ravel()
-    if basis_id.kind == "plus":
-        vals = _plus_block(order.nu, basis_id.m + 1, flat)[-1]
-    elif basis_id.kind == "minus":
-        vals = (-1.0) ** order.nu * _plus_block(order.nu, basis_id.m + 1, -flat)[-1]
-        vals[flat >= 0] = 0.0
-    else:
+    flat = x.ravel()
+    if basis_id.kind == "null":
         vals = _null_block(order.nu, flat)[basis_id.m]
+    else:
+        vals = np.zeros(flat.size)
+        rows = _handed_rows(order.nu, basis_id.m + 1, flat)
+        _put_handed(vals, rows[-1], flat, basis_id.kind, order.nu)
     vals = vals.reshape(np.shape(x))
-    return float(vals) if scalar else vals
+    return float(vals) if x.ndim == 0 else vals
 
 
 def matern_psi_unified(order: MaternOrder, m: int, t):

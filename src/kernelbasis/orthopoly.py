@@ -1,10 +1,15 @@
 """Stable evaluation of the orthogonal polynomials underlying every basis family.
 
-All evaluators use three-term recurrences.  The explicit binomial sums
-cancel catastrophically past degree ~20 and appear only in the test suite,
-as exact-rational oracles.  Factorial-type prefactors elsewhere in the
-package are formed from log-gamma differences, never as quotients of
-separately evaluated factorials.
+All evaluators use three-term recurrences, each written once, in a
+``*_table`` evaluator that returns rows m = 0..count-1.  The scalar
+evaluators ``laguerre``, ``assoc_laguerre`` and ``hermite_normalized`` are
+the last row of a table.  The physicist's ``hermite`` keeps a recurrence of
+its own: it is an independent reference, not a building block.
+
+The explicit binomial sums cancel catastrophically past degree ~20 and
+appear only in the test suite, as exact-rational oracles.  Factorial-type
+prefactors elsewhere in the package are formed from log-gamma differences,
+never as quotients of separately evaluated factorials.
 """
 
 from __future__ import annotations
@@ -42,32 +47,22 @@ def _finish(vals: np.ndarray, scalar: bool):
     return float(vals) if scalar else vals
 
 
-def laguerre(m: int, t):
-    """Laguerre polynomial L_m(t) by the three-term recurrence.
+def _last_row(table, m: int, t, *args):
+    """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar t)."""
+    _check_degree(m)
+    x, scalar = _prepare(t)
+    return _finish(table(m + 1, *args, x)[-1].reshape(x.shape), scalar)
 
-    (k+1) L_{k+1}(t) = (2k+1-t) L_k(t) - k L_{k-1}(t)
-    """
+
+def laguerre(m: int, t):
+    """Laguerre polynomial L_m(t): :func:`assoc_laguerre` at eta = 0."""
     return assoc_laguerre(m, 0, t)
 
 
 def assoc_laguerre(m: int, eta: int, t):
-    """Associated Laguerre polynomial L_m^(eta)(t) by recurrence.
-
-    (k+1) L_{k+1}^(eta) = (2k+1+eta-t) L_k^(eta) - (k+eta) L_{k-1}^(eta),
-    with L_0^(eta) = 1 and L_1^(eta) = 1 + eta - t.  For eta = 0 this is
-    exactly the plain Laguerre recurrence.
-    """
-    _check_degree(m)
-    if eta < 0:
-        raise ValueError(f"eta must be a nonnegative integer, got {eta}")
-    x, scalar = _prepare(t)
-    p_prev = np.ones_like(x)
-    if m == 0:
-        return _finish(p_prev, scalar)
-    p = 1.0 + eta - x
-    for k in range(1, m):
-        p, p_prev = ((2 * k + 1 + eta - x) * p - (k + eta) * p_prev) / (k + 1), p
-    return _finish(p, scalar)
+    """Associated Laguerre polynomial L_m^(eta)(t): the last row of
+    :func:`assoc_laguerre_table`."""
+    return _last_row(assoc_laguerre_table, m, t, eta)
 
 
 def hermite(m: int, t):
@@ -88,30 +83,24 @@ def hermite(m: int, t):
 
 
 def hermite_normalized(m: int, t):
-    """Normalised Hermite polynomial H_m(t) / sqrt(2^m m!).
-
-    Satisfies e_{k+1} = sqrt(2/(k+1)) t e_k - sqrt(k/(k+1)) e_{k-1}; the
-    values stay O(e^{t^2/2}) for every degree, so no overflow.
-    """
-    _check_degree(m)
-    x, scalar = _prepare(t)
-    p_prev = np.ones_like(x)
-    if m == 0:
-        return _finish(p_prev, scalar)
-    p = np.sqrt(2.0) * x
-    for k in range(1, m):
-        p, p_prev = np.sqrt(2.0 / (k + 1)) * x * p - np.sqrt(k / (k + 1.0)) * p_prev, p
-    return _finish(p, scalar)
+    """Normalised Hermite polynomial H_m(t) / sqrt(2^m m!): the last row of
+    :func:`hermite_normalized_table`."""
+    return _last_row(hermite_normalized_table, m, t)
 
 
 def assoc_laguerre_table(count: int, eta: int, t) -> np.ndarray:
-    """Rows m = 0..count-1 of L_m^(eta) evaluated at t (vectorised)."""
+    """Rows m = 0..count-1 of L_m^(eta) at the points t, flattened: (count, t.size).
+
+    (k+1) L_{k+1}^(eta) = (2k+1+eta-t) L_k^(eta) - (k+eta) L_{k-1}^(eta),
+    with L_0^(eta) = 1 and L_1^(eta) = 1 + eta - t; eta = 0 gives the
+    plain Laguerre polynomials.
+    """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     _check_degree(count - 1, "count-1")
     if eta < 0:
         raise ValueError(f"eta must be a nonnegative integer, got {eta}")
-    x = np.atleast_1d(np.asarray(t, dtype=float))
+    x = np.asarray(t, dtype=float).ravel()
     out = np.empty((count, x.size))
     out[0] = 1.0
     if count > 1:
@@ -122,11 +111,15 @@ def assoc_laguerre_table(count: int, eta: int, t) -> np.ndarray:
 
 
 def hermite_normalized_table(count: int, t) -> np.ndarray:
-    """Rows m = 0..count-1 of H_m / sqrt(2^m m!) evaluated at t."""
+    """Rows m = 0..count-1 of H_m / sqrt(2^m m!) at the points t, flattened.
+
+    e_{k+1} = sqrt(2/(k+1)) t e_k - sqrt(k/(k+1)) e_{k-1}; the values stay
+    O(e^{t^2/2}) for every degree, so no overflow.
+    """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     _check_degree(count - 1, "count-1")
-    x = np.atleast_1d(np.asarray(t, dtype=float))
+    x = np.asarray(t, dtype=float).ravel()
     out = np.empty((count, x.size))
     out[0] = 1.0
     if count > 1:

@@ -12,6 +12,7 @@ from kernelbasis.cauchy import (
     cauchy_psi_complex,
     cauchy_real_basis,
     cauchy_truncated,
+    _real_basis_block,
 )
 
 from oracles import cauchy_alpha_sum, cauchy_beta_sum
@@ -191,3 +192,14 @@ def test_two_expansions_agree_groupwise():
                 "alpha", m, u
             ) + cauchy_real_basis("beta", m, t) * cauchy_real_basis("beta", m, u)
             assert grp.real == pytest.approx(real_pair, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4)],
+                         ids=["scalar", "neg_zero", "pos_zero", "array_2d"])
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 30])
+def test_real_basis_is_exact_block_row(m, t):
+    block = _real_basis_block(m + 1, np.atleast_1d(t).ravel())
+    for kind, row in (("alpha", block[m]), ("beta", block[2 * m + 1])):
+        got = cauchy_real_basis(kind, m, t)
+        assert np.array_equal(got, row.reshape(np.shape(t)))
+        assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)

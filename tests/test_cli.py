@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from kernelbasis.cauchy import cauchy_kernel, cauchy_truncated
 from kernelbasis.cli import main
+from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_truncated
+from kernelbasis.matern import MaternOrder, MaternTruncation, matern_kernel, matern_truncated
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +77,40 @@ class TestEval:
         )
         assert code == 0 and out == ""
         assert len(target.read_text().strip().split("\n")) == 6
+
+    @pytest.mark.parametrize("family", ["matern", "cauchy", "gaussian"])
+    def test_kernel_and_truncated_match_family_functions(self, capsys, family):
+        grid = np.linspace(-2.0, 2.0, 9)
+        lam, n, u = 1.3, 5, 0.4
+        if family == "matern":
+            order = MaternOrder(2, lam)
+            kernel = matern_kernel(order, grid, u)
+            trunc = matern_truncated(MaternTruncation(order, n), grid, u)
+        elif family == "cauchy":
+            kernel = cauchy_kernel(lam, grid, u)
+            trunc = cauchy_truncated(lam, n, grid, u)
+        else:
+            kernel = gaussian_kernel(GaussianScale(lam), grid, u)
+            trunc = gaussian_truncated(GaussianScale(lam), n, grid, u)
+        for what, header, vals in (("kernel", "kernel", kernel),
+                                   ("truncated", f"truncated_n{n}", trunc)):
+            code, out, _ = run_cli(
+                capsys, "eval", "--family", family, "--nu", "2", "--what", what,
+                "--lambda", str(lam), "--n", str(n), "--u", str(u), "--grid", "-2:2:9",
+            )
+            assert code == 0
+            expected = [f"t,{header}"] + [f"{t:.17g},{v:.17g}" for t, v in zip(grid, vals)]
+            assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("what", ["kernel", "truncated", "basis"])
+    @pytest.mark.parametrize("family", ["matern", "cauchy", "gaussian"])
+    def test_infinite_lambda_is_usage_error(self, capsys, family, what):
+        code, out, err = run_cli(
+            capsys, "eval", "--family", family, "--what", what, "--lambda", "inf",
+            "--grid", "0:1:2",
+        )
+        assert code == 2 and out == ""
+        assert "positive and finite" in err
 
     def test_bad_grid_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

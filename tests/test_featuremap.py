@@ -9,7 +9,9 @@ from kernelbasis.featuremap import (
     features,
     krr_fit_predict,
 )
+from kernelbasis.cauchy import cauchy_kernel, cauchy_truncated
 from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_psi
+from kernelbasis.matern import MaternOrder
 
 
 class TestSpec:
@@ -39,6 +41,23 @@ class TestSpec:
     def test_nonfinite_lam_rejected(self, lam):
         with pytest.raises(ValueError):
             FeatureMapSpec("gaussian", lam=lam, n=3)
+
+
+# the entry points besides FeatureMapSpec that take a length-scale, with the
+# calls that used to return NaN at t = u for lam = inf
+_LAM_ENTRY_POINTS = {
+    "MaternOrder": lambda lam: MaternOrder(1, lam),
+    "GaussianScale": lambda lam: GaussianScale(lam),
+    "cauchy_kernel": lambda lam: cauchy_kernel(lam, 0.5, 0.5),
+    "cauchy_truncated": lambda lam: cauchy_truncated(lam, 4, 0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan])
+@pytest.mark.parametrize("entry", sorted(_LAM_ENTRY_POINTS))
+def test_length_scale_must_be_positive_and_finite(entry, lam):
+    with pytest.raises(ValueError, match="positive and finite"):
+        _LAM_ENTRY_POINTS[entry](lam)
 
 
 class TestFeatures:
@@ -82,6 +101,10 @@ class TestFeatures:
     def test_rejects_nonfinite_points(self):
         with pytest.raises(ValueError):
             features(FeatureMapSpec("gaussian", n=2), [np.nan])
+
+    def test_rejects_2d_points_naming_the_shape(self):
+        with pytest.raises(ValueError, match=r"\(3, 2\)"):
+            features(FeatureMapSpec("matern", n=3, nu=1), np.zeros((3, 2)))
 
 
 def _rowwise_truncated(spec, t, u):

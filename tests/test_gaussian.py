@@ -18,6 +18,7 @@ from kernelbasis.gaussian import (
     mercer_eigenfunction,
     mercer_eigenvalue,
     mercer_weight,
+    _psi_block,
 )
 from kernelbasis.quadrature import gauss_hermite_rule
 
@@ -247,3 +248,14 @@ class TestMehler:
     def test_reports_term_count(self):
         rep = mehler_check(1.0 / 3.0, 1.0, 1.0)
         assert rep.metadata["terms"] > 5
+
+
+@pytest.mark.parametrize("t", [0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4)],
+                         ids=["scalar", "neg_zero", "pos_zero", "array_2d"])
+@pytest.mark.parametrize("m", [0, 1, 5, 40])
+def test_psi_is_block_row(m, t):
+    scale = GaussianScale(1.3)
+    row = _psi_block(m + 1, 1.3 * np.atleast_1d(t).ravel())[m].reshape(np.shape(t))
+    got = gaussian_psi(m, t, scale)
+    np.testing.assert_allclose(got, row, rtol=0, atol=2e-16)
+    assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)

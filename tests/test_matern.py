@@ -19,7 +19,11 @@ from kernelbasis.matern import (
     matern_psi_unified,
     matern_truncated,
     matern_truncation_error_bound,
+    _basis_block,
+    _log_c,
+    _null_block,
 )
+from kernelbasis.laguerre import laguerre_fn
 from kernelbasis.quadrature import gauss_laguerre_rule, integrate
 
 SQRT2 = math.sqrt(2.0)
@@ -316,3 +320,40 @@ class TestNullSpaceIdentities:
                 for m in range(nu + 1)
             )
             np.testing.assert_allclose(total, matern_kernel(o, 0.0, d), atol=1e-12)
+
+
+_PSI_INPUTS = {
+    "scalar_pos": 0.7,
+    "scalar_neg": -1.3,
+    "neg_zero": -0.0,
+    "pos_zero": 0.0,
+    "array_2d": np.linspace(-3.0, 3.0, 12).reshape(3, 4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PSI_INPUTS))
+@pytest.mark.parametrize("nu", [0, 1, 4])
+def test_psi_is_exact_block_row(nu, shape):
+    t = _PSI_INPUTS[shape]
+    n = nu + 2  # enough handed members to cover every null index too
+    order = MaternOrder(nu, 1.3)
+    block = _basis_block(MaternTruncation(order, n), 1.3 * np.atleast_1d(t).ravel())
+    rows = {"null": block[: nu + 1], "minus": block[nu + 1 : nu + 1 + n],
+            "plus": block[nu + 1 + n :]}
+    for kind, members in rows.items():
+        for m in range(nu + 1):
+            got = matern_psi(order, MaternBasisId(kind, m), t)
+            assert np.array_equal(got, members[m].reshape(np.shape(t))), (kind, m)
+            assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+
+
+@pytest.mark.parametrize("nu", range(7))
+def test_null_rows_match_binomial_sum_of_laguerre_functions(nu):
+    """psi0_m = c_nu/sqrt 2 sum_k C(nu+1, k) (-1)^k phi_{-nu-1+m+k}."""
+    x = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, -0.0]])
+    pref = math.exp(_log_c(nu)) / SQRT2
+    got = _null_block(nu, x)
+    for m in range(nu + 1):
+        ref = pref * sum(math.comb(nu + 1, k) * (-1) ** k * laguerre_fn(-nu - 1 + m + k, x)
+                         for k in range(nu + 2))
+        np.testing.assert_allclose(got[m], ref, rtol=0, atol=1e-15)

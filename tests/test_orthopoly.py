@@ -127,3 +127,34 @@ def test_tables_match_scalar_evaluators():
     for m in (0, 3, 8):
         np.testing.assert_allclose(lag[m], orthopoly.assoc_laguerre(m, 2, t), rtol=1e-13)
         np.testing.assert_allclose(her[m], orthopoly.hermite_normalized(m, t), rtol=1e-13)
+
+
+# scalars, signed zeros and a 2-D array: every shape a scalar evaluator takes
+_ROW_INPUTS = {
+    "scalar": 0.7,
+    "neg_zero": -0.0,
+    "pos_zero": 0.0,
+    "array_2d": np.linspace(-3.0, 6.0, 12).reshape(3, 4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_ROW_INPUTS))
+@pytest.mark.parametrize("m, eta", [(0, 0), (1, 0), (7, 0), (7, 3), (40, 1)])
+def test_assoc_laguerre_is_exact_table_row(m, eta, shape):
+    t = _ROW_INPUTS[shape]
+    row = orthopoly.assoc_laguerre_table(m + 1, eta, np.ravel(t))[m].reshape(np.shape(t))
+    got = orthopoly.assoc_laguerre(m, eta, t)
+    assert np.array_equal(got, row)
+    if eta == 0:
+        assert np.array_equal(orthopoly.laguerre(m, t), row)
+    assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+
+
+@pytest.mark.parametrize("shape", sorted(_ROW_INPUTS))
+@pytest.mark.parametrize("m", [0, 1, 6, 41])
+def test_hermite_normalized_is_exact_table_row(m, shape):
+    t = _ROW_INPUTS[shape]
+    row = orthopoly.hermite_normalized_table(m + 1, np.ravel(t))[m].reshape(np.shape(t))
+    got = orthopoly.hermite_normalized(m, t)
+    assert np.array_equal(got, row)
+    assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
