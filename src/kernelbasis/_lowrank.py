@@ -1,15 +1,38 @@
-"""Shared by the kernel families: the length-scale check, and truncated
-kernels as rank-dim inner products of basis blocks."""
+"""Shared by the kernel families: the length-scale check, the point-chunk
+loop that evaluates basis blocks, and truncated kernels as rank-dim inner
+products of basis blocks."""
 
 from __future__ import annotations
 
 import numpy as np
+
+# points per block evaluation, so memory does not grow with N.  A (dim, CHUNK)
+# block of ~70 rows is 2.3 MB; on a 2 MiB-L2 Xeon, 4096 gave the fastest
+# features over all five benchmark specs (Matern blocks slow down by a
+# third at 8192, Gaussian ones speed up by a fifth)
+CHUNK = 4096
 
 
 def check_lam(lam) -> None:
     """Reject a length-scale that is not positive and finite (inf, NaN, <= 0)."""
     if not 0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
+
+
+def chunks(n: int):
+    """Consecutive slices of at most CHUNK indices covering range(n).  For
+    n = 0 there is one empty slice, so a block evaluated on each slice runs
+    its own argument checks on every call."""
+    return (slice(start, start + CHUNK) for start in range(0, max(n, 1), CHUNK))
+
+
+def stack_rows(block, x: np.ndarray, dim: int) -> np.ndarray:
+    """C-ordered (N, dim) array whose row i is column i of ``block`` (which
+    maps points of shape (k,) to rows of shape (dim, k)) at the points x (N,)."""
+    out = np.empty((x.size, dim))
+    for s in chunks(x.size):
+        out[s] = block(x[s]).T
+    return out
 
 
 def rank_product(block, lam: float, t, u):

@@ -16,7 +16,7 @@ import scipy.linalg
 from . import cauchy as _cauchy
 from . import gaussian as _gaussian
 from . import matern as _matern
-from ._lowrank import check_lam, rank_product
+from ._lowrank import check_lam, chunks, rank_product, stack_rows
 
 __all__ = ["FeatureMapSpec", "ConditioningError", "features", "krr_fit_predict"]
 
@@ -101,38 +101,60 @@ class FeatureMapSpec:
         return _gaussian.gaussian_kernel(_gaussian.GaussianScale(self.lam), t, u)
 
 
-def features(spec: FeatureMapSpec, points) -> np.ndarray:
-    """Feature matrix: row i holds the feature vector of points[i]."""
+def _check_points(points, name: str = "points") -> np.ndarray:
+    """``points`` as a finite 1-D float array; a scalar is one point."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.ndim > 1:
-        raise ValueError(f"points must be a scalar or a 1-D array, got shape {pts.shape}")
+        raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    return spec._block(spec.lam * pts).T.copy()
+        raise ValueError(f"{name} must be finite")
+    return pts
+
+
+def _scaled_block(spec: FeatureMapSpec):
+    """Basis rows (dim, k) at unscaled points of shape (k,)."""
+    return lambda p: spec._block(spec.lam * p)
+
+
+def features(spec: FeatureMapSpec, points) -> np.ndarray:
+    """Feature matrix: row i holds the feature vector of points[i]."""
+    return stack_rows(_scaled_block(spec), _check_points(points), spec.dim)
 
 
 def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x) -> np.ndarray:
     """Reduced-rank kernel ridge regression.
 
     For ridge > 0 solves the dim x dim normal equations
-    (F^T F + ridge I) c = F^T y by Cholesky and predicts F_test c.  For
-    ridge = 0 the fit is exact interpolation through the feature Gram
-    matrix F F^T, which must be well conditioned; duplicated inputs raise
-    :class:`ConditioningError` with the estimated condition number.
+    (F^T F + ridge I) c = F^T y by Cholesky and predicts F_test c.  F^T F
+    and F^T y are accumulated over chunks of points, so F is never formed
+    and memory does not grow with N.  For ridge = 0 the fit is exact
+    interpolation through the N x N feature Gram matrix F F^T, which must
+    be well conditioned; duplicated inputs raise :class:`ConditioningError`
+    with the estimated condition number.
     """
-    train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y, dtype=float)
-    if train_x.shape != train_y.shape:
+    if np.shape(train_x) != train_y.shape:
         raise ValueError("train_x and train_y must have the same length")
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
-    F = features(spec, train_x)
-    F_test = features(spec, test_x)
+    x = _check_points(train_x, "train_x")
+    y = train_y.reshape(x.shape)
+    xt = _check_points(test_x, "test_x")
+    block = _scaled_block(spec)
     if ridge > 0:
-        gram = F.T @ F + ridge * np.eye(spec.dim)
-        cho = scipy.linalg.cho_factor(gram, lower=True)
-        coef = scipy.linalg.cho_solve(cho, F.T @ train_y)
-        return F_test @ coef
+        gram = ridge * np.eye(spec.dim)
+        rhs = np.zeros(spec.dim)
+        for s in chunks(x.size):
+            b = block(x[s])
+            gram += b @ b.T
+            rhs += b @ y[s]
+            del b  # free this chunk's block before the next one is built
+        coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), rhs)
+        pred = np.empty(xt.size)
+        for s in chunks(xt.size):
+            pred[s] = coef @ block(xt[s])
+        return pred
+    F = stack_rows(block, x, spec.dim)
     gram = F @ F.T
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -141,5 +163,5 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
             f"(estimated condition number {cond:.3e}); add regularisation",
             cond=cond,
         )
-    dual = scipy.linalg.solve(gram, train_y, assume_a="pos")
-    return F_test @ (F.T @ dual)
+    dual = scipy.linalg.solve(gram, y, assume_a="pos")
+    return stack_rows(block, xt, spec.dim) @ (F.T @ dual)

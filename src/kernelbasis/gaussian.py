@@ -99,15 +99,22 @@ def gaussian_psi(m: int, t, scale: GaussianScale = GaussianScale()):
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     x = scale.lam * np.asarray(t, dtype=float)
-    vals = _psi_block(m + 1, x.ravel())[-1].reshape(x.shape)
+    e_m = hermite_normalized(m, 2.0 * x / _SQRT3)
+    vals = _psi_weights(m + 1)[-1] * e_m * np.exp(-x * x / 3.0)
     return float(vals) if x.ndim == 0 else vals
+
+
+def _psi_weights(n: int) -> np.ndarray:
+    """(2 sqrt 2 / 3)^{1/2} 3^{-m/2} for m = 0..n-1: psi_m over e_m(2t/sqrt 3) e^{-t^2/3}."""
+    return _PSI_COEFF * 3.0 ** (-0.5 * np.arange(n))
 
 
 def _psi_block(n: int, x: np.ndarray) -> np.ndarray:
     """Rows m = 0..n-1 of psi_m at (already scaled) points x."""
     table = hermite_normalized_table(n, 2.0 * x / _SQRT3)
-    decay = 3.0 ** (-0.5 * np.arange(n))
-    return _PSI_COEFF * decay[:, None] * table * np.exp(-x * x / 3.0)[None, :]
+    table *= _psi_weights(n)[:, None]
+    table *= np.exp(-x * x / 3.0)
+    return table
 
 
 def gaussian_psi_scaled(m: int, kappa: float, t):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .orthopoly import assoc_laguerre_table
+from .orthopoly import assoc_laguerre_table, laguerre
 from .report import VerificationReport
 
 __all__ = ["laguerre_fn", "laguerre_fn_ft", "check_identity", "IDENTITIES"]
@@ -38,8 +38,8 @@ def laguerre_fn(m: int, t):
     """Laguerre function phi_m(t) for any integer index m."""
     x = np.asarray(t, dtype=float)
     j, side, sign = (m, x >= 0, 1.0) if m >= 0 else (-m - 1, x < 0, -1.0)
-    row = _laguerre_rows(j + 1, x.ravel())[-1].reshape(x.shape)
-    vals = np.where(side, sign * row, 0.0)
+    ax = np.abs(x)
+    vals = np.where(side, sign * (_SQRT2 * laguerre(j, 2.0 * ax) * np.exp(-ax)), 0.0)
     return float(vals) if x.ndim == 0 else vals
 
 

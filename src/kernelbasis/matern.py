@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._lowrank import check_lam, rank_product
+from ._lowrank import check_lam, rank_product, stack_rows
 from .laguerre import _laguerre_rows
-from .orthopoly import assoc_laguerre_table
+from .orthopoly import assoc_laguerre, assoc_laguerre_table
 
 __all__ = [
     "MaternOrder",
@@ -122,17 +122,22 @@ def matern_kernel(order: MaternOrder, t, u):
     return float(vals) if scalar else vals
 
 
+def _handed_weights(nu: int, count: int) -> np.ndarray:
+    """c_nu m!/(m+nu+1)! for m = 0..count-1."""
+    m = np.arange(count)
+    return np.exp(_log_c(nu) + gammaln(m + 1) - gammaln(m + nu + 2))
+
+
 def _handed_rows(nu: int, count: int, x: np.ndarray) -> np.ndarray:
     """Rows m = 0..count-1 of psi+_{m,nu}(|x|) at (already scaled) points x."""
     ax = np.abs(x)
-    m = np.arange(count)
-    logpref = _log_c(nu) + gammaln(m + 1) - gammaln(m + nu + 2)
     table = assoc_laguerre_table(count, nu + 1, 2.0 * ax)
-    return np.exp(logpref)[:, None] * (2.0 * ax) ** (nu + 1) * table * np.exp(-ax)
+    return _handed_weights(nu, count)[:, None] * (2.0 * ax) ** (nu + 1) * table * np.exp(-ax)
 
 
 def _put_handed(out: np.ndarray, rows: np.ndarray, x: np.ndarray, kind: str, nu: int) -> None:
-    """Write the ``kind`` class from _handed_rows into the zero-filled out:
+    """Write the ``kind`` class from psi+ values at |x| (_handed_rows, or one
+    of its rows) into the zero-filled out:
     plus lives on x >= 0, minus on x < 0 with the sign (-1)^nu."""
     side, sign = (x < 0, (-1.0) ** nu) if kind == "minus" else (x >= 0, 1.0)
     np.multiply(rows, sign, out=out, where=side)
@@ -180,9 +185,11 @@ def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
     if basis_id.kind == "null":
         vals = _null_block(order.nu, flat)[basis_id.m]
     else:
+        nu, m, ax = order.nu, basis_id.m, np.abs(flat)
+        row = (_handed_weights(nu, m + 1)[-1] * (2.0 * ax) ** (nu + 1)
+               * assoc_laguerre(m, nu + 1, 2.0 * ax) * np.exp(-ax))
         vals = np.zeros(flat.size)
-        rows = _handed_rows(order.nu, basis_id.m + 1, flat)
-        _put_handed(vals, rows[-1], flat, basis_id.kind, order.nu)
+        _put_handed(vals, row, flat, basis_id.kind, nu)
     vals = vals.reshape(np.shape(x))
     return float(vals) if x.ndim == 0 else vals
 
@@ -214,9 +221,7 @@ def matern_feature_map(tr: MaternTruncation, t) -> np.ndarray:
     """Feature vector [psi0_0..psi0_nu, psi-_0..psi-_{n-1}, psi+_0..psi+_{n-1}]
     at lam * t, so that dot(f(t), f(u)) == matern_truncated(t, u)."""
     x = tr.order.lam * np.asarray(t, dtype=float)
-    if x.ndim == 0:
-        return _basis_block(tr, x.reshape(1))[:, 0]
-    return _basis_block(tr, x.ravel()).T.reshape(*x.shape, tr.dim)
+    return stack_rows(lambda p: _basis_block(tr, p), x.ravel(), tr.dim).reshape(*x.shape, tr.dim)
 
 
 def matern_psi_norm_sq(order: MaternOrder, m: int) -> float:

@@ -3,8 +3,10 @@
 All evaluators use three-term recurrences, each written once, in a
 ``*_table`` evaluator that returns rows m = 0..count-1.  The scalar
 evaluators ``laguerre``, ``assoc_laguerre`` and ``hermite_normalized`` are
-the last row of a table.  The physicist's ``hermite`` keeps a recurrence of
-its own: it is an independent reference, not a building block.
+the last row of a table, built one chunk of points at a time, so their
+memory is O(m) per point of a chunk and O(1) per input point.  The
+physicist's ``hermite`` keeps a recurrence of its own: it is an
+independent reference, not a building block.
 
 The explicit binomial sums cancel catastrophically past degree ~20 and
 appear only in the test suite, as exact-rational oracles.  Factorial-type
@@ -15,6 +17,8 @@ never as quotients of separately evaluated factorials.
 from __future__ import annotations
 
 import numpy as np
+
+from ._lowrank import chunks
 
 __all__ = [
     "MAX_DEGREE",
@@ -51,7 +55,11 @@ def _last_row(table, m: int, t, *args):
     """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar t)."""
     _check_degree(m)
     x, scalar = _prepare(t)
-    return _finish(table(m + 1, *args, x)[-1].reshape(x.shape), scalar)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for s in chunks(flat.size):
+        out[s] = table(m + 1, *args, flat[s])[-1]
+    return _finish(out.reshape(x.shape), scalar)
 
 
 def laguerre(m: int, t):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,12 @@ from kernelbasis.featuremap import (
     features,
     krr_fit_predict,
 )
+from kernelbasis import orthopoly
+from kernelbasis._lowrank import CHUNK
 from kernelbasis.cauchy import cauchy_kernel, cauchy_truncated
 from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_psi
-from kernelbasis.matern import MaternOrder
+from kernelbasis.laguerre import laguerre_fn
+from kernelbasis.matern import MaternBasisId, MaternOrder, matern_psi
 
 
 class TestSpec:
@@ -206,3 +211,96 @@ class TestKRR:
         spec = FeatureMapSpec("gaussian", n=4)
         with pytest.raises(ValueError):
             krr_fit_predict(spec, [0.0, 1.0], [0.0], 1e-3, [0.5])
+
+    @pytest.mark.parametrize("ridge", [1e-3, 0.0])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "2d"])
+    @pytest.mark.parametrize("arg", ["train_x", "test_x"])
+    def test_rejects_bad_points(self, arg, bad, ridge):
+        spec = FeatureMapSpec("gaussian", n=4)
+        good = np.array([-1.0, 0.0, 1.0])
+        bad_x = {"nan": np.array([-1.0, np.nan, 1.0]),
+                 "inf": np.array([-1.0, np.inf, 1.0]),
+                 "2d": np.zeros((3, 1))}[bad]
+        if arg == "train_x":
+            y = np.zeros(bad_x.shape)
+            call = lambda: krr_fit_predict(spec, bad_x, y, ridge, good)
+        else:
+            call = lambda: krr_fit_predict(spec, good, np.zeros(3), ridge, bad_x)
+        with pytest.raises(ValueError, match=arg):
+            call()
+
+
+# chunk boundaries of the point loop: empty, one point, either side of one
+# chunk, and a short third chunk
+_CHUNK_SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+
+
+def _points(n, seed=3):
+    return np.random.default_rng(seed).uniform(-3.0, 3.0, n)
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    @pytest.mark.parametrize("n", _CHUNK_SIZES)
+    def test_features_equal_one_block(self, family, n):
+        spec = _SPECS[family]
+        x = _points(n)
+        F = features(spec, x)
+        ref = spec._block(spec.lam * x).T
+        assert F.shape == (n, spec.dim) and F.flags.c_contiguous
+        if family == "matern":  # the null rows are a matrix product
+            np.testing.assert_allclose(F, ref, rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(F, ref)
+
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    @pytest.mark.parametrize("n", _CHUNK_SIZES[1:])
+    def test_krr_matches_dense_normal_equations(self, family, n):
+        spec, ridge = _SPECS[family], 1e-3
+        x, xt = _points(n, 1), _points(n, 2)
+        y = np.sin(2.0 * x)
+        F, Ft = spec._block(spec.lam * x).T, spec._block(spec.lam * xt).T
+        ref = Ft @ np.linalg.solve(F.T @ F + ridge * np.eye(spec.dim), F.T @ y)
+        pred = krr_fit_predict(spec, x, y, ridge, xt)
+        assert pred.shape == (n,)
+        assert np.max(np.abs(pred - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    def test_empty_training_set_predicts_zeros(self, family):
+        pred = krr_fit_predict(_SPECS[family], [], [], 1e-3, _points(CHUNK + 1))
+        np.testing.assert_array_equal(pred, np.zeros(CHUNK + 1))
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_krr_memory_does_not_grow_with_n(self):
+        # the dense fit holds F (2e5 x 64 floats, 102 MB) and more
+        spec = FeatureMapSpec("gaussian", n=64)
+        x, xt = _points(200_000, 1), _points(1000, 2)
+        y = np.sin(2.0 * x)
+        assert _peak_bytes(lambda: krr_fit_predict(spec, x, y, 1e-3, xt)) < 32e6
+
+    def test_features_memory_is_its_output(self):
+        spec = FeatureMapSpec("gaussian", n=64)
+        x = _points(200_000)
+        assert _peak_bytes(lambda: features(spec, x)) < 1.25 * x.size * spec.dim * 8
+
+    @pytest.mark.parametrize("evaluator", [
+        lambda x: orthopoly.hermite_normalized(200, x),
+        lambda x: orthopoly.assoc_laguerre(200, 2, np.abs(x)),
+        lambda x: gaussian_psi(200, x),
+        lambda x: laguerre_fn(200, x),
+        lambda x: matern_psi(MaternOrder(2), MaternBasisId("plus", 200), x),
+    ], ids=["hermite_normalized", "assoc_laguerre", "gaussian_psi", "laguerre_fn", "matern_psi"])
+    def test_scalar_evaluator_memory_does_not_grow_with_degree_times_n(self, evaluator):
+        # a whole (201, 1e5) table would take 161 MB
+        x = _points(100_000)
+        assert _peak_bytes(lambda: evaluator(x)) < 16e6

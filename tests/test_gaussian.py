@@ -20,6 +20,7 @@ from kernelbasis.gaussian import (
     mercer_weight,
     _psi_block,
 )
+from kernelbasis._lowrank import CHUNK
 from kernelbasis.quadrature import gauss_hermite_rule
 
 ALPHA = math.sqrt(2.0 / 3.0)
@@ -250,12 +251,13 @@ class TestMehler:
         assert rep.metadata["terms"] > 5
 
 
-@pytest.mark.parametrize("t", [0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4)],
-                         ids=["scalar", "neg_zero", "pos_zero", "array_2d"])
+@pytest.mark.parametrize("t", [0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4),
+                               np.linspace(-4.0, 4.0, 2 * CHUNK + 3)],
+                         ids=["scalar", "neg_zero", "pos_zero", "array_2d", "three_chunks"])
 @pytest.mark.parametrize("m", [0, 1, 5, 40])
 def test_psi_is_block_row(m, t):
     scale = GaussianScale(1.3)
     row = _psi_block(m + 1, 1.3 * np.atleast_1d(t).ravel())[m].reshape(np.shape(t))
     got = gaussian_psi(m, t, scale)
-    np.testing.assert_allclose(got, row, rtol=0, atol=2e-16)
+    assert np.array_equal(got, row)
     assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)

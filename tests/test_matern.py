@@ -23,6 +23,7 @@ from kernelbasis.matern import (
     _log_c,
     _null_block,
 )
+from kernelbasis._lowrank import CHUNK
 from kernelbasis.laguerre import laguerre_fn
 from kernelbasis.quadrature import gauss_laguerre_rule, integrate
 
@@ -223,6 +224,16 @@ class TestFeatureMap:
         tr = MaternTruncation(MaternOrder(0), 1)
         np.testing.assert_allclose(matern_feature_map(tr, 0.0), [-1.0, 0.0, 0.0], atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (3, CHUNK // 2 + 1), (2, 0, 4)])
+    def test_shape_and_values_match_one_block(self, shape):
+        # (3, CHUNK // 2 + 1) flattens across a chunk boundary
+        tr = MaternTruncation(MaternOrder(2, 1.3), 4)
+        t = np.asarray(np.random.default_rng(8).uniform(-3.0, 3.0, shape))
+        got = matern_feature_map(tr, t)
+        ref = _basis_block(tr, 1.3 * t.ravel()).T.reshape(*shape, tr.dim)
+        assert got.shape == (*shape, tr.dim)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
     def test_ordering_null_minus_plus(self):
         tr = MaternTruncation(MaternOrder(1), 2)
         vec = matern_feature_map(tr, -1.3)
@@ -328,6 +339,7 @@ _PSI_INPUTS = {
     "neg_zero": -0.0,
     "pos_zero": 0.0,
     "array_2d": np.linspace(-3.0, 3.0, 12).reshape(3, 4),
+    "three_chunks": np.linspace(-3.0, 3.0, 2 * CHUNK + 3),
 }
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelbasis import orthopoly
+from kernelbasis._lowrank import CHUNK
 from kernelbasis.quadrature import gauss_laguerre_rule
 
 from oracles import hermite_sum, laguerre_sum
@@ -129,12 +130,15 @@ def test_tables_match_scalar_evaluators():
         np.testing.assert_allclose(her[m], orthopoly.hermite_normalized(m, t), rtol=1e-13)
 
 
-# scalars, signed zeros and a 2-D array: every shape a scalar evaluator takes
+# scalars, signed zeros and a 2-D array: every shape a scalar evaluator takes;
+# then sizes on either side of the point-chunk boundaries
 _ROW_INPUTS = {
     "scalar": 0.7,
     "neg_zero": -0.0,
     "pos_zero": 0.0,
     "array_2d": np.linspace(-3.0, 6.0, 12).reshape(3, 4),
+    **{f"n={n}": np.linspace(-3.0, 6.0, n)
+       for n in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)},
 }
 
 
