@@ -35,6 +35,34 @@ def stack_rows(block, x: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def block_row(block, row: int, x: np.ndarray) -> np.ndarray:
+    """Row ``row`` of ``block`` (as in stack_rows) at the points x (N,), one
+    chunk at a time, so memory is O(dim * CHUNK) whatever N."""
+    out = np.empty(x.size)
+    for s in chunks(x.size):
+        out[s] = block(x[s])[row]
+    return out
+
+
+def _distinct(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of lam * v and, for each element of v
+    (flattened), the index of its value among them.
+
+    Each axis along which v is constant (compared with ==, so -0.0 and 0.0
+    merge as np.unique merges them, and NaN never counts as constant) is
+    cut to its first slice before the sort, so a meshgrid sorts one axis of
+    values, not all of them.
+    """
+    core = v
+    for axis in range(v.ndim):
+        if core.shape[axis] > 1:
+            first = core.take([0], axis=axis)
+            if np.all(core == first):
+                core = first
+    vals, inverse = np.unique(lam * core.ravel(), return_inverse=True)
+    return vals, np.broadcast_to(inverse.reshape(core.shape), v.shape).ravel()
+
+
 def rank_product(block, lam: float, t, u):
     """sum_k b_k(lam t) b_k(lam u) over the broadcast of t and u.
 
@@ -45,8 +73,8 @@ def rank_product(block, lam: float, t, u):
     contracted pair by pair, so element-wise inputs never cost O(N^2).
     """
     x, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
-    xs, ix = np.unique(lam * x.ravel(), return_inverse=True)
-    ys, iy = np.unique(lam * y.ravel(), return_inverse=True)
+    xs, ix = _distinct(x, lam)
+    ys, iy = _distinct(y, lam)
     bx, by = block(xs), block(ys)
     if xs.size * ys.size <= ix.size:
         vals = (bx.T @ by)[ix, iy]

@@ -102,7 +102,7 @@ class FeatureMapSpec:
 
 
 def _check_points(points, name: str = "points") -> np.ndarray:
-    """``points`` as a finite 1-D float array; a scalar is one point."""
+    """``points`` (or targets) as a finite 1-D float array; a scalar is one point."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if pts.ndim > 1:
         raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {pts.shape}")
@@ -138,7 +138,7 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
     x = _check_points(train_x, "train_x")
-    y = train_y.reshape(x.shape)
+    y = _check_points(train_y, "train_y")
     xt = _check_points(test_x, "test_x")
     block = _scaled_block(spec)
     if ridge > 0:

@@ -128,19 +128,31 @@ def _handed_weights(nu: int, count: int) -> np.ndarray:
     return np.exp(_log_c(nu) + gammaln(m + 1) - gammaln(m + nu + 2))
 
 
-def _handed_rows(nu: int, count: int, x: np.ndarray) -> np.ndarray:
-    """Rows m = 0..count-1 of psi+_{m,nu}(|x|) at (already scaled) points x."""
+def _handed_factor(nu: int, x: np.ndarray) -> np.ndarray:
+    """(2|x|)^(nu+1) e^{-|x|}, times (-1)^nu where x < 0: the one factor per
+    point that turns weighted Laguerre values into psi+ (x >= 0) or psi- (x < 0)."""
     ax = np.abs(x)
-    table = assoc_laguerre_table(count, nu + 1, 2.0 * ax)
-    return _handed_weights(nu, count)[:, None] * (2.0 * ax) ** (nu + 1) * table * np.exp(-ax)
+    factor = (2.0 * ax) ** (nu + 1) * np.exp(-ax)
+    if nu % 2:
+        np.negative(factor, out=factor, where=x < 0)
+    return factor
 
 
-def _put_handed(out: np.ndarray, rows: np.ndarray, x: np.ndarray, kind: str, nu: int) -> None:
-    """Write the ``kind`` class from psi+ values at |x| (_handed_rows, or one
-    of its rows) into the zero-filled out:
-    plus lives on x >= 0, minus on x < 0 with the sign (-1)^nu."""
-    side, sign = (x < 0, (-1.0) ** nu) if kind == "minus" else (x >= 0, 1.0)
-    np.multiply(rows, sign, out=out, where=side)
+def _handed_rows(nu: int, count: int, x: np.ndarray) -> np.ndarray:
+    """Rows m = 0..count-1 at (already scaled) points x of psi+_{m,nu}(x) where
+    x >= 0 and psi-_{m,nu}(x) where x < 0, built in the Laguerre table's buffer."""
+    rows = assoc_laguerre_table(count, nu + 1, 2.0 * np.abs(x))
+    rows *= _handed_weights(nu, count)[:, None]
+    rows *= _handed_factor(nu, x)
+    return rows
+
+
+def _handed_class(rows: np.ndarray, x: np.ndarray, kind: str) -> np.ndarray:
+    """The ``kind`` class from _handed_rows (or one of its rows): plus lives on
+    x >= 0, minus on x < 0, and every other column is exactly 0.0, even where
+    the rows are not finite."""
+    side = x < 0 if kind == "minus" else x >= 0
+    return np.where(side, rows, 0.0)
 
 
 def _null_block(nu: int, x: np.ndarray) -> np.ndarray:
@@ -169,11 +181,11 @@ def _null_block(nu: int, x: np.ndarray) -> np.ndarray:
 def _basis_block(tr: MaternTruncation, x: np.ndarray) -> np.ndarray:
     """All nu+1+2n basis values at scaled points, ordered null/minus/plus."""
     nu, n = tr.order.nu, tr.n
-    out = np.zeros((tr.dim, x.size))
+    out = np.empty((tr.dim, x.size))
     out[: nu + 1] = _null_block(nu, x)
     rows = _handed_rows(nu, n, x)
-    _put_handed(out[nu + 1 : nu + 1 + n], rows, x, "minus", nu)
-    _put_handed(out[nu + 1 + n :], rows, x, "plus", nu)
+    out[nu + 1 : nu + 1 + n] = _handed_class(rows, x, "minus")
+    out[nu + 1 + n :] = _handed_class(rows, x, "plus")
     return out
 
 
@@ -185,11 +197,11 @@ def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
     if basis_id.kind == "null":
         vals = _null_block(order.nu, flat)[basis_id.m]
     else:
-        nu, m, ax = order.nu, basis_id.m, np.abs(flat)
-        row = (_handed_weights(nu, m + 1)[-1] * (2.0 * ax) ** (nu + 1)
-               * assoc_laguerre(m, nu + 1, 2.0 * ax) * np.exp(-ax))
-        vals = np.zeros(flat.size)
-        _put_handed(vals, row, flat, basis_id.kind, nu)
+        # the product of _handed_rows, in the same order, for one row
+        nu, m = order.nu, basis_id.m
+        row = assoc_laguerre(m, nu + 1, 2.0 * np.abs(flat)) * _handed_weights(nu, m + 1)[-1]
+        row *= _handed_factor(nu, flat)
+        vals = _handed_class(row, flat, basis_id.kind)
     vals = vals.reshape(np.shape(x))
     return float(vals) if x.ndim == 0 else vals
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._lowrank import chunks
+from ._lowrank import block_row
 
 __all__ = [
     "MAX_DEGREE",
@@ -55,11 +55,8 @@ def _last_row(table, m: int, t, *args):
     """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar t)."""
     _check_degree(m)
     x, scalar = _prepare(t)
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    for s in chunks(flat.size):
-        out[s] = table(m + 1, *args, flat[s])[-1]
-    return _finish(out.reshape(x.shape), scalar)
+    vals = block_row(lambda p: table(m + 1, *args, p), -1, x.ravel())
+    return _finish(vals.reshape(x.shape), scalar)
 
 
 def laguerre(m: int, t):

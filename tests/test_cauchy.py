@@ -203,3 +203,34 @@ def test_real_basis_is_exact_block_row(m, t):
         got = cauchy_real_basis(kind, m, t)
         assert np.array_equal(got, row.reshape(np.shape(t)))
         assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+
+
+_LARGE_T = [37.5, -37.5, 1e3, -1e3, 1e6, -1e6]
+
+
+def test_block_matches_exact_rational_sums_at_large_t():
+    # the polar form's sqrt(1 - s), s = t^2/(t^2+1), cancels here (1.1e-5
+    # relative at |t| = 1e6); the recurrence keeps full relative accuracy
+    block = _real_basis_block(13, np.array(_LARGE_T))
+    for m in range(13):
+        for j, t in enumerate(_LARGE_T):
+            a_ref = float(cauchy_alpha_sum(m, Fraction(t)))
+            b_ref = float(cauchy_beta_sum(m, Fraction(t)))
+            assert block[m, j] == pytest.approx(a_ref, rel=1e-13, abs=0), f"alpha m={m} t={t}"
+            assert block[13 + m, j] == pytest.approx(b_ref, rel=1e-13, abs=0), f"beta m={m} t={t}"
+
+
+_EXTREME_T = [1e200, -1e200, 1.7e308, -1.7e308, 5e-324, -5e-324, 0.0, -0.0]
+
+
+def test_block_is_finite_over_the_whole_float_range():
+    # t^2 overflows past |t| ~ 1.3e154; the reciprocal form never squares t
+    x = np.array(_EXTREME_T)
+    block = _real_basis_block(40, x)
+    assert np.all(np.isfinite(block))
+    assert np.all(np.abs(block) <= 1.0)
+    # beta_0 = t/(1+t^2) is the one row that does not underflow at large |t|
+    np.testing.assert_allclose(block[40, :4], 1.0 / x[:4], rtol=1e-15)
+    np.testing.assert_array_equal(block[0, 4:], 1.0)
+    for kind in ("alpha", "beta"):
+        assert np.all(np.isfinite(cauchy_real_basis(kind, 40, x)))

@@ -12,8 +12,8 @@ from kernelbasis.featuremap import (
     krr_fit_predict,
 )
 from kernelbasis import orthopoly
-from kernelbasis._lowrank import CHUNK
-from kernelbasis.cauchy import cauchy_kernel, cauchy_truncated
+from kernelbasis._lowrank import CHUNK, _distinct
+from kernelbasis.cauchy import cauchy_kernel, cauchy_real_basis, cauchy_truncated
 from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_psi
 from kernelbasis.laguerre import laguerre_fn
 from kernelbasis.matern import MaternBasisId, MaternOrder, matern_psi
@@ -157,6 +157,25 @@ class TestTruncatedContraction:
         assert got == pytest.approx(float(_rowwise_truncated(spec, 0.3, -1.1)), abs=1e-14)
 
 
+_GRID_AXIS = np.array([0.5, -0.0, 1.5, 0.0, -2.0])
+
+
+@pytest.mark.parametrize("v", [
+    np.meshgrid(_GRID_AXIS, _GRID_AXIS[:3], indexing="ij")[0],
+    np.meshgrid(_GRID_AXIS, _GRID_AXIS[:3], indexing="ij")[1],
+    np.broadcast_to(_GRID_AXIS[:, None, None], (5, 2, 3)),
+    np.array([[0.0, 1.0], [-0.0, 1.0]]),  # constant along axis 0 only as -0.0 == 0.0
+    np.array([[np.nan, 1.0], [np.nan, 1.0]]),  # NaN is never constant
+    np.array(0.25), np.array([]), np.zeros((3, 0)), np.linspace(-1.0, 1.0, 7),
+], ids=["mesh_rows", "mesh_cols", "broadcast_3d", "signed_zero", "nan", "scalar", "empty",
+        "empty_2d", "distinct"])
+def test_distinct_matches_unique_of_all_values(v):
+    vals, inverse = _distinct(v, 1.3)
+    ref_vals, ref_inverse = np.unique(1.3 * v.ravel(), return_inverse=True)
+    np.testing.assert_array_equal(vals, ref_vals)
+    np.testing.assert_array_equal(inverse, ref_inverse.ravel())
+
+
 class TestKRR:
     def test_interpolates_kernel_translate(self):
         # y = r(., 0) sampled on 15 points is reproduced to 1e-6 off-sample
@@ -229,6 +248,14 @@ class TestKRR:
         with pytest.raises(ValueError, match=arg):
             call()
 
+    @pytest.mark.parametrize("ridge", [1e-3, 0.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_train_y(self, bad, ridge):
+        spec = FeatureMapSpec("gaussian", n=4)
+        x = np.array([-1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="train_y must be finite"):
+            krr_fit_predict(spec, x, np.array([0.0, bad, 1.0]), ridge, x)
+
 
 # chunk boundaries of the point loop: empty, one point, either side of one
 # chunk, and a short third chunk
@@ -299,7 +326,9 @@ class TestMemory:
         lambda x: gaussian_psi(200, x),
         lambda x: laguerre_fn(200, x),
         lambda x: matern_psi(MaternOrder(2), MaternBasisId("plus", 200), x),
-    ], ids=["hermite_normalized", "assoc_laguerre", "gaussian_psi", "laguerre_fn", "matern_psi"])
+        lambda x: cauchy_real_basis("beta", 200, x),
+    ], ids=["hermite_normalized", "assoc_laguerre", "gaussian_psi", "laguerre_fn", "matern_psi",
+            "cauchy_real_basis"])
     def test_scalar_evaluator_memory_does_not_grow_with_degree_times_n(self, evaluator):
         # a whole (201, 1e5) table would take 161 MB
         x = _points(100_000)

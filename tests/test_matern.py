@@ -20,11 +20,14 @@ from kernelbasis.matern import (
     matern_truncated,
     matern_truncation_error_bound,
     _basis_block,
+    _handed_weights,
     _log_c,
     _null_block,
 )
 from kernelbasis._lowrank import CHUNK
+from kernelbasis.featuremap import FeatureMapSpec, features
 from kernelbasis.laguerre import laguerre_fn
+from kernelbasis.orthopoly import assoc_laguerre_table
 from kernelbasis.quadrature import gauss_laguerre_rule, integrate
 
 SQRT2 = math.sqrt(2.0)
@@ -369,3 +372,31 @@ def test_null_rows_match_binomial_sum_of_laguerre_functions(nu):
         ref = pref * sum(math.comb(nu + 1, k) * (-1) ** k * laguerre_fn(-nu - 1 + m + k, x)
                          for k in range(nu + 2))
         np.testing.assert_allclose(got[m], ref, rtol=0, atol=1e-15)
+
+
+# far from the origin the Laguerre table overflows and e^{-|x|} underflows,
+# so the on-side handed values are not all finite there
+_FAR = np.array([s * v for v in (1e3, 1e6, 1e12, 1e200) for s in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("nu", [0, 1, 2, 6])
+def test_off_side_handed_columns_stay_zero_far_from_the_origin(nu, size):
+    n = 32
+    x = np.resize(np.concatenate([_FAR, np.linspace(-3.0, 3.0, 9)]), size)
+    with np.errstate(all="ignore"):
+        F = features(FeatureMapSpec("matern", n=n, nu=nu), x)
+        # the paper's product, factor by factor, on the side each class lives on
+        ax = np.abs(x)
+        direct = (_handed_weights(nu, n)[:, None] * (2.0 * ax) ** (nu + 1)
+                  * assoc_laguerre_table(n, nu + 1, 2.0 * ax) * np.exp(-ax)).T
+    minus, plus = F[:, nu + 1 : nu + 1 + n], F[:, nu + 1 + n :]
+    left = x < 0
+    assert np.all(minus[~left] == 0.0) and np.all(plus[left] == 0.0)
+    on_side = np.where(left[:, None], minus, plus)
+    ref = np.where(left[:, None], (-1.0) ** nu * direct, direct)
+    # no value is non-finite where the direct product is finite ...
+    assert np.all(np.isfinite(on_side) | ~np.isfinite(ref))
+    # ... and the finite ones agree with it
+    both = np.isfinite(on_side) & np.isfinite(ref)
+    np.testing.assert_allclose(on_side[both], ref[both], rtol=0, atol=1e-15)
