@@ -39,13 +39,7 @@ from .matern import (
     matern_truncation_error_bound,
 )
 from .orthopoly import assoc_laguerre, hermite, hermite_normalized, laguerre
-from .quadrature import (
-    QuadratureRule,
-    gauss_hermite_rule,
-    gauss_laguerre_rule,
-    integrate,
-    uniform_truncated_rule,
-)
+from .quadrature import QuadratureRule, gauss_hermite_rule, gauss_laguerre_rule
 from .report import VerificationReport
 from .verify import convolution_oracle, gram_matrix, run_suite, truncation_sweep
 

@@ -1,14 +1,23 @@
 """Gaussian kernel exp(-(t-u)^2/2), its Hermite RKHS basis and Mercer form.
 
-RKHS basis:
+Every function here has the one form c q^m e^{-a t^2} e_m(b t), with
+e_m = H_m / sqrt(2^m m!), and is a row of one block, :func:`_hermite_rows`,
+built on the normalised Hermite recurrence, so arbitrary degrees neither
+overflow nor lose the prefactor.  The block takes (c, p, v, w) with
+p = q^{-2}, v = 1/a and w = 1/b, so the basis's 3^{-m/2}, t^2/3 and
+2t/sqrt 3 each round once.  The four parameter sets (c, p, v, w):
 
-    psi_m(t) = (2 sqrt 2 / 3)^{1/2} (6^m m!)^{-1/2} e^{-t^2/3} H_m(2t/sqrt 3),
+* ``hermite_fn``, the Hermite functions: (pi^{-1/4}, 1, 2, 1);
+* ``gaussian_psi``, the RKHS basis (2 sqrt 2 / 3)^{1/2} (6^m m!)^{-1/2}
+  e^{-t^2/3} H_m(2t/sqrt 3): ((2 sqrt 2 / 3)^{1/2}, 3, 3, sqrt 3 / 2);
+* ``gaussian_psi_scaled``, width kappa, with A = 1 + kappa^2/2 and
+  S = 1 - kappa^2/A: ((sqrt 2 kappa/A)^{1/2}, 1/S, 2A/kappa^2, A sqrt(S)/kappa);
+* ``mercer_eigenfunction``, for the weight w_alpha(t) = alpha pi^{-1/2}
+  e^{-alpha^2 t^2}: (sqrt beta, 1, 1/delta^2, 1/(alpha beta)).
 
-evaluated through the normalised Hermite recurrence so that arbitrary
-degrees neither overflow nor lose the prefactor.  The same basis arises as
-sqrt(mu_m) times the Mercer eigenfunctions for the Gaussian weight
-w_alpha(t) = alpha pi^{-1/2} e^{-alpha^2 t^2} at alpha = sqrt(2/3), where
-mu_m = 2/3^{m+1}.
+At alpha = sqrt(2/3) the basis is sqrt(mu_m) times the Mercer
+eigenfunctions, with mu_m = 2/3^{m+1}; at kappa = 1 the width-kappa
+basis is the RKHS basis.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lowrank import check_lam, rank_product
-from .orthopoly import hermite_normalized, hermite_normalized_table
+from .orthopoly import _last_row, hermite_normalized_table
 from .report import VerificationReport
 
 __all__ = [
@@ -37,10 +46,6 @@ __all__ = [
     "gaussian_truncation_error",
     "mehler_check",
 ]
-
-_SQRT3 = math.sqrt(3.0)
-# (2 sqrt 2 / 3)^{1/2}
-_PSI_COEFF = (2.0 * math.sqrt(2.0) / 3.0) ** 0.5
 
 MERCER_ALPHA_DEFAULT = math.sqrt(2.0 / 3.0)
 
@@ -87,56 +92,56 @@ def gaussian_kernel(scale: GaussianScale, t, u):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def hermite_fn(m: int, t):
-    """L2(R)-orthonormal Hermite function (2^m m! sqrt pi)^{-1/2} e^{-t^2/2} H_m(t)."""
-    x = np.asarray(t, dtype=float)
-    vals = math.pi ** (-0.25) * np.exp(-0.5 * x * x) * hermite_normalized(m, x)
-    return float(vals) if np.ndim(t) == 0 else vals
+def _hermite_rows(count: int, c: float, p: float, v: float, w: float, x: np.ndarray) -> np.ndarray:
+    """Rows m = 0..count-1 of c p^{-m/2} e^{-x^2/v} e_m(x/w) at points x (N,),
+    built in the Hermite table's buffer."""
+    rows = hermite_normalized_table(count, x / w)
+    rows *= (c * p ** (-0.5 * np.arange(count)))[:, None]
+    rows *= np.exp(-x * x / v)
+    return rows
 
 
-def gaussian_psi(m: int, t, scale: GaussianScale = GaussianScale()):
-    """RKHS basis function psi_m evaluated at lam * t."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    x = scale.lam * np.asarray(t, dtype=float)
-    e_m = hermite_normalized(m, 2.0 * x / _SQRT3)
-    vals = _psi_weights(m + 1)[-1] * e_m * np.exp(-x * x / 3.0)
-    return float(vals) if x.ndim == 0 else vals
-
-
-def _psi_weights(n: int) -> np.ndarray:
-    """(2 sqrt 2 / 3)^{1/2} 3^{-m/2} for m = 0..n-1: psi_m over e_m(2t/sqrt 3) e^{-t^2/3}."""
-    return _PSI_COEFF * 3.0 ** (-0.5 * np.arange(n))
+_HERMITE_FN = (math.pi**-0.25, 1.0, 2.0, 1.0)
+_PSI = ((2.0 * math.sqrt(2.0) / 3.0) ** 0.5, 3.0, 3.0, 0.5 * math.sqrt(3.0))
 
 
 def _psi_block(n: int, x: np.ndarray) -> np.ndarray:
     """Rows m = 0..n-1 of psi_m at (already scaled) points x."""
-    table = hermite_normalized_table(n, 2.0 * x / _SQRT3)
-    table *= _psi_weights(n)[:, None]
-    table *= np.exp(-x * x / 3.0)
-    return table
+    return _hermite_rows(n, *_PSI, x)
 
 
-def gaussian_psi_scaled(m: int, kappa: float, t):
-    """Generalised basis from Hermite functions of width kappa in (0, sqrt 2).
-
-    At kappa = 1 this reduces to :func:`gaussian_psi` (a^2 = 3/2, both the
-    exponent and the Hermite argument collapse to the 2t/sqrt 3 form).
-    """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+def _scaled_form(kappa: float) -> tuple[float, float, float, float]:
+    """(c, p, v, w) of :func:`_hermite_rows` for the width-kappa basis."""
     if not 0.0 < kappa < math.sqrt(2.0):
         raise ValueError(f"kappa must lie in (0, sqrt(2)), got {kappa}")
     a2 = 1.0 + 0.5 * kappa * kappa
     shrink = 1.0 - kappa * kappa / a2
-    x = np.asarray(t, dtype=float)
-    vals = (
-        (math.sqrt(2.0) * kappa / a2) ** 0.5
-        * shrink ** (0.5 * m)
-        * np.exp(-(1.0 - 1.0 / a2) * x * x)
-        * hermite_normalized(m, kappa * x / (a2 * math.sqrt(shrink)))
-    )
-    return float(vals) if np.ndim(t) == 0 else vals
+    c = (math.sqrt(2.0) * kappa / a2) ** 0.5
+    # v = A/(A - 1) with A - 1 = kappa^2/2, which rounds to 0 for kappa < 1e-8
+    return c, 1.0 / shrink, 2.0 * a2 / kappa / kappa, a2 * math.sqrt(shrink) / kappa
+
+
+def _mercer_form(params: MercerParams) -> tuple[float, float, float, float]:
+    """(c, p, v, w) of :func:`_hermite_rows` for the Mercer eigenfunctions;
+    delta^2 rounds to 0 for alpha > 1e8, and v = inf then gives e^0."""
+    v = 1.0 / params.delta_sq if params.delta_sq > 0 else math.inf
+    return math.sqrt(params.beta), 1.0, v, 1.0 / (params.alpha * params.beta)
+
+
+def hermite_fn(m: int, t):
+    """L2(R)-orthonormal Hermite function (2^m m! sqrt pi)^{-1/2} e^{-t^2/2} H_m(t)."""
+    return _last_row(_hermite_rows, m, t, *_HERMITE_FN)
+
+
+def gaussian_psi(m: int, t, scale: GaussianScale = GaussianScale()):
+    """RKHS basis function psi_m evaluated at lam * t."""
+    return _last_row(_hermite_rows, m, scale.lam * np.asarray(t, dtype=float), *_PSI)
+
+
+def gaussian_psi_scaled(m: int, kappa: float, t):
+    """Generalised basis from Hermite functions of width kappa in (0, sqrt 2);
+    at kappa = 1 it is :func:`gaussian_psi`."""
+    return _last_row(_hermite_rows, m, t, *_scaled_form(kappa))
 
 
 def _mercer_s(params: MercerParams) -> float:
@@ -154,15 +159,7 @@ def mercer_eigenvalue(params: MercerParams, m: int) -> float:
 def mercer_eigenfunction(params: MercerParams, m: int, t):
     """Eigenfunction theta_{m,alpha}(t) = sqrt(beta/(2^m m!)) e^{-delta^2 t^2} H_m(alpha beta t),
     orthonormal under the weight w_alpha."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    x = np.asarray(t, dtype=float)
-    vals = (
-        math.sqrt(params.beta)
-        * np.exp(-params.delta_sq * x * x)
-        * hermite_normalized(m, params.alpha * params.beta * x)
-    )
-    return float(vals) if np.ndim(t) == 0 else vals
+    return _last_row(_hermite_rows, m, t, *_mercer_form(params))
 
 
 def mercer_weight(params: MercerParams, t):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .orthopoly import assoc_laguerre_table, laguerre
+from .orthopoly import _last_row, assoc_laguerre_table
 from .report import VerificationReport
 
 __all__ = ["laguerre_fn", "laguerre_fn_ft", "check_identity", "IDENTITIES"]
@@ -26,20 +26,24 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _laguerre_rows(count: int, x: np.ndarray) -> np.ndarray:
-    """Rows j = 0..count-1 of sqrt(2) L_j(2|x|) e^{-|x|} at points x (N,).
+    """Rows j = 0..count-1 of sqrt(2) L_j(2|x|) e^{-|x|} at points x (N,),
+    built in the Laguerre table's buffer.
 
     Row j is phi_j on x >= 0 and -phi_{-j-1} on x < 0.
     """
     ax = np.abs(x)
-    return _SQRT2 * assoc_laguerre_table(count, 0, 2.0 * ax) * np.exp(-ax)
+    rows = assoc_laguerre_table(count, 0, 2.0 * ax)
+    rows *= _SQRT2
+    rows *= np.exp(-ax)
+    return rows
 
 
 def laguerre_fn(m: int, t):
-    """Laguerre function phi_m(t) for any integer index m."""
+    """Laguerre function phi_m(t) for any integer index m: row j of
+    :func:`_laguerre_rows`, signed and kept on its side of the origin."""
     x = np.asarray(t, dtype=float)
     j, side, sign = (m, x >= 0, 1.0) if m >= 0 else (-m - 1, x < 0, -1.0)
-    ax = np.abs(x)
-    vals = np.where(side, sign * (_SQRT2 * laguerre(j, 2.0 * ax) * np.exp(-ax)), 0.0)
+    vals = np.where(side, sign * _last_row(_laguerre_rows, j, x), 0.0)
     return float(vals) if x.ndim == 0 else vals
 
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._lowrank import check_lam, rank_product, stack_rows
+from ._lowrank import block_row, check_lam, rank_product, stack_rows
 from .laguerre import _laguerre_rows
-from .orthopoly import assoc_laguerre, assoc_laguerre_table
+from .orthopoly import assoc_laguerre_table
+from .quadrature import _legendre_rule
 
 __all__ = [
     "MaternOrder",
@@ -108,18 +109,23 @@ def matern_kernel(order: MaternOrder, t, u):
 
     Uses the polynomial-times-exponential form
     e^{-d} (nu!/(2 nu)!) sum_k (nu+k)!/(k!(nu-k)!) (2d)^{nu-k}
-    at d = lam |t - u|.
+    at d = lam |t - u|, each term formed as the exponential of its
+    logarithm, so no factor overflows before it meets e^{-d}.  At d = 0
+    only the k = nu term is nonzero, and it is exactly 1.
     """
     nu = order.nu
     d = order.lam * np.abs(np.asarray(t, dtype=float) - np.asarray(u, dtype=float))
-    scalar = d.ndim == 0
-    acc = np.zeros_like(d)
-    for k in range(nu + 1):
-        logc = gammaln(nu + k + 1) - gammaln(k + 1) - gammaln(nu - k + 1)
-        acc = acc + np.exp(logc) * (2.0 * d) ** (nu - k)
+    # an infinite distance is the largest float, so it gives 0 and not inf - inf
+    d = np.minimum(d, np.finfo(float).max)
+    with np.errstate(divide="ignore"):
+        log2d = math.log(2.0) + np.log(d)
     logpref = gammaln(nu + 1) - gammaln(2 * nu + 1)
-    vals = np.exp(-d + logpref) * acc
-    return float(vals) if scalar else vals
+    vals = np.zeros_like(d)
+    for k in range(nu + 1):
+        logc = gammaln(nu + k + 1) - gammaln(k + 1) - gammaln(nu - k + 1) + logpref
+        # (nu - k) log 2d is -inf at d = 0 for k < nu and absent for k = nu
+        vals += np.exp((nu - k) * log2d + logc - d) if k < nu else np.exp(logc - d)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def _handed_weights(nu: int, count: int) -> np.ndarray:
@@ -197,10 +203,7 @@ def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
     if basis_id.kind == "null":
         vals = _null_block(order.nu, flat)[basis_id.m]
     else:
-        # the product of _handed_rows, in the same order, for one row
-        nu, m = order.nu, basis_id.m
-        row = assoc_laguerre(m, nu + 1, 2.0 * np.abs(flat)) * _handed_weights(nu, m + 1)[-1]
-        row *= _handed_factor(nu, flat)
+        row = block_row(lambda p: _handed_rows(order.nu, basis_id.m + 1, p), -1, flat)
         vals = _handed_class(row, flat, basis_id.kind)
     vals = vals.reshape(np.shape(x))
     return float(vals) if x.ndim == 0 else vals
@@ -280,7 +283,7 @@ def _tail_sum(nu: int, n: int) -> float:
     N = n + 512
     head = float(np.sum(_tail_term(nu, np.arange(n, N, dtype=float))))
     # m = N + N y/(1-y) keeps the decaying integrand free of boundary layers
-    y, w = np.polynomial.legendre.leggauss(64)
+    y, w = _legendre_rule(64)
     y = 0.5 * (y + 1.0)
     w = 0.5 * w
     integral = float(np.sum(w * _tail_term(nu, N + N * y / (1.0 - y)) * N / (1.0 - y) ** 2))

@@ -7,7 +7,7 @@ with ``scipy.linalg.eigh_tridiagonal``.
 
 Convention: a rule integrates ``f`` against its base weight,
 
-    integrate(rule, f) ~ int f(x) w_base(x) dx,
+    sum_i w_i f(x_i) ~ int f(x) w_base(x) dx,
 
 so integrands must be supplied with the base weight divided out.  Products
 such as ``exp(-2t)`` times a polynomial are the caller's responsibility,
@@ -16,9 +16,9 @@ normally via the change of variables s = 2t.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -27,8 +27,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_laguerre_rule",
     "gauss_hermite_rule",
-    "uniform_truncated_rule",
-    "integrate",
     "MAX_NODES",
 ]
 
@@ -144,68 +142,17 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     )
 
 
-def _legendre_panel(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss--Legendre nodes and weights on [-1, 1], built once per node
+    count and returned read-only, since every caller shares them."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _legendre_panel(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss--Legendre nodes and weights on [a, b]."""
+    x, w = _legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
-
-
-def uniform_truncated_rule(n: int, R: float) -> QuadratureRule:
-    """Composite rule for weight 1 on [-R, R].
-
-    Panels grow geometrically away from the origin so that slowly decaying
-    rational integrands (e.g. 1/(1+w^2) out to R ~ 1e8) are resolved with a
-    modest node budget; each panel carries a 16-point Gauss--Legendre rule.
-    """
-    _check_node_count(n)
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
-    if n < 4:
-        per_panel = n
-        bounds = [(-R, R)]
-    elif R <= 1.0 or n < 64:
-        per_panel = n // 2
-        bounds = [(-R, 0.0), (0.0, R)]
-    else:
-        # per side: one linear panel near the origin plus geometric panels
-        # out to R, 16 Gauss--Legendre nodes each
-        per_panel = 16
-        geo = n // 32 - 1
-        edges = np.geomspace(1.0, R, geo + 1)
-        bounds = [(0.0, edges[0])] + [(edges[i], edges[i + 1]) for i in range(geo)]
-        bounds = [(-b, -a) for (a, b) in reversed(bounds)] + bounds
-    nodes, weights = [], []
-    for a, b in bounds:
-        x, w = _legendre_panel(per_panel, a, b)
-        nodes.append(x)
-        weights.append(w)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    order = np.argsort(nodes)
-    return QuadratureRule(
-        nodes=nodes[order],
-        weights=weights[order],
-        domain=REAL_LINE,
-        base_weight=f"uniform_truncated(R={R:g})",
-        metadata={"n": n, "R": float(R)},
-    )
-
-
-def integrate(rule: QuadratureRule, f: Callable) -> float:
-    """Apply the rule: sum_i w_i f(x_i).
-
-    ``f`` must accept an ndarray of nodes (or be scalar-callable) and may
-    not return non-finite values at any node.
-    """
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.array([float(f(x)) for x in rule.nodes])
-    if vals.shape != rule.nodes.shape:
-        vals = np.broadcast_to(vals, rule.nodes.shape)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"integrand is not finite at node {i} (x={rule.nodes[i]!r}): {vals[i]!r}"
-        )
-    return float(rule.weights @ vals)

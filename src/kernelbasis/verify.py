@@ -3,8 +3,11 @@
 The module provides three reusable operations (a convolution oracle for the
 basis construction, weighted Gram matrices, and truncation-error sweeps)
 plus named suites that bundle them into reproducible lists of
-:class:`VerificationReport`.  All randomness is drawn from a fixed seed so
-reports are bit-reproducible on one platform.
+:class:`VerificationReport`.  Gram matrices and the suites evaluate the
+package's own basis blocks, once per grid; the convolution oracle alone
+keeps the raw polynomial evaluators, because it is the independent check.
+All randomness is drawn from a fixed seed so reports are bit-reproducible
+on one platform.
 """
 
 from __future__ import annotations
@@ -137,7 +140,45 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
 # ---------------------------------------------------------------------------
 # weighted Gram matrices
 
-GRAM_FAMILIES = ("matern_plus", "matern_minus", "hermite_fn", "gaussian_psi", "mercer")
+def _matern_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
+    # t = s/2 lies on the rule's half line, so the handed rows there are psi+
+    # (s > 0) or psi-_{m,nu} (s < 0); the strip removes |s|^{nu+1} e^{-|s|}
+    if nu is None:
+        raise ValueError("matern gram needs nu")
+    nu = _m.MaternOrder(nu).nu
+    a = np.abs(s)
+    return _m._handed_rows(nu, count, 0.5 * s) * (np.exp(0.5 * a) * a ** (-(nu + 1.0)))
+
+
+def _hermite_fn_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
+    return _g._hermite_rows(count, *_g._HERMITE_FN, s) * np.exp(0.5 * s * s)
+
+
+def _psi_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
+    # t = sqrt(3) s / 2 turns psi_m psi_k w_alpha dt, alpha = sqrt(2/3), into
+    # (psi_m strip)(psi_k strip) e^{-s^2} ds
+    const = math.sqrt(_g.MERCER_ALPHA_DEFAULT * math.sqrt(3.0) / (2.0 * math.sqrt(math.pi)))
+    return _g._psi_block(count, math.sqrt(3.0) * s / 2.0) * (const * np.exp(0.25 * s * s))
+
+
+def _mercer_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
+    params = mercer if mercer is not None else _g.MercerParams.from_alpha(_g.MERCER_ALPHA_DEFAULT)
+    t = s / (params.alpha * params.beta)
+    strip = math.pi**-0.25 / math.sqrt(params.beta) * np.exp(params.delta_sq * t * t)
+    return _g._hermite_rows(count, *_g._mercer_form(params), t) * strip
+
+
+# family -> (domain of its rule, message when the rule has another, rows
+# m = 0..count-1 at the rule's nodes times the strip that reduces the
+# weighted integrand to the rule's base weight)
+_GRAM = {
+    "matern_plus": (POSITIVE_HALF_LINE, "psi+ lives on the positive half line", _matern_rows),
+    "matern_minus": (NEGATIVE_HALF_LINE, "psi- lives on the negative half line", _matern_rows),
+    "hermite_fn": (REAL_LINE, "Hermite functions need a real-line rule", _hermite_fn_rows),
+    "gaussian_psi": (REAL_LINE, "gaussian basis needs a real-line rule", _psi_rows),
+    "mercer": (REAL_LINE, "mercer basis needs a real-line rule", _mercer_rows),
+}
+GRAM_FAMILIES = tuple(_GRAM)
 
 
 def gram_matrix(family: str, indices, rule: QuadratureRule,
@@ -147,58 +188,19 @@ def gram_matrix(family: str, indices, rule: QuadratureRule,
 
     The weighted integrand is reduced to the rule's base weight by the
     documented change of variables for each family (s = 2t for the Matern
-    classes, s proportional to t for the Gaussian ones).
+    classes, s proportional to t for the Gaussian ones).  The family's
+    block is evaluated once at the rule's nodes, and the rows ``indices``
+    (nonnegative, in any order) are taken from it.
     """
-    idx = list(indices)
-    if family not in GRAM_FAMILIES:
+    if family not in _GRAM:
         raise ValueError(f"unknown gram family {family!r}; expected one of {GRAM_FAMILIES}")
-    if family == "matern_plus":
-        if nu is None:
-            raise ValueError("matern gram needs nu")
-        if rule.domain != POSITIVE_HALF_LINE:
-            raise ValueError(f"psi+ lives on the positive half line, rule has {rule.domain}")
-        order = _m.MaternOrder(nu)
-        s = rule.nodes
-        strip = np.exp(0.5 * s) * s ** (-(nu + 1.0))
-        B = np.vstack([
-            _m.matern_psi(order, _m.MaternBasisId("plus", m), 0.5 * s) * strip for m in idx
-        ])
-    elif family == "matern_minus":
-        if nu is None:
-            raise ValueError("matern gram needs nu")
-        if rule.domain != NEGATIVE_HALF_LINE:
-            raise ValueError(f"psi- lives on the negative half line, rule has {rule.domain}")
-        order = _m.MaternOrder(nu)
-        s = -rule.nodes  # positive, descending; weights stay aligned
-        strip = np.exp(0.5 * s) * s ** (-(nu + 1.0))
-        B = np.vstack([
-            _m.matern_psi(order, _m.MaternBasisId("minus", m), -0.5 * s) * strip for m in idx
-        ])
-    elif family == "hermite_fn":
-        if rule.domain != REAL_LINE:
-            raise ValueError(f"Hermite functions need a real-line rule, got {rule.domain}")
-        x = rule.nodes
-        strip = np.exp(0.5 * x * x)
-        B = np.vstack([_g.hermite_fn(m, x) * strip for m in idx])
-    elif family == "gaussian_psi":
-        if rule.domain != REAL_LINE:
-            raise ValueError(f"gaussian basis needs a real-line rule, got {rule.domain}")
-        alpha = _g.MERCER_ALPHA_DEFAULT
-        s = rule.nodes
-        tpts = math.sqrt(3.0) * s / 2.0
-        const = math.sqrt(alpha * math.sqrt(3.0) / (2.0 * math.sqrt(math.pi)))
-        strip = const * np.exp(0.25 * s * s)
-        B = np.vstack([_g.gaussian_psi(m, tpts) * strip for m in idx])
-    else:  # mercer
-        if rule.domain != REAL_LINE:
-            raise ValueError(f"mercer basis needs a real-line rule, got {rule.domain}")
-        params = mercer if mercer is not None else _g.MercerParams.from_alpha(_g.MERCER_ALPHA_DEFAULT)
-        ab = params.alpha * params.beta
-        s = rule.nodes
-        tpts = s / ab
-        const = math.pi**-0.25 / math.sqrt(params.beta)
-        strip = const * np.exp(params.delta_sq * tpts * tpts)
-        B = np.vstack([_g.mercer_eigenfunction(params, m, tpts) * strip for m in idx])
+    idx = list(indices)
+    if not idx or min(idx) < 0:
+        raise ValueError(f"indices must be nonempty and nonnegative, got {idx}")
+    domain, message, rows = _GRAM[family]
+    if rule.domain != domain:
+        raise ValueError(f"{message}, rule has {rule.domain}")
+    B = rows(max(idx) + 1, rule.nodes, nu, mercer)[idx]
     return (B * rule.weights) @ B.T
 
 
@@ -379,12 +381,9 @@ def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Verifi
         )
     # null-space symmetry psi0_{nu-m}(t) = (-1)^nu psi0_m(-t)
     for nu in range(7):
-        order = _m.MaternOrder(nu)
-        dev = 0.0
-        for m in range(nu + 1):
-            lhs = _m.matern_psi(order, _m.MaternBasisId("null", nu - m), grid)
-            rhs = (-1.0) ** nu * _m.matern_psi(order, _m.MaternBasisId("null", m), -grid)
-            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+        block = _m._null_block(nu, np.concatenate([grid, -grid]))
+        lhs, rhs = block[::-1, : grid.size], (-1.0) ** nu * block[:, grid.size :]
+        dev = float(np.max(np.abs(lhs - rhs)))
         reports.append(
             VerificationReport.deviation_check(
                 f"matern/null_symmetry/nu={nu}", dev, ALGEBRAIC_TOL
@@ -393,12 +392,12 @@ def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Verifi
     # uniform bound over the unified two-sided index
     tgrid = np.linspace(-8.0, 8.0, 801)
     for nu in range(5):
-        order = _m.MaternOrder(nu)
-        bound = _m.matern_psi_bound(order)
-        peak = max(
-            float(np.max(np.abs(_m.matern_psi_unified(order, m, tgrid))))
-            for m in range(-30, 31)
-        )
+        bound = _m.matern_psi_bound(_m.MaternOrder(nu))
+        # indices -30..30: every null function, psi+_0..psi+_30 (the handed
+        # rows on t >= 0) and psi-_0..psi-_{28-nu} (the handed rows on t < 0)
+        handed = np.abs(_m._handed_rows(nu, 31, tgrid))
+        peak = float(max(np.max(np.abs(_m._null_block(nu, tgrid))),
+                         np.max(handed[:, tgrid >= 0]), np.max(handed[: 29 - nu, tgrid < 0])))
         reports.append(
             VerificationReport.deviation_check(
                 f"matern/uniform_bound/nu={nu}", max(0.0, peak - bound), ALGEBRAIC_TOL,
@@ -423,13 +422,9 @@ def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Verifi
     # classical (1+d)e^-d and (1+d+d^2/3)e^-d closed forms
     dgrid = np.linspace(0.0, 6.0, 61)
     for nu in range(7):
-        order = _m.MaternOrder(nu)
-        nullsum = sum(
-            _m.matern_psi(order, _m.MaternBasisId("null", m), 0.0)
-            * _m.matern_psi(order, _m.MaternBasisId("null", m), dgrid)
-            for m in range(nu + 1)
-        )
-        dev = float(np.max(np.abs(nullsum - _m.matern_kernel(order, 0.0, dgrid))))
+        block = _m._null_block(nu, np.concatenate([[0.0], dgrid]))
+        nullsum = np.sum(block[:, :1] * block[:, 1:], axis=0)
+        dev = float(np.max(np.abs(nullsum - _m.matern_kernel(_m.MaternOrder(nu), 0.0, dgrid))))
         reports.append(
             VerificationReport.deviation_check(
                 f"matern/null_reconstruction/nu={nu}", dev, ALGEBRAIC_TOL
@@ -487,14 +482,11 @@ def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Verifi
 def suite_cauchy(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     reports = []
     grid = DEFAULT_GRID
-    # real basis from the explicit formulas vs sqrt(2) Re/Im of psi_m
-    for kind in ("alpha", "beta"):
-        dev = 0.0
-        for m in range(13):
-            psi = _c.cauchy_psi_complex(m, grid)
-            derived = math.sqrt(2.0) * (psi.real if kind == "alpha" else psi.imag)
-            direct = _c.cauchy_real_basis(kind, m, grid)
-            dev = max(dev, float(np.max(np.abs(direct - derived))))
+    # real basis from the recurrence block vs sqrt(2) Re/Im of psi_m
+    psi = math.sqrt(2.0) * np.array([_c.cauchy_psi_complex(m, grid) for m in range(13)])
+    direct = _c._real_basis_block(13, grid)
+    for kind, derived, rows in (("alpha", psi.real, direct[:13]), ("beta", psi.imag, direct[13:])):
+        dev = float(np.max(np.abs(rows - derived)))
         reports.append(
             VerificationReport.deviation_check(
                 f"cauchy/real_basis_consistency/{kind}", dev, ALGEBRAIC_TOL
@@ -597,10 +589,9 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Veri
     )
     # sqrt(mu_m) theta_m == psi_m at alpha = sqrt(2/3)
     params = _g.MercerParams.from_alpha(_g.MERCER_ALPHA_DEFAULT)
-    dev = 0.0
-    for m in range(16):
-        lhs = math.sqrt(_g.mercer_eigenvalue(params, m)) * _g.mercer_eigenfunction(params, m, grid)
-        dev = max(dev, float(np.max(np.abs(lhs - _g.gaussian_psi(m, grid)))))
+    sqrt_mu = np.sqrt([_g.mercer_eigenvalue(params, m) for m in range(16)])
+    lhs = sqrt_mu[:, None] * _g._hermite_rows(16, *_g._mercer_form(params), grid)
+    dev = float(np.max(np.abs(lhs - _g._psi_block(16, grid))))
     reports.append(
         VerificationReport.deviation_check("gaussian/mercer_relation", dev, ALGEBRAIC_TOL)
     )
@@ -654,6 +645,8 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Veri
     # matching the m = 0 term pins the constant at (2 sqrt(2 pi)/3)^{1/2}
     dev = 0.0
     tg = np.linspace(-4.0, 4.0, 41)
+    hermite = _g._hermite_rows(21, *_g._HERMITE_FN, math.sqrt(2.0 / 3.0) * tg)
+    psi = _g._psi_block(21, tg)
     for m in range(21):
         acc = np.zeros_like(tg)
         logc0 = 0.5 * (
@@ -663,29 +656,22 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Veri
         )
         for k in range(m // 2 + 1):
             logc = logc0 - k * math.log(4.0) - gammaln(k + 1) - 0.5 * gammaln(m - 2 * k + 1)
-            acc += math.exp(logc) * _g.hermite_fn(m - 2 * k, math.sqrt(2.0 / 3.0) * tg)
-        dev = max(dev, float(np.max(np.abs(acc - _g.gaussian_psi(m, tg)))))
+            acc += math.exp(logc) * hermite[m - 2 * k]
+        dev = max(dev, float(np.max(np.abs(acc - psi[m]))))
     reports.append(
         VerificationReport.deviation_check("gaussian/hermite_reexpression", dev, 1e-10)
     )
     # kappa = 1 reduces the generalised basis to the standard one
-    dev = 0.0
-    for m in range(13):
-        dev = max(
-            dev,
-            float(np.max(np.abs(_g.gaussian_psi_scaled(m, 1.0, grid) - _g.gaussian_psi(m, grid)))),
-        )
+    scaled = _g._hermite_rows(13, *_g._scaled_form(1.0), grid)
+    dev = float(np.max(np.abs(scaled - _g._psi_block(13, grid))))
     reports.append(
         VerificationReport.deviation_check("gaussian/scaled_kappa1", dev, ALGEBRAIC_TOL)
     )
     # generalised basis still reproduces the kernel pointwise (kappa = 0.7)
-    dev = 0.0
-    for t, u in pairs[:8]:
-        acc = sum(
-            _g.gaussian_psi_scaled(m, 0.7, t) * _g.gaussian_psi_scaled(m, 0.7, u)
-            for m in range(120)
-        )
-        dev = max(dev, abs(acc - _g.gaussian_kernel(_g.GaussianScale(1.0), t, u)))
+    t, u = np.array(pairs[:8]).T
+    block = _g._hermite_rows(120, *_g._scaled_form(0.7), np.concatenate([t, u]))
+    acc = np.sum(block[:, : t.size] * block[:, t.size :], axis=0)
+    dev = float(np.max(np.abs(acc - _g.gaussian_kernel(_g.GaussianScale(1.0), t, u))))
     reports.append(
         VerificationReport.deviation_check("gaussian/scaled_kappa0.7_converges", dev, 1e-8)
     )

@@ -1,14 +1,22 @@
-"""Independent test oracles: exact rational evaluation of the defining sums.
+"""Independent test oracles and test-only quadrature.
 
-These deliberately use the explicit binomial-sum definitions (slow,
-cancellation-prone in floats, exact over Fraction) so the recurrence-based
-library code is checked against an arithmetic path it shares nothing with.
+The exact oracles deliberately use the explicit binomial-sum definitions
+(slow, cancellation-prone in floats, exact over Fraction) so the
+recurrence-based library code is checked against an arithmetic path it
+shares nothing with.  ``uniform_truncated_rule`` and ``integrate`` serve
+the tests' own quadrature cross-checks, such as Plancherel in the Fourier
+domain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
+
+import numpy as np
+
+from kernelbasis.quadrature import REAL_LINE, QuadratureRule, _check_node_count, _legendre_panel
 
 
 def laguerre_sum(m: int, eta: int, t: Fraction) -> Fraction:
@@ -59,3 +67,65 @@ def cauchy_beta_sum(m: int, t: Fraction) -> Fraction:
         Fraction(comb(m + 1, 2 * k)) * (-1) ** k * tt**k for k in range(half + 2)
     )
     return Fraction((-1) ** (half + 1)) * t**m / (tt + 1) ** (m + 1) * s
+
+
+def uniform_truncated_rule(n: int, R: float) -> QuadratureRule:
+    """Composite rule for weight 1 on [-R, R].
+
+    Panels grow geometrically away from the origin so that slowly decaying
+    rational integrands (e.g. 1/(1+w^2) out to R ~ 1e8) are resolved with a
+    modest node budget; each panel carries a 16-point Gauss--Legendre rule.
+    """
+    _check_node_count(n)
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R}")
+    if n < 4:
+        per_panel = n
+        bounds = [(-R, R)]
+    elif R <= 1.0 or n < 64:
+        per_panel = n // 2
+        bounds = [(-R, 0.0), (0.0, R)]
+    else:
+        # per side: one linear panel near the origin plus geometric panels
+        # out to R, 16 Gauss--Legendre nodes each
+        per_panel = 16
+        geo = n // 32 - 1
+        edges = np.geomspace(1.0, R, geo + 1)
+        bounds = [(0.0, edges[0])] + [(edges[i], edges[i + 1]) for i in range(geo)]
+        bounds = [(-b, -a) for (a, b) in reversed(bounds)] + bounds
+    nodes, weights = [], []
+    for a, b in bounds:
+        x, w = _legendre_panel(per_panel, a, b)
+        nodes.append(x)
+        weights.append(w)
+    nodes = np.concatenate(nodes)
+    weights = np.concatenate(weights)
+    order = np.argsort(nodes)
+    return QuadratureRule(
+        nodes=nodes[order],
+        weights=weights[order],
+        domain=REAL_LINE,
+        base_weight=f"uniform_truncated(R={R:g})",
+        metadata={"n": n, "R": float(R)},
+    )
+
+
+def integrate(rule: QuadratureRule, f: Callable) -> float:
+    """Apply the rule: sum_i w_i f(x_i).
+
+    ``f`` must accept an ndarray of nodes (or be scalar-callable) and may
+    not return non-finite values at any node.
+    """
+    try:
+        vals = np.asarray(f(rule.nodes), dtype=float)
+    except (TypeError, ValueError):
+        vals = np.array([float(f(x)) for x in rule.nodes])
+    if vals.shape != rule.nodes.shape:
+        vals = np.broadcast_to(vals, rule.nodes.shape)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"integrand is not finite at node {i} (x={rule.nodes[i]!r}): {vals[i]!r}"
+        )
+    return float(rule.weights @ vals)

@@ -18,7 +18,11 @@ from kernelbasis.gaussian import (
     mercer_eigenfunction,
     mercer_eigenvalue,
     mercer_weight,
+    _HERMITE_FN,
+    _hermite_rows,
+    _mercer_form,
     _psi_block,
+    _scaled_form,
 )
 from kernelbasis._lowrank import CHUNK
 from kernelbasis.quadrature import gauss_hermite_rule
@@ -107,6 +111,19 @@ class TestScaledVariant:
         with pytest.raises(ValueError):
             gaussian_psi_scaled(0, math.sqrt(2.0), 1.0)
 
+    @pytest.mark.parametrize("kappa", [1e-9, 1e-170])
+    def test_narrow_kappa_matches_definition(self, kappa):
+        # 1 - 1/a^2 rounds to 0 here; the exponent is then e^0
+        from kernelbasis.orthopoly import hermite_normalized
+
+        t = np.linspace(-3.0, 3.0, 7)
+        a2 = 1.0 + 0.5 * kappa * kappa
+        shrink = 1.0 - kappa * kappa / a2
+        for m in (0, 1, 4):
+            direct = ((math.sqrt(2.0) * kappa / a2) ** 0.5 * shrink ** (0.5 * m)
+                      * hermite_normalized(m, kappa * t / (a2 * math.sqrt(shrink))))
+            np.testing.assert_allclose(gaussian_psi_scaled(m, kappa, t), direct, rtol=1e-13)
+
     def test_expansion_converges_for_kappa(self):
         s = GaussianScale(1.0)
         for t, u in [(0.5, 1.5), (-1.0, 2.0)]:
@@ -152,6 +169,17 @@ class TestMercer:
         assert mercer_eigenfunction(p, 0, 0.0) == pytest.approx(
             math.sqrt(p.beta), rel=1e-15
         )
+
+    def test_wide_alpha_matches_definition(self):
+        # delta^2 = alpha^2 (beta^2 - 1)/2 rounds to 0 for alpha > 1e8
+        from kernelbasis.orthopoly import hermite_normalized
+
+        p = MercerParams.from_alpha(1e8)
+        t = np.linspace(-3e-8, 3e-8, 7)
+        for m in (0, 1, 4):
+            direct = (math.sqrt(p.beta) * np.exp(-p.delta_sq * t * t)
+                      * hermite_normalized(m, p.alpha * p.beta * t))
+            np.testing.assert_allclose(mercer_eigenfunction(p, m, t), direct, rtol=1e-13, atol=1e-15)
 
     def test_sqrt_mu_theta_equals_psi(self):
         p = MercerParams.from_alpha(ALPHA)
@@ -259,5 +287,25 @@ def test_psi_is_block_row(m, t):
     scale = GaussianScale(1.3)
     row = _psi_block(m + 1, 1.3 * np.atleast_1d(t).ravel())[m].reshape(np.shape(t))
     got = gaussian_psi(m, t, scale)
+    assert np.array_equal(got, row)
+    assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+
+
+_MERCER = MercerParams.from_alpha(1.1)
+
+
+@pytest.mark.parametrize("evaluator, form", [
+    (hermite_fn, _HERMITE_FN),
+    (lambda m, t: gaussian_psi_scaled(m, 0.7, t), _scaled_form(0.7)),
+    (lambda m, t: mercer_eigenfunction(_MERCER, m, t), _mercer_form(_MERCER)),
+], ids=["hermite_fn", "gaussian_psi_scaled", "mercer_eigenfunction"])
+@pytest.mark.parametrize("t", [0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4),
+                               np.linspace(-4.0, 4.0, 2 * CHUNK + 3)],
+                         ids=["scalar", "neg_zero", "pos_zero", "array_2d", "three_chunks"])
+@pytest.mark.parametrize("m", [0, 1, 5, 40])
+def test_hermite_evaluator_is_block_row(m, t, evaluator, form):
+    # the same rows as test_psi_is_block_row, for the other three parameter sets
+    row = _hermite_rows(m + 1, *form, np.atleast_1d(t).ravel())[m].reshape(np.shape(t))
+    got = evaluator(m, t)
     assert np.array_equal(got, row)
     assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)

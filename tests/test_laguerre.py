@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from kernelbasis.laguerre import check_identity, laguerre_fn, laguerre_fn_ft
-from kernelbasis.quadrature import gauss_laguerre_rule, integrate, uniform_truncated_rule
+from kernelbasis._lowrank import CHUNK
+from kernelbasis.laguerre import _laguerre_rows, check_identity, laguerre_fn, laguerre_fn_ft
+from kernelbasis.quadrature import gauss_laguerre_rule
+from oracles import integrate, uniform_truncated_rule
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,6 +56,21 @@ class TestTimeDomain:
                     gram[a, b] = integrate(rule, f)
                 # mixed-sign supports are disjoint: inner product is 0
         np.testing.assert_allclose(gram, np.eye(17), atol=1e-8)
+
+
+@pytest.mark.parametrize("t", [0.7, -0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4),
+                               np.linspace(-4.0, 4.0, 2 * CHUNK + 3)],
+                         ids=["pos_scalar", "neg_scalar", "neg_zero", "pos_zero", "array_2d",
+                              "three_chunks"])
+@pytest.mark.parametrize("m", [0, 1, 40, -1, -2, -41])
+def test_laguerre_fn_is_signed_block_row(m, t):
+    # row j is phi_j on t >= 0 and -phi_{-j-1} on t < 0; the other side is 0
+    x = np.atleast_1d(t).ravel()
+    j, side, sign = (m, x >= 0, 1.0) if m >= 0 else (-m - 1, x < 0, -1.0)
+    row = np.where(side, sign * _laguerre_rows(j + 1, x)[j], 0.0).reshape(np.shape(t))
+    got = laguerre_fn(m, t)
+    assert np.array_equal(got, row)
+    assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
 
 
 class TestFourierDomain:

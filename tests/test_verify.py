@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from kernelbasis.gaussian import MercerParams, gaussian_psi
+from kernelbasis.gaussian import MercerParams, gaussian_psi, hermite_fn, mercer_eigenfunction
 from kernelbasis.matern import MaternBasisId, MaternOrder, matern_psi, matern_psi_norm_sq
 from kernelbasis.quadrature import gauss_hermite_rule, gauss_laguerre_rule
 from kernelbasis.report import VerificationReport
@@ -119,6 +120,46 @@ class TestGramMatrix:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             gram_matrix("fourier", range(3), gauss_hermite_rule(8))
+
+    @pytest.mark.parametrize("indices, match", [([], "nonempty"), ([2, -1], "nonnegative")])
+    def test_bad_indices_rejected(self, indices, match):
+        with pytest.raises(ValueError, match=match):
+            gram_matrix("hermite_fn", indices, gauss_hermite_rule(16))
+
+    @pytest.mark.parametrize("family", ["matern_plus", "matern_minus", "hermite_fn",
+                                        "gaussian_psi", "mercer"])
+    def test_unordered_indices_match_per_index_reference(self, family):
+        # one scalar evaluator per index, times the strip that reduces the
+        # weighted integrand to the rule's base weight
+        idx = [5, 0, 3]
+        nu, params = 2, MercerParams.from_alpha(1.1)
+        if family.startswith("matern"):
+            rule = gauss_laguerre_rule(96, nu + 1.0)
+            if family == "matern_minus":
+                rule = rule.reflected()
+            s = np.abs(rule.nodes)
+            kind = family.split("_")[1]
+            rows = [matern_psi(MaternOrder(nu), MaternBasisId(kind, m), 0.5 * rule.nodes)
+                    * np.exp(0.5 * s) * s ** (-(nu + 1.0)) for m in idx]
+        else:
+            rule = gauss_hermite_rule(96)
+            s = rule.nodes
+            if family == "hermite_fn":
+                rows = [hermite_fn(m, s) * np.exp(0.5 * s * s) for m in idx]
+            elif family == "gaussian_psi":
+                alpha = math.sqrt(2.0 / 3.0)
+                const = math.sqrt(alpha * math.sqrt(3.0) / (2.0 * math.sqrt(math.pi)))
+                rows = [gaussian_psi(m, math.sqrt(3.0) * s / 2.0) * const * np.exp(0.25 * s * s)
+                        for m in idx]
+            else:
+                tpts = s / (params.alpha * params.beta)
+                strip = math.pi**-0.25 / math.sqrt(params.beta) * np.exp(params.delta_sq * tpts**2)
+                rows = [mercer_eigenfunction(params, m, tpts) * strip for m in idx]
+        B = np.vstack(rows)
+        G = gram_matrix(family, idx, rule, nu=nu, mercer=params)
+        np.testing.assert_allclose(G, (B * rule.weights) @ B.T, rtol=1e-13, atol=1e-15)
+        full = gram_matrix(family, range(6), rule, nu=nu, mercer=params)
+        np.testing.assert_allclose(G, full[np.ix_(idx, idx)], rtol=1e-13, atol=1e-15)
 
 
 class TestTruncationSweep:
