@@ -1,8 +1,10 @@
-"""Shared by the kernel families: the length-scale check, the point-chunk
-loop that evaluates basis blocks, and truncated kernels as rank-dim inner
-products of basis blocks."""
+"""Shared by the kernel families: the length-scale and integer checks, the
+point-chunk loop that evaluates basis blocks, and truncated kernels as
+rank-dim inner products of basis blocks."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -17,6 +19,14 @@ def check_lam(lam) -> None:
     """Reject a length-scale that is not positive and finite (inf, NaN, <= 0)."""
     if not 0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
+
+
+def check_int(value, name: str, low: int = 0) -> None:
+    """Reject an index, order or level that is not an integer (numpy integers
+    count) or is below ``low`` (0 or 1)."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        kind = "nonnegative" if low == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def chunks(n: int):
@@ -35,13 +45,16 @@ def stack_rows(block, x: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def block_row(block, row: int, x: np.ndarray) -> np.ndarray:
-    """Row ``row`` of ``block`` (as in stack_rows) at the points x (N,), one
-    chunk at a time, so memory is O(dim * CHUNK) whatever N."""
-    out = np.empty(x.size)
-    for s in chunks(x.size):
-        out[s] = block(x[s])[row]
-    return out
+def block_row(block, row: int, t):
+    """Row ``row`` of ``block`` (as in stack_rows) at the points t, shaped like
+    t (a float for scalar or 0-d t).  The block runs one chunk of points at a
+    time, so memory is O(dim * CHUNK) whatever the number of points."""
+    x = np.asarray(t, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for s in chunks(flat.size):
+        out[s] = block(flat[s])[row]
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _distinct(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:

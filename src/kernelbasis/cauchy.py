@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._lowrank import block_row, check_lam, rank_product
+from ._lowrank import block_row, check_int, check_lam, rank_product
 
 __all__ = [
     "cauchy_kernel",
@@ -98,19 +98,15 @@ def cauchy_real_basis(kind: str, m: int, t):
     n + m of :func:`_real_basis_block` with n = m + 1."""
     if kind not in ("alpha", "beta"):
         raise ValueError(f"kind must be 'alpha' or 'beta', got {kind!r}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    x = np.asarray(t, dtype=float)
+    check_int(m, "m")
     row = m if kind == "alpha" else 2 * m + 1
-    vals = block_row(lambda p: _real_basis_block(m + 1, p), row, x.ravel()).reshape(x.shape)
-    return float(vals) if x.ndim == 0 else vals
+    return block_row(lambda p: _real_basis_block(m + 1, p), row, t)
 
 
 def cauchy_truncated(lam: float, n: int, t, u):
     """Partial expansion sum_{m<n} [alpha_m(lam t) alpha_m(lam u) + beta beta]."""
     check_lam(lam)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_int(n, "n", 1)
     return rank_product(lambda x: _real_basis_block(n, x), lam, t, u)
 
 
@@ -122,8 +118,7 @@ def cauchy_partial_sum_closed_form(n: int, t: float, u: float) -> complex:
     t, u.  The n -> infty limit is 1/(2 ((-it-1)(iu-1) - tu)); the same
     value with t and u exchanged is its complex conjugate.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_int(n, "n", 1)
     denom = (-1j * t - 1.0) * (1j * u - 1.0)
     q = (t * u) / denom
     if abs(q) >= 1.0:

@@ -13,10 +13,7 @@ import sys
 
 import numpy as np
 
-from . import cauchy as _c
-from . import gaussian as _g
-from . import matern as _m
-from ._lowrank import check_lam
+from ._lowrank import chunks
 from .featuremap import ConditioningError, FeatureMapSpec, features, krr_fit_predict
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 
@@ -49,17 +46,19 @@ def _parse_m_range(spec: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"--m must be an int or lo..hi, got {spec!r}")
 
 
-def _emit(columns: dict[str, np.ndarray], fmt: str, out_path: str | None) -> None:
+def _emit(columns: dict, fmt: str, out_path: str | None) -> None:
+    """Write equal-length columns as csv or json lines; numbers are written
+    with 17 significant digits, strings as they are."""
     names = list(columns)
     rows = len(next(iter(columns.values())))
-    lines = []
-    if fmt == "csv":
-        lines.append(",".join(names))
-        for i in range(rows):
-            lines.append(",".join(f"{columns[c][i]:.17g}" for c in names))
-    else:
-        for i in range(rows):
-            lines.append(json.dumps({c: float(columns[c][i]) for c in names}, sort_keys=False))
+    lines = [",".join(names)] if fmt == "csv" else []
+    for i in range(rows):
+        row = [columns[c][i] for c in names]
+        if fmt == "csv":
+            lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row))
+        else:
+            lines.append(json.dumps(
+                {c: v if isinstance(v, str) else float(v) for c, v in zip(names, row)}))
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -68,33 +67,33 @@ def _emit(columns: dict[str, np.ndarray], fmt: str, out_path: str | None) -> Non
         sys.stdout.write(text)
 
 
+# the class whose columns --what basis gives when --class is not set
+_DEFAULT_CLASS = {"matern": "plus", "cauchy": "alpha", "gaussian": "psi"}
+
+
 def _basis_columns(args, grid: np.ndarray) -> dict[str, np.ndarray]:
-    cols: dict[str, np.ndarray] = {"t": grid}
-    ms = args.m
-    if args.family == "matern":
-        order = _m.MaternOrder(args.nu, args.lam)
-        klass = args.klass or "plus"
-        for m in ms:
-            cols[f"{klass}_{m}"] = _m.matern_psi(order, _m.MaternBasisId(klass, m), grid)
-    elif args.family == "cauchy":
-        klass = args.klass or "alpha"
-        if klass not in ("alpha", "beta"):
-            raise ValueError("cauchy basis columns are --class alpha or beta")
-        check_lam(args.lam)
-        for m in ms:
-            cols[f"{klass}_{m}"] = _c.cauchy_real_basis(klass, m, args.lam * grid)
-    else:
-        scale = _g.GaussianScale(args.lam)
-        for m in ms:
-            cols[f"psi_{m}"] = _g.gaussian_psi(m, grid, scale)
-    return cols
+    """Columns of the features block at n = max(m) + 1, taken by the names
+    of ``index_labels()``; a requested name that is not among them (null
+    index above nu, a class the family does not have, a negative index) is
+    a usage error.  Only the requested columns are kept from each chunk of
+    points, so memory does not grow with the block's width times the grid."""
+    spec = _spec(args, max(max(args.m), 0) + 1)
+    index = {label: i for i, label in enumerate(spec.index_labels())}
+    klass = args.klass or _DEFAULT_CLASS[args.family]
+    names = [f"{klass}_{m}" for m in args.m]
+    for name in names:
+        if name not in index:
+            raise ValueError(f"--family {args.family} has no basis column {name}")
+    keep = [index[name] for name in names]
+    block = np.concatenate([features(spec, grid[s])[:, keep] for s in chunks(grid.size)])
+    return {"t": grid, **dict(zip(names, block.T))}
 
 
-def _spec(args) -> FeatureMapSpec:
+def _spec(args, n: int) -> FeatureMapSpec:
     return FeatureMapSpec(
         family=args.family,
         lam=args.lam,
-        n=args.n,
+        n=n,
         nu=args.nu if args.family == "matern" else None,
     )
 
@@ -104,9 +103,10 @@ def _cmd_eval(args) -> int:
     if args.what == "basis":
         cols = _basis_columns(args, grid)
     elif args.what == "kernel":
-        cols = {"t": grid, "kernel": _spec(args).kernel(grid, args.u)}
+        cols = {"t": grid, "kernel": _spec(args, args.n).kernel(grid, args.u)}
     else:  # truncated
-        cols = {"t": grid, f"truncated_n{args.n}": _spec(args).truncated_kernel(grid, args.u)}
+        truncated = _spec(args, args.n).truncated_kernel(grid, args.u)
+        cols = {"t": grid, f"truncated_n{args.n}": truncated}
     _emit(cols, args.format, args.out)
     return 0
 
@@ -135,7 +135,7 @@ def _cmd_demo_krr(args) -> int:
     train_y = np.sin(2.0 * train_x) + noise
     test_x = np.linspace(-3.0, 3.0, 200)
     test_y = np.sin(2.0 * test_x)
-    spec = _spec(args)
+    spec = _spec(args, args.n)
     pred, pred_train = np.split(
         krr_fit_predict(spec, train_x, train_y, args.ridge, np.concatenate([test_x, train_x])),
         [test_x.size],
@@ -151,30 +151,17 @@ def _cmd_demo_krr(args) -> int:
         return float(np.sqrt(np.mean((a - b) ** 2)))
 
     cols = {
-        "metric": np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
-        "value": np.array([
+        "metric": ["train_rmse", "test_rmse", "full_train_rmse", "full_test_rmse",
+                   "max_abs_pred_diff"],
+        "value": [
             rmse(pred_train, train_y),
             rmse(pred, test_y),
             rmse(full_train, train_y),
             rmse(full_pred, test_y),
             float(np.max(np.abs(pred - full_pred))),
-        ]),
+        ],
     }
-    names = ["train_rmse", "test_rmse", "full_train_rmse", "full_test_rmse", "max_abs_pred_diff"]
-    if args.format == "csv":
-        lines = ["metric,value"] + [
-            f"{n},{v:.17g}" for n, v in zip(names, cols["value"])
-        ]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = "\n".join(
-            json.dumps({"metric": n, "value": float(v)}) for n, v in zip(names, cols["value"])
-        ) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(cols, args.format, args.out)
     return 0
 
 

@@ -16,7 +16,7 @@ import scipy.linalg
 from . import cauchy as _cauchy
 from . import gaussian as _gaussian
 from . import matern as _matern
-from ._lowrank import check_lam, chunks, rank_product, stack_rows
+from ._lowrank import check_int, check_lam, chunks, rank_product, stack_rows
 
 __all__ = ["FeatureMapSpec", "ConditioningError", "features", "krr_fit_predict"]
 
@@ -51,11 +51,9 @@ class FeatureMapSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         check_lam(self.lam)
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+        check_int(self.n, "n", 1)
         if self.family == "matern":
-            if self.nu is None or self.nu < 0:
-                raise ValueError("matern feature maps need a nonnegative nu")
+            check_int(self.nu, "nu")
         elif self.nu is not None:
             raise ValueError("nu is only meaningful for the matern family")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lowrank import check_lam, rank_product
+from ._lowrank import check_int, check_lam, rank_product
 from .orthopoly import _last_row, hermite_normalized_table
 from .report import VerificationReport
 
@@ -150,8 +150,7 @@ def _mercer_s(params: MercerParams) -> float:
 
 def mercer_eigenvalue(params: MercerParams, m: int) -> float:
     """Eigenvalue mu_{m,alpha}: a strictly decreasing geometric sequence."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    check_int(m, "m")
     s = _mercer_s(params)
     return math.sqrt(params.alpha**2 / s) * (0.5 / s) ** m
 
@@ -171,16 +170,14 @@ def mercer_weight(params: MercerParams, t):
 
 def gaussian_truncated(scale: GaussianScale, n: int, t, u):
     """Partial sum r_n(t, u) = sum_{m<n} psi_m(lam t) psi_m(lam u)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_int(n, "n", 1)
     return rank_product(lambda x: _psi_block(n, x), scale.lam, t, u)
 
 
 def gaussian_truncation_error(n: int) -> float:
     """Exact weighted Hilbert--Schmidt truncation error (1/sqrt 2) 3^{-n}
     for the weight w_alpha with alpha = sqrt(2/3)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_int(n, "n", 1)
     return 3.0 ** (-n) / math.sqrt(2.0)
 
 

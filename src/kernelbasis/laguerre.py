@@ -41,10 +41,13 @@ def _laguerre_rows(count: int, x: np.ndarray) -> np.ndarray:
 def laguerre_fn(m: int, t):
     """Laguerre function phi_m(t) for any integer index m: row j of
     :func:`_laguerre_rows`, signed and kept on its side of the origin."""
-    x = np.asarray(t, dtype=float)
-    j, side, sign = (m, x >= 0, 1.0) if m >= 0 else (-m - 1, x < 0, -1.0)
-    vals = np.where(side, sign * _last_row(_laguerre_rows, j, x), 0.0)
-    return float(vals) if x.ndim == 0 else vals
+    j, sign = (m, 1.0) if m >= 0 else (-m - 1, -1.0)
+
+    def signed_row(count: int, x: np.ndarray) -> np.ndarray:
+        side = x >= 0 if m >= 0 else x < 0
+        return np.where(side, sign * _laguerre_rows(count, x)[-1:], 0.0)
+
+    return _last_row(signed_row, j, t)
 
 
 def _ratio(omega: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._lowrank import block_row, check_lam, rank_product, stack_rows
+from ._lowrank import block_row, check_int, check_lam, rank_product, stack_rows
 from .laguerre import _laguerre_rows
 from .orthopoly import assoc_laguerre_table
 from .quadrature import _legendre_rule
@@ -53,8 +53,7 @@ class MaternOrder:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.nu < 0 or int(self.nu) != self.nu:
-            raise ValueError(f"nu must be a nonnegative integer, got {self.nu}")
+        check_int(self.nu, "nu")
         check_lam(self.lam)
 
 
@@ -72,8 +71,7 @@ class MaternBasisId:
     def __post_init__(self):
         if self.kind not in BASIS_CLASSES:
             raise ValueError(f"kind must be one of {BASIS_CLASSES}, got {self.kind!r}")
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
+        check_int(self.m, "m")
 
     def validate_for(self, order: MaternOrder) -> None:
         if self.kind == "null" and self.m > order.nu:
@@ -91,8 +89,7 @@ class MaternTruncation:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        check_int(self.n, "n", 1)
 
     @property
     def dim(self) -> int:
@@ -196,17 +193,19 @@ def _basis_block(tr: MaternTruncation, x: np.ndarray) -> np.ndarray:
 
 
 def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
-    """Evaluate one Matern--Laguerre basis function at lam * t."""
+    """Evaluate one Matern--Laguerre basis function at lam * t: row m of
+    :func:`_null_block`, or the last of m + 1 :func:`_handed_rows` kept to
+    its class."""
     basis_id.validate_for(order)
-    x = order.lam * np.asarray(t, dtype=float)
-    flat = x.ravel()
-    if basis_id.kind == "null":
-        vals = _null_block(order.nu, flat)[basis_id.m]
-    else:
-        row = block_row(lambda p: _handed_rows(order.nu, basis_id.m + 1, p), -1, flat)
-        vals = _handed_class(row, flat, basis_id.kind)
-    vals = vals.reshape(np.shape(x))
-    return float(vals) if x.ndim == 0 else vals
+    lam, nu, kind, m = order.lam, order.nu, basis_id.kind, basis_id.m
+    if kind == "null":
+        return block_row(lambda p: _null_block(nu, lam * p), m, t)
+
+    def handed_row(p: np.ndarray) -> np.ndarray:
+        x = lam * p
+        return _handed_class(_handed_rows(nu, m + 1, x)[-1:], x, kind)
+
+    return block_row(handed_row, 0, t)
 
 
 def matern_psi_unified(order: MaternOrder, m: int, t):
@@ -242,8 +241,7 @@ def matern_feature_map(tr: MaternTruncation, t) -> np.ndarray:
 def matern_psi_norm_sq(order: MaternOrder, m: int) -> float:
     """Exact squared norm of psi+_{m,nu} (= psi-) in the weighted L2 space:
     (nu!)^2/(2 nu)! * m!/(m+nu+1)!."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    check_int(m, "m")
     nu = order.nu
     return math.exp(
         2 * gammaln(nu + 1) - gammaln(2 * nu + 1) + gammaln(m + 1) - gammaln(m + nu + 2)
@@ -253,8 +251,7 @@ def matern_psi_norm_sq(order: MaternOrder, m: int) -> float:
 def matern_truncation_error_bound(order: MaternOrder, n: int) -> float:
     """Weighted Hilbert--Schmidt truncation bound c_nu / n^{nu+1/2} with
     c_nu = (nu!)^2/(2 nu)! sqrt(2(2 nu+2)/(2 nu+1))."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_int(n, "n", 1)
     nu = order.nu
     c = math.exp(2 * gammaln(nu + 1) - gammaln(2 * nu + 1)) * math.sqrt(
         2.0 * (2 * nu + 2) / (2 * nu + 1)
@@ -304,8 +301,7 @@ def _tail_sum(nu: int, n: int) -> float:
 def matern_exact_hs_error(order: MaternOrder, n: int) -> float:
     """Exact weighted Hilbert--Schmidt truncation error,
     sqrt(2) (nu!)^2/(2 nu)! sqrt(sum_{m>=n} (m!/(m+nu+1)!)^2)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_int(n, "n", 1)
     nu = order.nu
     pref = math.exp(2 * gammaln(nu + 1) - gammaln(2 * nu + 1))
     return pref * math.sqrt(2.0 * _tail_sum(nu, n))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._lowrank import block_row
+from ._lowrank import block_row, check_int
 
 __all__ = [
     "MAX_DEGREE",
@@ -36,27 +36,15 @@ MAX_DEGREE = 512
 
 
 def _check_degree(m: int, name: str = "m") -> None:
-    if m < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {m}")
+    check_int(m, name)
     if m > MAX_DEGREE:
         raise ValueError(f"{name}={m} exceeds the degree cap {MAX_DEGREE}")
-
-
-def _prepare(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _finish(vals: np.ndarray, scalar: bool):
-    return float(vals) if scalar else vals
 
 
 def _last_row(table, m: int, t, *args):
     """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar t)."""
     _check_degree(m)
-    x, scalar = _prepare(t)
-    vals = block_row(lambda p: table(m + 1, *args, p), -1, x.ravel())
-    return _finish(vals.reshape(x.shape), scalar)
+    return block_row(lambda p: table(m + 1, *args, p), -1, t)
 
 
 def laguerre(m: int, t):
@@ -77,14 +65,12 @@ def hermite(m: int, t):
     m ~ 270; use :func:`hermite_normalized` for large degrees.
     """
     _check_degree(m)
-    x, scalar = _prepare(t)
-    p_prev = np.ones_like(x)
-    if m == 0:
-        return _finish(p_prev, scalar)
-    p = 2.0 * x
+    x = np.asarray(t, dtype=float)
+    p_prev, p = np.ones_like(x), 2.0 * x
     for k in range(1, m):
         p, p_prev = 2.0 * x * p - 2.0 * k * p_prev, p
-    return _finish(p, scalar)
+    vals = p if m else p_prev
+    return float(vals) if x.ndim == 0 else vals
 
 
 def hermite_normalized(m: int, t):
@@ -100,11 +86,9 @@ def assoc_laguerre_table(count: int, eta: int, t) -> np.ndarray:
     with L_0^(eta) = 1 and L_1^(eta) = 1 + eta - t; eta = 0 gives the
     plain Laguerre polynomials.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    check_int(count, "count", 1)
     _check_degree(count - 1, "count-1")
-    if eta < 0:
-        raise ValueError(f"eta must be a nonnegative integer, got {eta}")
+    check_int(eta, "eta")
     x = np.asarray(t, dtype=float).ravel()
     out = np.empty((count, x.size))
     out[0] = 1.0
@@ -121,8 +105,7 @@ def hermite_normalized_table(count: int, t) -> np.ndarray:
     e_{k+1} = sqrt(2/(k+1)) t e_k - sqrt(k/(k+1)) e_{k-1}; the values stay
     O(e^{t^2/2}) for every degree, so no overflow.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    check_int(count, "count", 1)
     _check_degree(count - 1, "count-1")
     x = np.asarray(t, dtype=float).ravel()
     out = np.empty((count, x.size))

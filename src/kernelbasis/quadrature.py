@@ -91,6 +91,25 @@ def _check_node_count(n: int) -> None:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
 
 
+@functools.cache
+def _golub_welsch(n: int, eta: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule from the eigensolve of its
+    Jacobi matrix: Gauss--Laguerre for weight t^eta e^{-t}, or Gauss--Hermite
+    for eta None.  Built once per (n, eta) and returned read-only, since every
+    rule of that size shares them."""
+    k = np.arange(n, dtype=float)
+    if eta is None:
+        diag, off, mass = np.zeros(n), np.sqrt(k[1:] / 2.0), math.sqrt(math.pi)
+    else:
+        diag, off = 2.0 * k + eta + 1.0, np.sqrt(k[1:] * (k[1:] + eta))
+        mass = math.gamma(eta + 1.0)
+    nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
+    weights = mass * vecs[0] ** 2
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_laguerre_rule(n: int, eta: float = 0.0) -> QuadratureRule:
     """Generalised Gauss--Laguerre rule for weight t^eta e^{-t} on (0, inf).
 
@@ -100,15 +119,7 @@ def gauss_laguerre_rule(n: int, eta: float = 0.0) -> QuadratureRule:
     _check_node_count(n)
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    k = np.arange(n, dtype=float)
-    diag = 2.0 * k + eta + 1.0
-    if n > 1:
-        j = np.arange(1, n, dtype=float)
-        off = np.sqrt(j * (j + eta))
-        nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
-    else:
-        nodes, vecs = np.array([diag[0]]), np.array([[1.0]])
-    weights = math.gamma(eta + 1.0) * vecs[0] ** 2
+    nodes, weights = _golub_welsch(n, eta)
     # past ~190 nodes the outermost weights (~e^{-950}) underflow float64;
     # they would contribute exactly zero, so keep the representable part
     keep = weights > 0.0
@@ -124,15 +135,11 @@ def gauss_laguerre_rule(n: int, eta: float = 0.0) -> QuadratureRule:
 def gauss_hermite_rule(n: int) -> QuadratureRule:
     """Gauss--Hermite rule for weight e^{-t^2} on the real line.
 
-    Exact for polynomials of degree <= 2n-1.
+    Exact for polynomials of degree <= 2n-1.  Jacobi coefficients:
+    a_k = 0, b_k = sqrt(k/2).
     """
     _check_node_count(n)
-    if n > 1:
-        off = np.sqrt(np.arange(1, n, dtype=float) / 2.0)
-        nodes, vecs = eigh_tridiagonal(np.zeros(n), off, lapack_driver="stev")
-    else:
-        nodes, vecs = np.array([0.0]), np.array([[1.0]])
-    weights = math.sqrt(math.pi) * vecs[0] ** 2
+    nodes, weights = _golub_welsch(n, None)
     return QuadratureRule(
         nodes=nodes,
         weights=weights,

@@ -20,6 +20,7 @@ from scipy.special import gammaln, polygamma
 from . import cauchy as _c
 from . import gaussian as _g
 from . import matern as _m
+from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
 from .laguerre import check_identity, laguerre_fn_ft
 from .orthopoly import hermite_normalized, laguerre
@@ -98,8 +99,7 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
     the closed-form basis code, so agreement is an independent check.
     """
     if family == "matern":
-        if nu is None or nu < 0:
-            raise ValueError("matern oracle needs a nonnegative nu")
+        check_int(nu, "nu")
         if m >= 0:
             # phi_m lives on [0, inf), h on [0, inf): support is [0, t]
             if t <= 0:
@@ -120,8 +120,7 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
 
         return _refined_integral(f, lo, hi, label=f"matern conv m={m}")
     if family == "gaussian":
-        if m < 0:
-            raise ValueError(f"m must be nonnegative, got {m}")
+        check_int(m, "m")
         # complete the square: the integral becomes Gauss--Hermite in
         # s = sqrt(3/2) (tau - 2t/3)
         rule = gauss_hermite_rule(max(64, m // 2 + 8))

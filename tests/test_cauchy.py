@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernelbasis._lowrank import CHUNK
 from kernelbasis.cauchy import (
     cauchy_kernel,
     cauchy_partial_sum_closed_form,
@@ -194,8 +195,10 @@ def test_two_expansions_agree_groupwise():
             assert grp.real == pytest.approx(real_pair, abs=1e-12)
 
 
-@pytest.mark.parametrize("t", [0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4)],
-                         ids=["scalar", "neg_zero", "pos_zero", "array_2d"])
+@pytest.mark.parametrize("t", [0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4),
+                               np.array(-0.4), np.array([]), np.linspace(-4.0, 4.0, CHUNK + 1)],
+                         ids=["scalar", "neg_zero", "pos_zero", "array_2d", "zero_d", "empty",
+                              "chunk_plus_one"])
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 30])
 def test_real_basis_is_exact_block_row(m, t):
     block = _real_basis_block(m + 1, np.atleast_1d(t).ravel())

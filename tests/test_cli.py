@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from kernelbasis.cauchy import cauchy_kernel, cauchy_truncated
+from kernelbasis.cauchy import cauchy_kernel, cauchy_real_basis, cauchy_truncated
 from kernelbasis.cli import main
-from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_truncated
-from kernelbasis.matern import MaternOrder, MaternTruncation, matern_kernel, matern_truncated
+from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_psi, gaussian_truncated
+from kernelbasis.matern import (
+    MaternBasisId,
+    MaternOrder,
+    MaternTruncation,
+    matern_kernel,
+    matern_psi,
+    matern_truncated,
+)
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +108,52 @@ class TestEval:
             assert code == 0
             expected = [f"t,{header}"] + [f"{t:.17g},{v:.17g}" for t, v in zip(grid, vals)]
             assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("argv, m_range, evaluator", [
+        *[(["--family", "matern", "--nu", str(nu), "--lambda", "0.7", "--class", kind],
+           range(nu + 1) if kind == "null" else range(6),
+           lambda m, t, nu=nu, kind=kind: matern_psi(
+               MaternOrder(nu, 0.7), MaternBasisId(kind, m), t))
+          for nu in (0, 3) for kind in ("plus", "minus", "null")],
+        *[(["--family", "cauchy", "--lambda", "2", "--class", kind], range(6),
+           lambda m, t, kind=kind: cauchy_real_basis(kind, m, 2.0 * t))
+          for kind in ("alpha", "beta")],
+        (["--family", "gaussian", "--lambda", "1.3"], range(6),
+         lambda m, t: gaussian_psi(m, t, GaussianScale(1.3))),
+    ], ids=[f"matern_nu{nu}_{kind}" for nu in (0, 3) for kind in ("plus", "minus", "null")]
+        + ["cauchy_alpha", "cauchy_beta", "gaussian"])
+    def test_basis_columns_equal_scalar_evaluators(self, capsys, argv, m_range, evaluator):
+        grid = np.linspace(-3.0, 3.0, 41)
+        code, out, _ = run_cli(capsys, "eval", *argv, "--what", "basis",
+                               "--m", f"{m_range[0]}..{m_range[-1]}", "--grid", "-3:3:41")
+        assert code == 0
+        header, *rows = out.strip().split("\n")
+        names = header.split(",")[1:]
+        assert [name.rsplit("_", 1)[1] for name in names] == [str(m) for m in m_range]
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.array_equal(table[:, 0], grid)
+        for j, m in enumerate(m_range):
+            assert np.array_equal(table[:, j + 1], evaluator(m, grid)), names[j]
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["--family", "matern", "--nu", "2", "--class", "null", "--m", "1..3"], "null_3"),
+        (["--family", "matern", "--class", "alpha"], "alpha_0"),
+        (["--family", "cauchy", "--class", "plus"], "plus_0"),
+        (["--family", "gaussian", "--class", "beta"], "beta_0"),
+        (["--family", "gaussian", "--m=-2..1"], "psi_-2"),
+        (["--family", "matern", "--nu", "1", "--m", "-1"], "plus_-1"),
+    ], ids=["null_above_nu", "alpha_for_matern", "plus_for_cauchy", "class_for_gaussian",
+            "negative_gaussian_index", "negative_matern_index"])
+    def test_missing_basis_column_is_usage_error(self, capsys, argv, missing):
+        code, out, err = run_cli(capsys, "eval", *argv, "--what", "basis", "--grid", "0:1:3")
+        assert code == 2 and out == ""
+        assert f"no basis column {missing}" in err
+
+    def test_nonfinite_basis_grid_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--family", "gaussian", "--what", "basis",
+                                 "--grid", "nan:1:2")
+        assert code == 2 and out == ""
+        assert "finite" in err
 
     @pytest.mark.parametrize("what", ["kernel", "truncated", "basis"])
     @pytest.mark.parametrize("family", ["matern", "cauchy", "gaussian"])

@@ -14,9 +14,9 @@ from kernelbasis.featuremap import (
 from kernelbasis import orthopoly
 from kernelbasis._lowrank import CHUNK, _distinct
 from kernelbasis.cauchy import cauchy_kernel, cauchy_real_basis, cauchy_truncated
-from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_psi
+from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_psi, gaussian_truncated
 from kernelbasis.laguerre import laguerre_fn
-from kernelbasis.matern import MaternBasisId, MaternOrder, matern_psi
+from kernelbasis.matern import MaternBasisId, MaternOrder, MaternTruncation, matern_psi
 
 
 class TestSpec:
@@ -63,6 +63,29 @@ _LAM_ENTRY_POINTS = {
 def test_length_scale_must_be_positive_and_finite(entry, lam):
     with pytest.raises(ValueError, match="positive and finite"):
         _LAM_ENTRY_POINTS[entry](lam)
+
+
+# entry points that take an index m, order nu or level n: each rejects a value
+# that is not an integer, or is below its bound, before it computes anything
+_INTEGER_ENTRY_POINTS = {
+    "FeatureMapSpec_nu": lambda v: FeatureMapSpec("matern", n=3, nu=v),
+    "FeatureMapSpec_n": lambda v: FeatureMapSpec("gaussian", n=v),
+    "MaternOrder": lambda v: MaternOrder(v),
+    "MaternTruncation": lambda v: MaternTruncation(MaternOrder(1), v),
+    "cauchy_truncated": lambda v: cauchy_truncated(1.0, v, 0.5, 0.5),
+    "gaussian_truncated": lambda v: gaussian_truncated(GaussianScale(), v, 0.5, 0.5),
+    "gaussian_psi": lambda v: gaussian_psi(v, 0.5),
+    "cauchy_real_basis": lambda v: cauchy_real_basis("alpha", v, 0.5),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, -1, None], ids=["fraction", "float", "negative",
+                                                            "none"])
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+def test_integer_parameters_are_checked_at_construction(entry, value):
+    with pytest.raises(ValueError, match="integer"):
+        _INTEGER_ENTRY_POINTS[entry](value)
+    _INTEGER_ENTRY_POINTS[entry](np.int64(2))  # numpy integers pass
 
 
 class TestFeatures:

@@ -59,9 +59,10 @@ class TestTimeDomain:
 
 
 @pytest.mark.parametrize("t", [0.7, -0.7, -0.0, 0.0, np.linspace(-4.0, 4.0, 12).reshape(3, 4),
-                               np.linspace(-4.0, 4.0, 2 * CHUNK + 3)],
+                               np.linspace(-4.0, 4.0, 2 * CHUNK + 3), np.array(-0.4), np.array([]),
+                               np.linspace(-4.0, 4.0, CHUNK + 1)],
                          ids=["pos_scalar", "neg_scalar", "neg_zero", "pos_zero", "array_2d",
-                              "three_chunks"])
+                              "three_chunks", "zero_d", "empty", "chunk_plus_one"])
 @pytest.mark.parametrize("m", [0, 1, 40, -1, -2, -41])
 def test_laguerre_fn_is_signed_block_row(m, t):
     # row j is phi_j on t >= 0 and -phi_{-j-1} on t < 0; the other side is 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from kernelbasis import orthopoly
 from kernelbasis.quadrature import (
@@ -170,3 +171,39 @@ def test_legendre_rule_is_built_once_and_read_only():
         w *= 2.0
     nodes, weights = _legendre_panel(32, 1.0, 3.0)
     assert float(weights @ nodes**3) == pytest.approx((3.0**4 - 1.0) / 4.0, rel=1e-14)
+
+
+def _eigensolve(diag, off, mass):
+    # the Golub--Welsch step, solved afresh
+    nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
+    return nodes, mass * vecs[0] ** 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 200])
+def test_cached_rules_equal_a_fresh_eigensolve(n):
+    k = np.arange(n, dtype=float)
+    for eta in (0.0, 1.5):
+        nodes, weights = _eigensolve(2.0 * k + eta + 1.0, np.sqrt(k[1:] * (k[1:] + eta)),
+                                     math.gamma(eta + 1.0))
+        keep = weights > 0.0
+        for rule in (gauss_laguerre_rule(n, eta), gauss_laguerre_rule(n, eta)):
+            assert np.array_equal(rule.nodes, nodes[keep])
+            assert np.array_equal(rule.weights, weights[keep])
+    nodes, weights = _eigensolve(np.zeros(n), np.sqrt(k[1:] / 2.0), math.sqrt(math.pi))
+    for rule in (gauss_hermite_rule(n), gauss_hermite_rule(n)):
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+
+def test_cached_rules_are_read_only_with_their_own_metadata():
+    first, second = gauss_hermite_rule(16), gauss_hermite_rule(16)
+    assert first is not second
+    with pytest.raises(ValueError, match="read-only"):
+        first.nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.weights[0] = 0.0
+    first.metadata["n"] = -1
+    second.metadata["extra"] = True
+    assert gauss_hermite_rule(16).metadata == {"n": 16}
+    laguerre = gauss_laguerre_rule(8, 2.0)
+    laguerre.metadata.clear()
+    assert gauss_laguerre_rule(8, 2.0).metadata == {"n": 8, "eta": 2.0, "kept": 8}

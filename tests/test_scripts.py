@@ -1,0 +1,61 @@
+"""Smoke tests of the scripts under scripts/, run as their command lines run
+them: every CSV they write has its header and row count, and every value in
+it is finite."""
+
+import csv
+import math
+import pathlib
+import runpy
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def assert_finite(rows):
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row if v != ""), row
+
+
+# file -> (columns after t, rows), as scripts/emit_figure_data.py asks for them
+_FIGURES = {
+    **{f"matern_plus_nu{nu}": ([f"plus_{m}" for m in range(7)], 701) for nu in (1, 2)},
+    **{f"matern_null_nu{nu}": ([f"null_{m}" for m in range(nu + 1)], 1201) for nu in (2, 9)},
+    **{f"matern_truncated_nu{nu}_n{n}": ([f"truncated_n{n}"], 1001)
+       for nu, n in ((0, 8), (1, 8), (1, 64))},
+    **{f"cauchy_{kind}": ([f"{kind}_{m}" for m in range(6)], 1201) for kind in ("alpha", "beta")},
+    **{f"cauchy_truncated_n{n}": ([f"truncated_n{n}"], 801) for n in (1, 3, 11)},
+    "gaussian_basis": ([f"psi_{m}" for m in range(6)], 1001),
+    **{f"gaussian_truncated_n{n}": ([f"truncated_n{n}"], 1001) for n in (1, 3, 11, 30)},
+}
+
+
+def test_emit_figure_data_writes_every_figure(monkeypatch, tmp_path):
+    run_script(monkeypatch, "emit_figure_data.py", "--outdir", str(tmp_path))
+    assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(_FIGURES)
+    for name, (columns, count) in _FIGURES.items():
+        with open(tmp_path / f"{name}.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t", *columns], name
+        assert len(rows) == count and all(len(row) == len(header) for row in rows), name
+        assert_finite(rows)
+
+
+def test_truncation_study_tabulates_every_family(monkeypatch, capsys):
+    run_script(monkeypatch, "truncation_study.py")
+    header, *rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert header == ["family", "nu", "n", "exact_hs", "bound", "max_pointwise"]
+    levels = [1, 2, 4, 8, 16, 32, 64, 128, 256]
+    expected = ([("matern", str(nu), str(n)) for nu in range(5) for n in levels]
+                + [(family, "", str(n)) for family in ("cauchy", "gaussian") for n in levels])
+    assert [tuple(row[:3]) for row in rows] == expected
+    assert all(len(row) == len(header) for row in rows)
+    assert_finite(row[1:] for row in rows)
+    # every column that a family has is filled in
+    for row in rows:
+        filled = {"matern": [3, 4, 5], "cauchy": [5], "gaussian": [3, 5]}[row[0]]
+        assert all(row[i] != "" for i in filled), row
