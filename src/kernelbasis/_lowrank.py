@@ -8,10 +8,11 @@ import numbers
 
 import numpy as np
 
-# points per block evaluation, so memory does not grow with N.  A (dim, CHUNK)
-# block of ~70 rows is 2.3 MB; on a 2 MiB-L2 Xeon, 4096 gave the fastest
-# features over all five benchmark specs (Matern blocks slow down by a
-# third at 8192, Gaussian ones speed up by a fifth)
+# points per block evaluation, so memory does not grow with N.  Each
+# features or krr call writes every chunk's block into one (dim, CHUNK)
+# buffer, 2.3 MB at ~70 rows.  On a 2 MiB-L2 Xeon, 4096 was re-swept
+# against 2048 and 8192 with the weighted in-place recurrences: see the
+# CHUNK sweep in CHANGES.md
 CHUNK = 4096
 
 
@@ -36,12 +37,31 @@ def chunks(n: int):
     return (slice(start, start + CHUNK) for start in range(0, max(n, 1), CHUNK))
 
 
-def stack_rows(block, x: np.ndarray, dim: int) -> np.ndarray:
-    """C-ordered (N, dim) array whose row i is column i of ``block`` (which
-    maps points of shape (k,) to rows of shape (dim, k)) at the points x (N,)."""
-    out = np.empty((x.size, dim))
+def chunk_buffer(dim: int, *sizes: int) -> np.ndarray:
+    """One (dim, min(CHUNK, largest size)) block buffer for chunk loops over
+    point sets of these sizes."""
+    return np.empty((dim, min(CHUNK, max(sizes))))
+
+
+def chunk_blocks(block, x: np.ndarray, buf: np.ndarray):
+    """(slice, block) for each chunk of the points x (N,): ``block(p, out)``
+    maps points of shape (k,) to rows of shape (dim, k) written into ``out``,
+    here the first dim * k floats of ``buf`` (from chunk_buffer) as a
+    C-ordered (dim, k) array, laid out as a new block would be.  Each block
+    lives only until the next chunk is built."""
+    dim, flat = buf.shape[0], buf.reshape(-1)
     for s in chunks(x.size):
-        out[s] = block(x[s]).T
+        p = x[s]
+        yield s, block(p, flat[: dim * p.size].reshape(dim, p.size))
+
+
+def stack_rows(block, x: np.ndarray, dim: int, buf: np.ndarray | None = None) -> np.ndarray:
+    """C-ordered (N, dim) array whose row i is column i of ``block`` (as in
+    chunk_blocks) at the points x (N,).  ``buf`` is the block buffer; by
+    default one is made for this call."""
+    out = np.empty((x.size, dim))
+    for s, b in chunk_blocks(block, x, chunk_buffer(dim, x.size) if buf is None else buf):
+        out[s] = b.T
     return out
 
 

@@ -69,9 +69,10 @@ def cauchy_psi_complex(m: int, t):
     return complex(vals) if scalar else vals
 
 
-def _real_basis_block(n: int, x: np.ndarray) -> np.ndarray:
+def _real_basis_block(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows [alpha_0..alpha_{n-1}, beta_0..beta_{n-1}] at points x: the real
-    and imaginary parts of w_m = z^m w_0 (see the module docstring)."""
+    and imaginary parts of w_m = z^m w_0 (see the module docstring), written
+    into ``out`` (2n, N) when it is given."""
     big = np.abs(x) > 1.0
     r = np.divide(1.0, x, out=x.copy(), where=big)  # t, or 1/t where |t| > 1
     c = 1.0 / (1.0 + r * r)
@@ -79,7 +80,7 @@ def _real_basis_block(n: int, x: np.ndarray) -> np.ndarray:
     rrc = r * beta0
     alpha0 = np.where(big, rrc, c)  # 1/(1+t^2)
     p = np.where(big, c, rrc)  # t^2/(1+t^2)
-    out = np.empty((2 * n, x.size))
+    out = np.empty((2 * n, x.size)) if out is None else out
     alpha, beta = out[:n], out[n:]
     alpha[0], beta[0] = alpha0, beta0
     tmp = np.empty(x.size)

@@ -100,6 +100,8 @@ def _spec(args, n: int) -> FeatureMapSpec:
 
 def _cmd_eval(args) -> int:
     grid = args.grid
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("--grid points must be finite")
     if args.what == "basis":
         cols = _basis_columns(args, grid)
     elif args.what == "kernel":

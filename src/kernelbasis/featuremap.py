@@ -16,7 +16,7 @@ import scipy.linalg
 from . import cauchy as _cauchy
 from . import gaussian as _gaussian
 from . import matern as _matern
-from ._lowrank import check_int, check_lam, chunks, rank_product, stack_rows
+from ._lowrank import chunk_blocks, chunk_buffer, check_int, check_lam, rank_product, stack_rows
 
 __all__ = ["FeatureMapSpec", "ConditioningError", "features", "krr_fit_predict"]
 
@@ -77,14 +77,15 @@ class FeatureMapSpec:
             return [f"alpha_{m}" for m in range(self.n)] + [f"beta_{m}" for m in range(self.n)]
         return [f"psi_{m}" for m in range(self.n)]
 
-    def _block(self, x: np.ndarray) -> np.ndarray:
-        """Basis rows (dim, N) at already scaled points x of shape (N,)."""
+    def _block(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Basis rows (dim, N) at already scaled points x of shape (N,),
+        written into ``out`` when it is given."""
         if self.family == "matern":
             order = _matern.MaternOrder(self.nu, self.lam)
-            return _matern._basis_block(_matern.MaternTruncation(order, self.n), x)
+            return _matern._basis_block(_matern.MaternTruncation(order, self.n), x, out)
         if self.family == "cauchy":
-            return _cauchy._real_basis_block(self.n, x)
-        return _gaussian._psi_block(self.n, x)
+            return _cauchy._real_basis_block(self.n, x, out)
+        return _gaussian._psi_block(self.n, x, out)
 
     def truncated_kernel(self, t, u):
         """Truncated kernel the feature inner products reproduce."""
@@ -110,8 +111,16 @@ def _check_points(points, name: str = "points") -> np.ndarray:
 
 
 def _scaled_block(spec: FeatureMapSpec):
-    """Basis rows (dim, k) at unscaled points of shape (k,)."""
-    return lambda p: spec._block(spec.lam * p)
+    """Basis rows (dim, k) at unscaled points of shape (k,), written into
+    ``out`` when it is given.  A scaled point may overflow to +-inf, where
+    every block gives its limit, 0."""
+
+    def block(p, out=None):
+        with np.errstate(over="ignore"):
+            x = spec.lam * p
+        return spec._block(x, out)
+
+    return block
 
 
 def features(spec: FeatureMapSpec, points) -> np.ndarray:
@@ -124,11 +133,11 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
 
     For ridge > 0 solves the dim x dim normal equations
     (F^T F + ridge I) c = F^T y by Cholesky and predicts F_test c.  F^T F
-    and F^T y are accumulated over chunks of points, so F is never formed
-    and memory does not grow with N.  For ridge = 0 the fit is exact
-    interpolation through the N x N feature Gram matrix F F^T, which must
-    be well conditioned; duplicated inputs raise :class:`ConditioningError`
-    with the estimated condition number.
+    and F^T y are accumulated over chunks of points, whose blocks share one
+    buffer, so F is never formed and memory does not grow with N.  For
+    ridge = 0 the fit is exact interpolation through the N x N feature Gram
+    matrix F F^T, which must be well conditioned; duplicated inputs raise
+    :class:`ConditioningError` with the estimated condition number.
     """
     train_y = np.asarray(train_y, dtype=float)
     if np.shape(train_x) != train_y.shape:
@@ -139,20 +148,20 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
     y = _check_points(train_y, "train_y")
     xt = _check_points(test_x, "test_x")
     block = _scaled_block(spec)
+    # one buffer serves the training and the test chunks
+    buf = chunk_buffer(spec.dim, x.size, xt.size)
     if ridge > 0:
         gram = ridge * np.eye(spec.dim)
         rhs = np.zeros(spec.dim)
-        for s in chunks(x.size):
-            b = block(x[s])
+        for s, b in chunk_blocks(block, x, buf):
             gram += b @ b.T
             rhs += b @ y[s]
-            del b  # free this chunk's block before the next one is built
         coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), rhs)
         pred = np.empty(xt.size)
-        for s in chunks(xt.size):
-            pred[s] = coef @ block(xt[s])
+        for s, b in chunk_blocks(block, xt, buf):
+            pred[s] = coef @ b
         return pred
-    F = stack_rows(block, x, spec.dim)
+    F = stack_rows(block, x, spec.dim, buf)
     gram = F @ F.T
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -162,4 +171,4 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
             cond=cond,
         )
     dual = scipy.linalg.solve(gram, y, assume_a="pos")
-    return stack_rows(block, xt, spec.dim) @ (F.T @ dual)
+    return stack_rows(block, xt, spec.dim, buf) @ (F.T @ dual)

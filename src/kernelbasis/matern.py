@@ -23,8 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._lowrank import block_row, check_int, check_lam, rank_product, stack_rows
-from .laguerre import _laguerre_rows
-from .orthopoly import assoc_laguerre_table
+from .laguerre import _laguerre_rows, _weighted_rows
 from .quadrature import _legendre_rule
 
 __all__ = [
@@ -125,37 +124,25 @@ def matern_kernel(order: MaternOrder, t, u):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def _handed_weights(nu: int, count: int) -> np.ndarray:
-    """c_nu m!/(m+nu+1)! for m = 0..count-1."""
-    m = np.arange(count)
-    return np.exp(_log_c(nu) + gammaln(m + 1) - gammaln(m + nu + 2))
-
-
-def _handed_factor(nu: int, x: np.ndarray) -> np.ndarray:
-    """(2|x|)^(nu+1) e^{-|x|}, times (-1)^nu where x < 0: the one factor per
-    point that turns weighted Laguerre values into psi+ (x >= 0) or psi- (x < 0)."""
-    ax = np.abs(x)
-    factor = (2.0 * ax) ** (nu + 1) * np.exp(-ax)
-    if nu % 2:
-        np.negative(factor, out=factor, where=x < 0)
-    return factor
-
-
-def _handed_rows(nu: int, count: int, x: np.ndarray) -> np.ndarray:
+def _handed_rows(nu: int, count: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows m = 0..count-1 at (already scaled) points x of psi+_{m,nu}(x) where
-    x >= 0 and psi-_{m,nu}(x) where x < 0, built in the Laguerre table's buffer."""
-    rows = assoc_laguerre_table(count, nu + 1, 2.0 * np.abs(x))
-    rows *= _handed_weights(nu, count)[:, None]
-    rows *= _handed_factor(nu, x)
-    return rows
+    x >= 0 and psi-_{m,nu}(x) where x < 0: the weighted Laguerre rows with
+    seed c_nu/(nu+1)! (2|x|)^(nu+1) e^{-|x|}, signed (-1)^nu where x < 0."""
+    return _weighted_rows(count, nu + 1, _log_c(nu), x, out, odd=nu % 2 == 1)
 
 
-def _handed_class(rows: np.ndarray, x: np.ndarray, kind: str) -> np.ndarray:
+def _handed_class(rows: np.ndarray, x: np.ndarray, kind: str,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The ``kind`` class from _handed_rows (or one of its rows): plus lives on
-    x >= 0, minus on x < 0, and every other column is exactly 0.0, even where
-    the rows are not finite."""
+    x >= 0, minus on x < 0, and every other column is exactly +0.0, even
+    where the rows are not finite.  The bits of each column are ANDed with
+    an all-ones or all-zeros word, so no select temporaries are made and
+    ``out`` may be ``rows``."""
     side = x < 0 if kind == "minus" else x >= 0
-    return np.where(side, rows, 0.0)
+    out = np.empty_like(rows) if out is None else out
+    np.bitwise_and(rows.view(np.uint64), np.negative(side.astype(np.uint64)),
+                   out=out.view(np.uint64))
+    return out
 
 
 def _null_block(nu: int, x: np.ndarray) -> np.ndarray:
@@ -181,14 +168,17 @@ def _null_block(nu: int, x: np.ndarray) -> np.ndarray:
     return pref * np.where(x >= 0, right @ rows, left @ rows)
 
 
-def _basis_block(tr: MaternTruncation, x: np.ndarray) -> np.ndarray:
-    """All nu+1+2n basis values at scaled points, ordered null/minus/plus."""
+def _basis_block(tr: MaternTruncation, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """All nu+1+2n basis values at scaled points, ordered null/minus/plus,
+    written into ``out`` (dim, N) when it is given.  The handed rows are
+    built in the plus slot, then split between the two slots."""
     nu, n = tr.order.nu, tr.n
-    out = np.empty((tr.dim, x.size))
+    out = np.empty((tr.dim, x.size)) if out is None else out
     out[: nu + 1] = _null_block(nu, x)
-    rows = _handed_rows(nu, n, x)
-    out[nu + 1 : nu + 1 + n] = _handed_class(rows, x, "minus")
-    out[nu + 1 + n :] = _handed_class(rows, x, "plus")
+    minus, plus = out[nu + 1 : nu + 1 + n], out[nu + 1 + n :]
+    _handed_rows(nu, n, x, plus)
+    _handed_class(plus, x, "minus", minus)
+    _handed_class(plus, x, "plus", plus)
     return out
 
 
@@ -235,7 +225,8 @@ def matern_feature_map(tr: MaternTruncation, t) -> np.ndarray:
     """Feature vector [psi0_0..psi0_nu, psi-_0..psi-_{n-1}, psi+_0..psi+_{n-1}]
     at lam * t, so that dot(f(t), f(u)) == matern_truncated(t, u)."""
     x = tr.order.lam * np.asarray(t, dtype=float)
-    return stack_rows(lambda p: _basis_block(tr, p), x.ravel(), tr.dim).reshape(*x.shape, tr.dim)
+    return stack_rows(lambda p, out: _basis_block(tr, p, out), x.ravel(), tr.dim).reshape(
+        *x.shape, tr.dim)
 
 
 def matern_psi_norm_sq(order: MaternOrder, m: int) -> float:

@@ -1,7 +1,12 @@
 """Stable evaluation of the orthogonal polynomials underlying every basis family.
 
-All evaluators use three-term recurrences, each written once, in a
-``*_table`` evaluator that returns rows m = 0..count-1.  The scalar
+Every table, and every weighted basis block of the families, runs one
+three-term step, :func:`_step`: row k+1 = ((x - a_k) row k - c_k row k-1) d_k,
+in place in the caller's rows with one scratch row, from a seed row 0.
+:func:`_recur` runs it down a table; :func:`_recur_scaled` runs it with a
+per-point exponent for seeds that underflow.  The ``*_table`` evaluators
+are the seed-1 case and return rows m = 0..count-1; a family block seeds
+row 0 with its weight instead, so no weight pass follows.  The scalar
 evaluators ``laguerre``, ``assoc_laguerre`` and ``hermite_normalized`` are
 the last row of a table, built one chunk of points at a time, so their
 memory is O(m) per point of a chunk and O(1) per input point.  The
@@ -15,6 +20,8 @@ never as quotients of separately evaluated factorials.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +40,61 @@ __all__ = [
 # Degree cap: recurrences stay accurate well past this, but callers asking
 # for more are almost certainly misusing the module.
 MAX_DEGREE = 512
+
+
+# log of the smallest normal float: a seed below it has lost precision
+_LOG_TINY = math.log(np.finfo(float).tiny)
+# ln 2 = _LN2_HI + _LN2_LO, with j * _LN2_HI exact for integers |j| < 2^21
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _step(nxt, cur, prev, x, a: float, c: float, d: float, tmp) -> None:
+    """nxt = ((x - a) cur - c prev) d, in place; tmp is a scratch row.  prev is
+    not read when it is None (the first step, where row -1 is 0)."""
+    if a:
+        np.subtract(x, a, out=nxt)
+        nxt *= cur
+    else:
+        np.multiply(x, cur, out=nxt)
+    if prev is not None:
+        np.multiply(prev, c, out=tmp)
+        nxt -= tmp
+    if d != 1.0:
+        nxt *= d
+
+
+def _recur(rows: np.ndarray, x: np.ndarray, coef) -> np.ndarray:
+    """Fill rows[1:] from the seed rows[0] in place, with coef(k) = (a_k, c_k, d_k)
+    of :func:`_step`."""
+    tmp = np.empty(x.shape)
+    for k in range(rows.shape[0] - 1):
+        _step(rows[k + 1], rows[k], rows[k - 1] if k else None, x, *coef(k), tmp)
+    return rows
+
+
+def _recur_scaled(rows: np.ndarray, x: np.ndarray, coef, log_seed: np.ndarray) -> np.ndarray:
+    """:func:`_recur` from the seed exp(log_seed), for seeds that underflow.
+
+    Each point carries its two current rows divided by a power of two 2^j
+    that keeps the larger of them in [1/2, 1), so the scaling is exact, and
+    row k is written as value * exp(log_seed + j ln 2), with ln 2 split in
+    two so that j ln 2 adds no rounding.  A row underflows only where its
+    own value does.  Several numpy calls per row on few points: a slow
+    path for the points that need it.
+    """
+    cur, prev, nxt, tmp = np.ones(x.shape), np.zeros(x.shape), np.empty(x.shape), np.empty(x.shape)
+    j = np.zeros(x.shape)
+    np.exp(log_seed, out=rows[0])
+    for k in range(rows.shape[0] - 1):
+        _step(nxt, cur, prev if k else None, x, *coef(k), tmp)
+        shift = np.frexp(np.maximum(np.abs(nxt), np.abs(cur)))[1]
+        np.ldexp(nxt, -shift, out=nxt)
+        np.ldexp(cur, -shift, out=cur)
+        j += shift
+        np.multiply(nxt, np.exp(log_seed + j * _LN2_HI + j * _LN2_LO), out=rows[k + 1])
+        prev, cur, nxt = cur, nxt, prev
+    return rows
 
 
 def _check_degree(m: int, name: str = "m") -> None:
@@ -79,6 +141,17 @@ def hermite_normalized(m: int, t):
     return _last_row(hermite_normalized_table, m, t)
 
 
+def _table(count: int, t, coef) -> np.ndarray:
+    """Rows 0..count-1 of the seed-1 recurrence with coefficients coef at the
+    points t, flattened: (count, t.size)."""
+    check_int(count, "count", 1)
+    _check_degree(count - 1, "count-1")
+    x = np.asarray(t, dtype=float).ravel()
+    rows = np.empty((count, x.size))
+    rows[0] = 1.0
+    return _recur(rows, x, coef)
+
+
 def assoc_laguerre_table(count: int, eta: int, t) -> np.ndarray:
     """Rows m = 0..count-1 of L_m^(eta) at the points t, flattened: (count, t.size).
 
@@ -86,17 +159,8 @@ def assoc_laguerre_table(count: int, eta: int, t) -> np.ndarray:
     with L_0^(eta) = 1 and L_1^(eta) = 1 + eta - t; eta = 0 gives the
     plain Laguerre polynomials.
     """
-    check_int(count, "count", 1)
-    _check_degree(count - 1, "count-1")
     check_int(eta, "eta")
-    x = np.asarray(t, dtype=float).ravel()
-    out = np.empty((count, x.size))
-    out[0] = 1.0
-    if count > 1:
-        out[1] = 1.0 + eta - x
-    for k in range(1, count - 1):
-        out[k + 1] = ((2 * k + 1 + eta - x) * out[k] - (k + eta) * out[k - 1]) / (k + 1)
-    return out
+    return _table(count, t, lambda k: (2 * k + 1 + eta, -(k + eta), -1.0 / (k + 1)))
 
 
 def hermite_normalized_table(count: int, t) -> np.ndarray:
@@ -105,13 +169,4 @@ def hermite_normalized_table(count: int, t) -> np.ndarray:
     e_{k+1} = sqrt(2/(k+1)) t e_k - sqrt(k/(k+1)) e_{k-1}; the values stay
     O(e^{t^2/2}) for every degree, so no overflow.
     """
-    check_int(count, "count", 1)
-    _check_degree(count - 1, "count-1")
-    x = np.asarray(t, dtype=float).ravel()
-    out = np.empty((count, x.size))
-    out[0] = 1.0
-    if count > 1:
-        out[1] = np.sqrt(2.0) * x
-    for k in range(1, count - 1):
-        out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
+    return _table(count, t, lambda k: (0.0, math.sqrt(k / 2.0), math.sqrt(2.0 / (k + 1))))

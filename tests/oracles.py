@@ -5,7 +5,9 @@ The exact oracles deliberately use the explicit binomial-sum definitions
 recurrence-based library code is checked against an arithmetic path it
 shares nothing with.  ``uniform_truncated_rule`` and ``integrate`` serve
 the tests' own quadrature cross-checks, such as Plancherel in the Fourier
-domain.
+domain.  The mpmath references evaluate the unweighted polynomials by
+their recurrences at high precision and apply the weights at the end, the
+order the weighted float recurrences avoid.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 from kernelbasis.quadrature import REAL_LINE, QuadratureRule, _check_node_count, _legendre_panel
@@ -129,3 +132,33 @@ def integrate(rule: QuadratureRule, f: Callable) -> float:
             f"integrand is not finite at node {i} (x={rule.nodes[i]!r}): {vals[i]!r}"
         )
     return float(rule.weights @ vals)
+
+
+def gaussian_psi_mp(count: int, x: float) -> list:
+    """psi_m(x) = (2 sqrt 2/3)^{1/2} 3^{-m/2} e^{-x^2/3} H_m(y)/sqrt(2^m m!),
+    y = 2x/sqrt 3, for m < count, in the current mpmath precision: the
+    unweighted normalised Hermite recurrence, times the weight at the end."""
+    y = 2 * mpmath.mpf(x) / mpmath.sqrt(3)
+    e = [mpmath.mpf(1), mpmath.sqrt(2) * y]
+    for k in range(1, count - 1):
+        e.append(mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * y * e[k]
+                 - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * e[k - 1])
+    weight = mpmath.sqrt(2 * mpmath.sqrt(2) / 3) * mpmath.exp(-mpmath.mpf(x) ** 2 / 3)
+    return [weight * mpmath.power(3, -mpmath.mpf(m) / 2) * e[m] for m in range(count)]
+
+
+def matern_handed_mp(nu: int, count: int, x: float) -> list:
+    """psi+_{m,nu}(|x|), times (-1)^nu where x < 0, for m < count, in the
+    current mpmath precision: c_nu m!/(m+nu+1)! (2|x|)^(nu+1) L_m^(nu+1)(2|x|)
+    e^{-|x|} with c_nu = nu!/sqrt((2 nu)!), L_m by the unweighted
+    associated-Laguerre recurrence, the prefactors applied at the end."""
+    ax = abs(mpmath.mpf(x))
+    s, eta = 2 * ax, nu + 1
+    lag = [mpmath.mpf(1), 1 + eta - s]
+    for k in range(1, count - 1):
+        lag.append(((2 * k + 1 + eta - s) * lag[k] - (k + eta) * lag[k - 1]) / (k + 1))
+    c = mpmath.factorial(nu) / mpmath.sqrt(mpmath.factorial(2 * nu))
+    sign = -1 if x < 0 and nu % 2 else 1
+    factor = sign * c * s**eta * mpmath.exp(-ax)
+    return [factor * mpmath.factorial(m) / mpmath.factorial(m + eta) * lag[m]
+            for m in range(count)]

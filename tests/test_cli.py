@@ -156,6 +156,13 @@ class TestEval:
         assert "finite" in err
 
     @pytest.mark.parametrize("what", ["kernel", "truncated", "basis"])
+    def test_nonfinite_grid_is_the_same_usage_error_for_every_what(self, capsys, what):
+        code, out, err = run_cli(capsys, "eval", "--family", "matern", "--what", what,
+                                 "--grid", "nan:1:2")
+        assert code == 2 and out == ""
+        assert err == "usage error: --grid points must be finite\n"
+
+    @pytest.mark.parametrize("what", ["kernel", "truncated", "basis"])
     @pytest.mark.parametrize("family", ["matern", "cauchy", "gaussian"])
     def test_infinite_lambda_is_usage_error(self, capsys, family, what):
         code, out, err = run_cli(

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +13,17 @@ from kernelbasis.featuremap import (
     krr_fit_predict,
 )
 from kernelbasis import orthopoly
-from kernelbasis._lowrank import CHUNK, _distinct
+from kernelbasis._lowrank import CHUNK, _distinct, chunks
 from kernelbasis.cauchy import cauchy_kernel, cauchy_real_basis, cauchy_truncated
 from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_psi, gaussian_truncated
 from kernelbasis.laguerre import laguerre_fn
-from kernelbasis.matern import MaternBasisId, MaternOrder, MaternTruncation, matern_psi
+from kernelbasis.matern import (
+    MaternBasisId,
+    MaternOrder,
+    MaternTruncation,
+    matern_psi,
+    matern_psi_bound,
+)
 
 
 class TestSpec:
@@ -280,6 +287,38 @@ class TestKRR:
             krr_fit_predict(spec, x, np.array([0.0, bad, 1.0]), ridge, x)
 
 
+# every finite float: subnormals, +-0.0 and values whose scaling by lam,
+# square or double overflows
+_ANY_FINITE = st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
+
+
+class TestFullRange:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["matern", "cauchy", "gaussian"]),
+           lam=st.sampled_from([0.5, 1.0, 2.0]), n=st.integers(1, 256), nu=st.integers(0, 6),
+           t=st.lists(_ANY_FINITE, min_size=1, max_size=8))
+    def test_features_are_finite_and_bounded(self, family, lam, n, nu, t):
+        spec = FeatureMapSpec(family, lam=lam, n=n, nu=nu if family == "matern" else None)
+        F = features(spec, t)
+        assert np.all(np.isfinite(F))
+        # r_n(t, t) is a partial sum of k(t, t) = 1 over an orthonormal basis
+        assert np.all(np.sum(F * F, axis=1) <= 1.0 + 1e-12)
+        if family == "matern":
+            assert np.all(np.abs(F) <= matern_psi_bound(MaternOrder(nu)))
+
+    @pytest.mark.parametrize("family, n, t", [
+        ("gaussian", 64, 1e6), ("gaussian", 256, 1e3), ("matern", 256, 1e3),
+        ("gaussian", 64, 1e200), ("matern", 32, 1e200), ("cauchy", 32, 1e200),
+    ])
+    def test_points_that_gave_nan_are_finite(self, family, n, t):
+        spec = FeatureMapSpec(family, n=n, nu=2 if family == "matern" else None)
+        F = features(spec, [t, -t])
+        assert np.all(np.isfinite(F))
+        assert np.all(np.sum(F * F, axis=1) <= 1.0)
+        if family == "gaussian":  # every value underflows there
+            assert np.all(F == 0.0)
+
+
 # chunk boundaries of the point loop: empty, one point, either side of one
 # chunk, and a short third chunk
 _CHUNK_SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
@@ -319,6 +358,29 @@ class TestChunkBoundaries:
     def test_empty_training_set_predicts_zeros(self, family):
         pred = krr_fit_predict(_SPECS[family], [], [], 1e-3, _points(CHUNK + 1))
         np.testing.assert_array_equal(pred, np.zeros(CHUNK + 1))
+
+
+# a first chunk of points that take the far path, underflow, sit at zero or
+# overflow when scaled, then ordinary points; 2 CHUNK + 3 points in all
+_EXTREME = np.array([0.0, -0.0, 5e-324, 30.0, -47.5, 760.0, -1000.0, 1e6, -1e200, 1.7e308])
+
+
+@pytest.mark.parametrize("family", sorted(_SPECS))
+def test_block_buffer_keeps_no_stale_rows(family):
+    spec = _SPECS[family]
+    x = np.concatenate([np.resize(_EXTREME, CHUNK), _points(CHUNK + 3)])
+    xt = _points(2 * CHUNK + 3, 4)
+    with np.errstate(over="ignore"):  # lam * 1.7e308
+        fresh = [spec._block(spec.lam * x[s]) for s in chunks(x.size)]
+    assert np.array_equal(features(spec, x), np.concatenate(fresh, axis=1).T)
+    y = np.cos(x)
+    gram, rhs = 1e-3 * np.eye(spec.dim), np.zeros(spec.dim)
+    for s, b in zip(chunks(x.size), fresh):
+        gram += b @ b.T
+        rhs += b @ y[s]
+    coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), rhs)
+    ref = np.concatenate([coef @ spec._block(spec.lam * xt[s]) for s in chunks(xt.size)])
+    assert np.array_equal(krr_fit_predict(spec, x, y, 1e-3, xt), ref)
 
 
 def _peak_bytes(call) -> int:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from kernelbasis.gaussian import (
 )
 from kernelbasis._lowrank import CHUNK
 from kernelbasis.quadrature import gauss_hermite_rule
+from oracles import gaussian_psi_mp
 
 ALPHA = math.sqrt(2.0 / 3.0)
 
@@ -309,3 +311,29 @@ def test_hermite_evaluator_is_block_row(m, t, evaluator, form):
     got = evaluator(m, t)
     assert np.array_equal(got, row)
     assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+
+
+def test_psi_matches_mpmath_up_to_large_arguments():
+    # past |x| = 47.3 the weighted seed underflows and the rows are 0; the
+    # values lost there are below 3e-80
+    x = np.concatenate([np.linspace(-250.0, 250.0, 11), np.linspace(-30.0, 30.0, 41)])
+    with mpmath.workdps(40):
+        ref = np.array([[float(v) for v in gaussian_psi_mp(200, t)] for t in x]).T
+    np.testing.assert_allclose(_psi_block(200, x), ref, rtol=0, atol=1e-14)
+
+
+def test_psi_high_degree_far_from_the_origin():
+    # the unweighted table overflows here and used to meet e^{-t^2/3} as inf * 0
+    with mpmath.workdps(40):
+        ref = float(gaussian_psi_mp(501, 40.0)[500])
+    assert ref == pytest.approx(9.8250888109596335e-26, rel=1e-15)
+    assert gaussian_psi(500, 40.0) == pytest.approx(ref, rel=1e-12)
+
+
+def test_mpmath_reference_is_the_hermite_basis():
+    with mpmath.workdps(40):
+        for m, t in [(0, 0.3), (7, -2.5), (199, 30.0), (150, -120.0)]:
+            y = 2 * mpmath.mpf(t) / mpmath.sqrt(3)
+            direct = (mpmath.sqrt(2 * mpmath.sqrt(2) / 3) * mpmath.exp(-mpmath.mpf(t) ** 2 / 3)
+                      * mpmath.hermite(m, y) / mpmath.sqrt(6**m * mpmath.factorial(m)))
+            assert abs(gaussian_psi_mp(m + 1, t)[m] - direct) <= 1e-30 * abs(direct)

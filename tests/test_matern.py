@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from kernelbasis.matern import (
     MaternBasisId,
@@ -20,7 +21,7 @@ from kernelbasis.matern import (
     matern_truncated,
     matern_truncation_error_bound,
     _basis_block,
-    _handed_weights,
+    _handed_rows,
     _log_c,
     _null_block,
 )
@@ -29,7 +30,7 @@ from kernelbasis.featuremap import FeatureMapSpec, features
 from kernelbasis.laguerre import laguerre_fn
 from kernelbasis.orthopoly import assoc_laguerre_table
 from kernelbasis.quadrature import gauss_laguerre_rule
-from oracles import integrate
+from oracles import integrate, matern_handed_mp
 
 SQRT2 = math.sqrt(2.0)
 
@@ -420,7 +421,9 @@ def test_off_side_handed_columns_stay_zero_far_from_the_origin(nu, size):
         F = features(FeatureMapSpec("matern", n=n, nu=nu), x)
         # the paper's product, factor by factor, on the side each class lives on
         ax = np.abs(x)
-        direct = (_handed_weights(nu, n)[:, None] * (2.0 * ax) ** (nu + 1)
+        m = np.arange(n)[:, None]
+        weights = np.exp(_log_c(nu) + gammaln(m + 1) - gammaln(m + nu + 2))  # c_nu m!/(m+nu+1)!
+        direct = (weights * (2.0 * ax) ** (nu + 1)
                   * assoc_laguerre_table(n, nu + 1, 2.0 * ax) * np.exp(-ax)).T
     minus, plus = F[:, nu + 1 : nu + 1 + n], F[:, nu + 1 + n :]
     left = x < 0
@@ -432,3 +435,33 @@ def test_off_side_handed_columns_stay_zero_far_from_the_origin(nu, size):
     # ... and the finite ones agree with it
     both = np.isfinite(on_side) & np.isfinite(ref)
     np.testing.assert_allclose(on_side[both], ref[both], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nu", [0, 2, 6])
+def test_handed_rows_match_mpmath(nu):
+    x = np.concatenate([np.linspace(-450.0, 450.0, 19), np.linspace(-30.0, 30.0, 31)])
+    with mpmath.workdps(40):
+        ref = np.array([[float(v) for v in matern_handed_mp(nu, 200, t)] for t in x]).T
+    np.testing.assert_allclose(_handed_rows(nu, 200, x), ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("nu", [0, 2])
+def test_handed_rows_past_the_seed_underflow_match_mpmath(nu):
+    # e^{-|x|} underflows, yet rows m >~ 300 are 0.1-0.2 here: these points
+    # take the exponent-tracked recurrence instead of being flushed to 0
+    x = np.array([700.0, 760.0, 1000.0, -760.0])
+    with mpmath.workdps(40):
+        ref = np.array([[float(v) for v in matern_handed_mp(nu, 512, t)] for t in x]).T
+    assert np.max(np.abs(ref)) > 0.1
+    np.testing.assert_allclose(_handed_rows(nu, 512, x), ref, rtol=0, atol=1e-12)
+
+
+def test_mpmath_reference_is_the_handed_basis():
+    with mpmath.workdps(40):
+        for nu, m, t in [(0, 0, 0.5), (2, 9, -3.0), (6, 199, 250.0), (2, 511, 760.0)]:
+            ax = abs(mpmath.mpf(t))
+            direct = (mpmath.factorial(nu) / mpmath.sqrt(mpmath.factorial(2 * nu))
+                      * mpmath.factorial(m) / mpmath.factorial(m + nu + 1) * (2 * ax) ** (nu + 1)
+                      * mpmath.laguerre(m, nu + 1, 2 * ax) * mpmath.exp(-ax))
+            direct *= -1 if t < 0 and nu % 2 else 1
+            assert abs(matern_handed_mp(nu, m + 1, t)[m] - direct) <= 1e-30 * abs(direct)
