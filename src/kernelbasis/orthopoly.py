@@ -103,10 +103,23 @@ def _check_degree(m: int, name: str = "m") -> None:
         raise ValueError(f"{name}={m} exceeds the degree cap {MAX_DEGREE}")
 
 
+def _check_finite(vals, m: int):
+    """vals, or ValueError naming m where a value is not finite: there the
+    true value overflows float64 (or t itself is not finite)."""
+    finite = np.isfinite(vals)
+    if not np.all(finite):
+        raise ValueError(f"m={m}: {np.size(vals) - np.count_nonzero(finite)} of {np.size(vals)} "
+                         "values are not finite (beyond float64, or t is not finite)")
+    return vals
+
+
 def _last_row(table, m: int, t, *args):
-    """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar t)."""
+    """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar
+    t); ValueError where a value is not finite."""
     _check_degree(m)
-    return block_row(lambda p: table(m + 1, *args, p), -1, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond float64 raises below
+        vals = block_row(lambda p: table(m + 1, *args, p), -1, t)
+    return _check_finite(vals, m)
 
 
 def laguerre(m: int, t):
@@ -124,14 +137,16 @@ def hermite(m: int, t):
     """Physicist's Hermite polynomial H_m(t) by recurrence.
 
     H_{k+1}(t) = 2t H_k(t) - 2k H_{k-1}(t).  Overflows float64 around
-    m ~ 270; use :func:`hermite_normalized` for large degrees.
+    m ~ 270, where it raises ValueError; use :func:`hermite_normalized` for
+    large degrees.
     """
     _check_degree(m)
     x = np.asarray(t, dtype=float)
     p_prev, p = np.ones_like(x), 2.0 * x
-    for k in range(1, m):
-        p, p_prev = 2.0 * x * p - 2.0 * k * p_prev, p
-    vals = p if m else p_prev
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond float64 raises below
+        for k in range(1, m):
+            p, p_prev = 2.0 * x * p - 2.0 * k * p_prev, p
+    vals = _check_finite(p if m else p_prev, m)
     return float(vals) if x.ndim == 0 else vals
 
 

@@ -162,3 +162,20 @@ def matern_handed_mp(nu: int, count: int, x: float) -> list:
     factor = sign * c * s**eta * mpmath.exp(-ax)
     return [factor * mpmath.factorial(m) / mpmath.factorial(m + eta) * lag[m]
             for m in range(count)]
+
+
+def rank_product_gather(block, lam: float, t, u):
+    """Truncated kernel sum_k b_k(lam t) b_k(lam u) the direct way: the block
+    once per argument on the sorted distinct values of all its (broadcast)
+    elements, then the Gram matrix of the two blocks, or for element-wise
+    inputs their columns, gathered with flat indices of the output's size."""
+    x, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
+    with np.errstate(over="ignore"):
+        xs, ix = np.unique(lam * x.ravel(), return_inverse=True)
+        ys, iy = np.unique(lam * y.ravel(), return_inverse=True)
+    bx, by = block(xs), block(ys)
+    if xs.size * ys.size <= ix.size:
+        vals = (bx.T @ by)[ix, iy]
+    else:
+        vals = np.einsum("kn,kn->n", bx[:, ix], by[:, iy])
+    return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)

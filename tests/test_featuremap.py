@@ -1,9 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelbasis.featuremap import (
@@ -23,7 +24,9 @@ from kernelbasis.matern import (
     MaternTruncation,
     matern_psi,
     matern_psi_bound,
+    matern_truncated,
 )
+from oracles import rank_product_gather
 
 
 class TestSpec:
@@ -203,7 +206,80 @@ def test_distinct_matches_unique_of_all_values(v):
     vals, inverse = _distinct(v, 1.3)
     ref_vals, ref_inverse = np.unique(1.3 * v.ravel(), return_inverse=True)
     np.testing.assert_array_equal(vals, ref_vals)
-    np.testing.assert_array_equal(inverse, ref_inverse.ravel())
+    np.testing.assert_array_equal(np.broadcast_to(inverse, v.shape).ravel(), ref_inverse.ravel())
+
+
+_RNG = np.random.default_rng(11)
+_T_AXIS, _U_AXIS = np.array([-2.5, -0.5, 0.0, 0.5, 0.5, 2.0]), np.linspace(-3.0, 2.7, 5)
+# every argument has at least two distinct values: the same floats as a
+# block per argument
+_MANY_VALUES = {
+    "meshgrid_ij": tuple(np.meshgrid(_T_AXIS, _U_AXIS, indexing="ij")),
+    "meshgrid_xy": tuple(np.meshgrid(_T_AXIS, _U_AXIS, indexing="xy")),
+    "column_by_row": (_T_AXIS[:, None], _U_AXIS[None, :]),
+    "signed_zero_duplicates": (np.array([[-0.0, 1.5], [0.0, 1.5], [-0.0, -0.0]]),
+                               np.array([[0.0, -0.0], [2.0, -0.0], [2.0, 0.0]])),
+    "broadcast_3d": (_RNG.uniform(-3.0, 3.0, (4, 1, 1)),
+                     np.broadcast_to(_RNG.uniform(-3.0, 3.0, (1, 3, 2)), (4, 3, 2))),
+    # both arguments constant along the last axis: their index cores
+    # broadcast to (4, 3, 1), not to the output's shape
+    "same_constant_axis": (_RNG.uniform(-3.0, 3.0, (4, 1, 1)),
+                           np.broadcast_to(_RNG.uniform(-3.0, 3.0, (4, 3, 1)), (4, 3, 2))),
+    "same_constant_axis_gram": (_RNG.uniform(-3.0, 3.0, (4, 1, 1)),
+                                np.broadcast_to(_RNG.uniform(-3.0, 3.0, (1, 3, 1)), (1, 3, 5))),
+    "elementwise": (np.linspace(-3.0, 3.0, 7), np.linspace(2.9, -2.6, 7)),
+    "elementwise_2d": tuple(_RNG.uniform(-3.0, 3.0, (2, 3, 4))),
+    "empty": (np.array([]), np.array([])),
+    "empty_2d": (np.zeros((3, 0)), np.zeros((1, 0))),
+}
+# an argument with one distinct value: its one-column products may round
+# the last bit differently
+_ONE_VALUE = {
+    "scalar_by_array": (0.4, _T_AXIS),
+    "one_point_axis": (_T_AXIS[:1, None], _U_AXIS[None, :]),
+    "signed_zeros_only": (np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, 1.2])),
+    "scalar_by_scalar": (0.3, -1.1),
+}
+# the truncated kernels at length-scale lam, level n and (Matern) order nu
+_TRUNCATED_AT = {
+    "matern": lambda lam, n, nu, t, u: matern_truncated(MaternTruncation(MaternOrder(nu, lam), n),
+                                                        t, u),
+    "cauchy": lambda lam, n, nu, t, u: cauchy_truncated(lam, n, t, u),
+    "gaussian": lambda lam, n, nu, t, u: gaussian_truncated(GaussianScale(lam), n, t, u),
+}
+
+
+def _both_truncated(spec, t, u):
+    """The truncated kernel of spec from FeatureMapSpec and from the family's function."""
+    public = _TRUNCATED_AT[spec.family](spec.lam, spec.n, spec.nu, t, u)
+    return spec.truncated_kernel(t, u), public
+
+
+class TestRankProduct:
+    """The truncated kernels (the _SPECS families) against the block per
+    argument and the flat gather of tests/oracles.py."""
+
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    @pytest.mark.parametrize("case", sorted(_MANY_VALUES))
+    def test_equals_gather_of_separate_blocks(self, family, case):
+        spec, (t, u) = _SPECS[family], _MANY_VALUES[case]
+        ref = rank_product_gather(spec._block, spec.lam, t, u)
+        for got in _both_truncated(spec, t, u):
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    @pytest.mark.parametrize("case", sorted(_ONE_VALUE))
+    def test_one_distinct_value_within_last_bit(self, family, case):
+        spec, (t, u) = _SPECS[family], _ONE_VALUE[case]
+        ref = rank_product_gather(spec._block, spec.lam, t, u)
+        for got in _both_truncated(spec, t, u):
+            assert np.shape(got) == np.shape(ref)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    def test_scalar_by_scalar_is_a_float(self, family):
+        assert all(type(got) is float for got in _both_truncated(_SPECS[family], 0.3, -1.1))
 
 
 class TestKRR:
@@ -305,6 +381,31 @@ class TestFullRange:
         assert np.all(np.sum(F * F, axis=1) <= 1.0 + 1e-12)
         if family == "matern":
             assert np.all(np.abs(F) <= matern_psi_bound(MaternOrder(nu)))
+        if family == "cauchy":  # |alpha_m|, |beta_m| <= |w_m| <= 1/sqrt(1 + t^2)
+            assert np.all(np.abs(F) <= 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(_TRUNCATED_AT)),
+           lam=st.sampled_from([0.5, 1.0, 2.0]), n=st.integers(1, 256), nu=st.integers(0, 6),
+           t=st.lists(_ANY_FINITE, min_size=1, max_size=4),
+           u=st.lists(_ANY_FINITE, min_size=1, max_size=4), mesh=st.booleans())
+    # lam * 1.7e308 overflows: the scaled point is +-inf, where every block is 0
+    @example(family="matern", lam=2.0, n=256, nu=6, t=[1.7e308, -0.0], u=[-1.7e308, 5e-324],
+             mesh=True)
+    @example(family="cauchy", lam=2.0, n=256, nu=0, t=[-1.7e308, 0.0], u=[1.7e308, -5e-324],
+             mesh=True)
+    @example(family="gaussian", lam=2.0, n=256, nu=0, t=[1.7e308], u=[-1e200], mesh=False)
+    def test_truncated_kernels_are_finite_and_bounded(self, family, lam, n, nu, t, u, mesh):
+        # scalars t[0], u[0], or the meshgrid of the two lists
+        t, u = np.meshgrid(t, u, indexing="ij") if mesh else (t[0], u[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = _TRUNCATED_AT[family](lam, n, nu, t, u)
+            diag = _TRUNCATED_AT[family](lam, n, nu, t, t)
+        assert np.all(np.isfinite(r))
+        # Cauchy--Schwarz with r_n(t, t) <= k(t, t) = 1
+        assert np.all(np.abs(r) <= 1.0 + 1e-12)
+        assert np.all(np.asarray(diag) >= 0.0)
 
     @pytest.mark.parametrize("family, n, t", [
         ("gaussian", 64, 1e6), ("gaussian", 256, 1e3), ("matern", 256, 1e3),
@@ -399,6 +500,15 @@ class TestMemory:
         x, xt = _points(200_000, 1), _points(1000, 2)
         y = np.sin(2.0 * x)
         assert _peak_bytes(lambda: krr_fit_predict(spec, x, y, 1e-3, xt)) < 32e6
+
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    def test_grid_memory_is_its_output_and_the_gram_matrix(self, family):
+        # 300 x 300 values: output and distinct-value Gram matrix 720 kB each;
+        # (N,) index arrays of the output's size would add 1.44 MB
+        spec = _SPECS[family]
+        side = np.linspace(-3.0, 3.0, 300)
+        t, u = np.meshgrid(side, side[::-1] / 2, indexing="ij")
+        assert _peak_bytes(lambda: spec.truncated_kernel(t, u)) < 3 * t.size * 8
 
     def test_features_memory_is_its_output(self):
         spec = FeatureMapSpec("gaussian", n=64)

@@ -172,8 +172,30 @@ class TestMercer:
             math.sqrt(p.beta), rel=1e-15
         )
 
+    @pytest.mark.parametrize("alpha", [ALPHA, 1.0, 1e2, 1e4, 1e9])
+    def test_delta_sq_matches_mpmath(self, alpha):
+        # alpha^2 (beta^2 - 1)/2 cancels in floats: 1e-9 lost at alpha = 1e4, 0 from ~1e8
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            ref = a**2 * (mpmath.sqrt(1 + 2 / a**2) - 1) / 2
+            assert abs(MercerParams.from_alpha(alpha).delta_sq - ref) <= 1e-15 * ref
+
+    def test_delta_sq_is_one_third_at_the_distinguished_alpha(self):
+        assert MercerParams.from_alpha(ALPHA).delta_sq == 1.0 / 3.0
+
+    def test_wide_alpha_eigenfunction_decays(self):
+        # the weight e^{-t^2/2} (delta^2 ~ 1/2) underflows, so theta is 0 however large H_40 is
+        p = MercerParams.from_alpha(1e9)
+        assert mercer_eigenfunction(p, 40, 1e3) == 0.0
+        assert mercer_eigenfunction(p, 40, 1e6) == 0.0
+
+    def test_eigenfunction_beyond_float64_raises(self):
+        # theta_40 at t = 1 is far beyond 1e308
+        with pytest.raises(ValueError, match="m=40"):
+            mercer_eigenfunction(MercerParams.from_alpha(1e9), 40, 1.0)
+
     def test_wide_alpha_matches_definition(self):
-        # delta^2 = alpha^2 (beta^2 - 1)/2 rounds to 0 for alpha > 1e8
+        # alpha = 1e8, where delta^2 = alpha^2 (beta^2 - 1)/2 in floats rounds to 0
         from kernelbasis.orthopoly import hermite_normalized
 
         p = MercerParams.from_alpha(1e8)

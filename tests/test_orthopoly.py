@@ -89,6 +89,19 @@ class TestHermite:
         assert np.all(np.isfinite(vals))
 
 
+# each true value lies beyond float64: the recurrences reach inf or NaN
+@pytest.mark.parametrize("call", [
+    lambda: orthopoly.hermite_normalized(40, 1e200),
+    lambda: orthopoly.assoc_laguerre(40, 2, 1e200),
+    lambda: orthopoly.laguerre(40, 1e200),
+    lambda: orthopoly.hermite(300, 5.0),
+    lambda: orthopoly.hermite_normalized(40, np.array([0.5, 1e200])),
+], ids=["hermite_normalized", "assoc_laguerre", "laguerre", "hermite", "array"])
+def test_value_beyond_float64_raises_naming_m(call):
+    with pytest.raises(ValueError, match=r"m=(40|300)\b"):
+        call()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 15),
