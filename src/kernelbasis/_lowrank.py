@@ -114,8 +114,7 @@ def rank_product(block, lam: float, t, u):
     The values equal those of one block per argument, except where an
     argument has one distinct value: its one column is then a strided slice
     of the shared block, whose product takes another numpy path than a
-    block of one point (and a Matern null block of one point takes its
-    one-point path), so the last bits may differ (by at most 5.6e-16 over
+    block of one point, so the last bits may differ (by at most 5.6e-16 over
     5600 random such calls of seven specs).
     """
     x, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))

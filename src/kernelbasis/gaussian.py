@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lowrank import check_int, check_lam, rank_product
-from .orthopoly import _last_row, _recur
+from .orthopoly import _hermite_coef, _last_row, _recur
 from .report import VerificationReport
 
 __all__ = [
@@ -70,8 +70,6 @@ class MercerParams:
     delta_sq: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         beta_ref, delta_ref = _beta_delta_sq(self.alpha)
         if abs(self.beta - beta_ref) > 1e-14 * beta_ref:
             raise ValueError(f"beta={self.beta} inconsistent with alpha={self.alpha}")
@@ -85,9 +83,16 @@ class MercerParams:
 
 
 def _beta_delta_sq(alpha: float) -> tuple[float, float]:
-    """beta and delta^2 of alpha.  delta^2 = alpha^2 (beta^2 - 1)/2 is formed
-    as 1/(1 + sqrt(1 + 2/alpha^2)), which has no cancellation: the direct
+    """beta and delta^2 of alpha; ValueError naming alpha where alpha is not
+    positive, or alpha^2 or 2/alpha^2 is not finite (alpha outside about
+    1e-154..1.3e154).  delta^2 = alpha^2 (beta^2 - 1)/2 is formed as
+    1/(1 + sqrt(1 + 2/alpha^2)), which has no cancellation: the direct
     form loses 1e-9 (relative) at alpha = 1e4 and rounds to 0 from ~1e8."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    sq = float(alpha) * float(alpha)
+    if not 0 < sq < math.inf or not 2.0 / sq < math.inf:
+        raise ValueError(f"alpha={alpha} is out of range: alpha^2 and 2/alpha^2 must be finite")
     r = 1.0 + 2.0 / alpha**2
     return r**0.25, 1.0 / (1.0 + math.sqrt(r))
 
@@ -108,15 +113,14 @@ def _hermite_rows(count: int, c: float, p: float, v: float, w: float, x: np.ndar
     """Rows m = 0..count-1 of c p^{-m/2} e^{-x^2/v} e_m(x/w) at points x (N,),
     written into ``out`` (count, N) when it is given.
 
-    The normalised Hermite recurrence runs on the weighted rows: g_0 =
-    c e^{-x^2/v}, g_1 = sqrt(2/p) y g_0 and g_{k+1} = sqrt(2/((k+1) p)) y g_k
-    - sqrt(k/(k+1))/p g_{k-1} with y = x/w, so no weight pass follows and the
-    polynomial never overflows before it meets its exponential.  Past
-    |x| = sqrt(745 v) the seed underflows and every row is 0.  For the RKHS
-    basis (v = 3) that is |x| > 47.3, and the absolute error for m <= 511
-    is at most 3.5e-74 there and where the seed is subnormal (40-digit
-    mpmath; 3e-80 at |x| = 48).  |x| is clamped at 1e150, where every seed
-    is 0, so x^2 stays finite.
+    The recurrence of p^{-k/2} e_k (``orthopoly._hermite_coef``) runs at
+    y = x/w on the weighted rows from g_0 = c e^{-x^2/v}, so no weight pass
+    follows and the polynomial never overflows before it meets its
+    exponential.  Past |x| = sqrt(745 v) the seed underflows and every row
+    is 0.  For the RKHS basis (v = 3) that is |x| > 47.3, and the absolute
+    error for m <= 511 is at most 3.5e-74 there and where the seed is
+    subnormal (40-digit mpmath; 3e-80 at |x| = 48).  |x| is clamped at
+    1e150, where every seed is 0, so x^2 stays finite.
     """
     rows = np.empty((count, x.size)) if out is None else out
     x = np.minimum(x, _X_MAX)
@@ -126,8 +130,7 @@ def _hermite_rows(count: int, c: float, p: float, v: float, w: float, x: np.ndar
     seed /= -v
     np.exp(seed, out=seed)
     seed *= c
-    return _recur(rows, x / w, lambda k: (0.0, math.sqrt(k / (2.0 * p)),
-                                          math.sqrt(2.0 / ((k + 1) * p))))
+    return _recur(rows, x / w, _hermite_coef(p))
 
 
 _HERMITE_FN = (math.pi**-0.25, 1.0, 2.0, 1.0)

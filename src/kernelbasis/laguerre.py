@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .orthopoly import _LOG_TINY, _last_row, _recur, _recur_scaled
+from .orthopoly import _LOG_TINY, _laguerre_coef, _last_row, _recur, _recur_scaled
 from .report import VerificationReport
 
 __all__ = ["laguerre_fn", "laguerre_fn_ft", "check_identity", "IDENTITIES"]
@@ -29,56 +29,37 @@ _SQRT2 = math.sqrt(2.0)
 _X_MAX = 1e300
 
 
-def _weighted_rows(count: int, alpha: int, log_c: float, x: np.ndarray,
-                   out: np.ndarray | None = None, odd: bool = False) -> np.ndarray:
-    """Rows m = 0..count-1 of c m!/(m+alpha)! (2|x|)^alpha L_m^(alpha)(2|x|) e^{-|x|}
+def _weighted_rows(count: int, eta: int, log_c: float, x: np.ndarray, out=None,
+                   sign: float = 1.0, odd: bool = False):
+    """Rows m = 0..count-1 of c L_m^(eta)(2|x|) e^{-|x|}, c = sign e^log_c,
     at points x (N,), negated where x < 0 if ``odd``, written into ``out``
-    (count, N) when it is given.
+    (a (count, N) array or a list of row views) when it is given.
 
-    With s = 2|x| the recurrence runs on the weighted rows, so no weight
-    pass follows: g_{k+1} = ((2k+alpha+1-s) g_k - k g_{k-1})/(k+alpha+1)
-    from g_0 = c/alpha! s^alpha e^{-|x|}, which is formed as the exponential
-    of its logarithm (as c e^{-|x|} for alpha = 0).  A far point is one whose
-    g_0 underflows although the bound |g_m| <= g_0 e^{|x|} does not: |x|
-    past about 708 + alpha log 2|x|.  Far points are redone by the
-    exponent-tracked recurrence, so no row is flushed to 0 that is not 0.
-    Past |x| = 1e300 every row is 0, and |x| is clamped there.
+    The recurrence runs on the weighted rows from the seed c e^{-|x|}, so no
+    weight pass follows.  A far point is one whose seed underflows; its rows
+    are redone by the exponent-tracked recurrence, so no row is flushed to 0
+    that is not 0.  Past |x| = 1e300 every row is 0, and |x| is clamped there.
     """
     rows = np.empty((count, x.size)) if out is None else out
     ax = np.minimum(np.abs(x), _X_MAX)
-    s = 2.0 * ax
     seed = rows[0]
-    if alpha:  # log g_0
-        with np.errstate(divide="ignore"):  # log 0 = -inf gives g_0 = 0 at x = 0
-            np.log(s, out=seed)
-        seed *= alpha
-        seed += log_c - math.lgamma(alpha + 1)
-        seed -= ax
-    else:
-        np.subtract(log_c, ax, out=seed)
-    # the far points; one min per chunk tells whether there are any
-    far = []
-    if x.size and seed.min() < _LOG_TINY:
-        far = np.flatnonzero((seed < _LOG_TINY) & (seed + ax >= _LOG_TINY))
-        far_log_seed = seed[far]
-    if alpha:
-        np.exp(seed, out=seed)
-    else:  # c e^{-|x|}, whose exponent is exact
-        np.negative(ax, out=seed)
-        np.exp(seed, out=seed)
-        seed *= math.exp(log_c)
+    np.negative(ax, out=seed)
+    np.exp(seed, out=seed)  # e^{-|x|}, whose exponent is exact
+    seed *= sign * math.exp(log_c)
     if odd:
         np.negative(seed, out=seed, where=x < 0)
-
-    def coef(k):
-        return 2 * k + alpha + 1, -k, -1.0 / (k + alpha + 1)
-
+    s = 2.0 * ax
+    coef = _laguerre_coef(eta)
     _recur(rows, s, coef)
-    if len(far):
-        far_rows = _recur_scaled(np.empty((count, len(far))), s[far], coef, far_log_seed)
+    # the far points; one max per chunk tells whether there are any
+    if x.size and ax.max() > log_c - _LOG_TINY:
+        far = np.flatnonzero(ax > log_c - _LOG_TINY)
+        far_rows = _recur_scaled(np.empty((count, far.size)), s[far], coef, log_c - ax[far])
+        far_rows *= sign
         if odd:
             np.negative(far_rows, out=far_rows, where=x[far] < 0)
-        rows[:, far] = far_rows
+        for row, far_row in zip(rows, far_rows):
+            row[far] = far_row
     return rows
 
 

@@ -5,9 +5,17 @@ The basis for smoothness nu + 1/2 splits into three classes:
 * ``plus``:  psi+_{m,nu}(t) = c_nu m!/(m+nu+1)! (2t)^{nu+1} L_m^(nu+1)(2t) e^{-t}
   on t >= 0 (zero on t < 0), with c_nu = nu!/sqrt((2nu)!),
 * ``minus``: psi-_{m,nu}(t) = (-1)^nu psi+_{m,nu}(-t), supported on t < 0,
-* ``null``:  nu + 1 functions supported on the whole line, evaluated through
-  the alternating binomial combination of Laguerre functions with indices
-  -nu-1+m+k, k = 0..nu+1.
+* ``null``:  nu + 1 functions supported on the whole line,
+  psi0_m = c_nu/sqrt 2 sum_k C(nu+1, k) (-1)^k phi_{-nu-1+m+k}, k = 0..nu+1,
+  with phi_i the Laguerre functions.
+
+On t >= 0 both are rows of one sequence, R_M(t) = c_nu (-1)^(nu+1)
+L_M^(-nu-1)(2t) e^{-t}: R_M = psi0_M for M <= nu, since
+sum_j (-1)^j C(nu+1, j) L_{M-j} = L_M^(-nu-1), and R_M = psi+_{M-nu-1} for
+M > nu, since L_{m+nu+1}^(-nu-1)(s) = m!/(m+nu+1)! (-s)^(nu+1) L_m^(nu+1)(s).
+Row M is the two-sided index M - nu - 1 of :func:`matern_psi_unified`.  On
+t < 0 the null rows mirror, psi0_m(t) = (-1)^nu psi0_{nu-m}(-t), so the
+whole block is one weighted recurrence on |t|.
 
 A scaling lam enters as psi(lam t) and r(lam t, lam u).  The ``null`` class
 alone reproduces the kernel whenever the arguments lie on opposite sides of
@@ -23,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._lowrank import block_row, check_int, check_lam, rank_product, stack_rows
-from .laguerre import _laguerre_rows, _weighted_rows
+from .laguerre import _weighted_rows
 from .quadrature import _legendre_rule
 
 __all__ = [
@@ -124,11 +132,24 @@ def matern_kernel(order: MaternOrder, t, u):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def _handed_rows(nu: int, count: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _rows(nu: int, count: int, x: np.ndarray, out=None):
+    """Rows M = 0..count-1 at (already scaled) points x, written into ``out``
+    (an array or a list of row views) when it is given: psi0_M for M <= nu,
+    then psi+_{M-nu-1} where x >= 0 and psi-_{M-nu-1} where x < 0.  One
+    recurrence on |x| gives R_M(|x|), signed (-1)^nu where x < 0; there
+    the null rows are then reversed."""
+    rows = _weighted_rows(count, -nu - 1, _log_c(nu), x, out, (-1.0) ** (nu + 1), nu % 2 == 1)
+    left = np.flatnonzero(x < 0)
+    null = rows[: nu + 1]
+    for row, mirrored in zip(null, [row[left] for row in null[::-1]]):
+        row[left] = mirrored
+    return rows
+
+
+def _handed_rows(nu: int, count: int, x: np.ndarray) -> np.ndarray:
     """Rows m = 0..count-1 at (already scaled) points x of psi+_{m,nu}(x) where
-    x >= 0 and psi-_{m,nu}(x) where x < 0: the weighted Laguerre rows with
-    seed c_nu/(nu+1)! (2|x|)^(nu+1) e^{-|x|}, signed (-1)^nu where x < 0."""
-    return _weighted_rows(count, nu + 1, _log_c(nu), x, out, odd=nu % 2 == 1)
+    x >= 0 and psi-_{m,nu}(x) where x < 0."""
+    return _rows(nu, nu + 1 + count, x)[nu + 1 :]
 
 
 def _handed_class(rows: np.ndarray, x: np.ndarray, kind: str,
@@ -146,37 +167,19 @@ def _handed_class(rows: np.ndarray, x: np.ndarray, kind: str,
 
 
 def _null_block(nu: int, x: np.ndarray) -> np.ndarray:
-    """Rows m = 0..nu of psi0_{m,nu} at (already scaled) points x.
-
-    psi0_m = c_nu/sqrt 2 sum_k C(nu+1, k) (-1)^k phi_{-nu-1+m+k}.  The indices
-    run over -nu-1..nu, and each phi_i is one of the nu+1 Laguerre-function
-    rows on one side of the origin and zero on the other, so each side is a
-    signed binomial matrix times those rows.
-    """
-    right = np.zeros((nu + 1, nu + 1))
-    left = np.zeros((nu + 1, nu + 1))
-    for m in range(nu + 1):
-        for k in range(nu + 2):
-            c = math.comb(nu + 1, k) * (-1) ** k
-            i = -nu - 1 + m + k
-            if i >= 0:
-                right[m, i] = c  # phi_i = row i on x >= 0
-            else:
-                left[m, -i - 1] = -c  # phi_i = -row (-i-1) on x < 0
-    rows = _laguerre_rows(nu + 1, x)
-    pref = math.exp(_log_c(nu)) / math.sqrt(2.0)
-    return pref * np.where(x >= 0, right @ rows, left @ rows)
+    """Rows m = 0..nu of psi0_{m,nu} at (already scaled) points x."""
+    return _rows(nu, nu + 1, x)
 
 
 def _basis_block(tr: MaternTruncation, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """All nu+1+2n basis values at scaled points, ordered null/minus/plus,
-    written into ``out`` (dim, N) when it is given.  The handed rows are
-    built in the plus slot, then split between the two slots."""
+    written into ``out`` (dim, N) when it is given.  One recurrence writes
+    the null slot and then the plus slot; the handed rows are then split
+    between the plus and minus slots."""
     nu, n = tr.order.nu, tr.n
     out = np.empty((tr.dim, x.size)) if out is None else out
-    out[: nu + 1] = _null_block(nu, x)
-    minus, plus = out[nu + 1 : nu + 1 + n], out[nu + 1 + n :]
-    _handed_rows(nu, n, x, plus)
+    null, minus, plus = out[: nu + 1], out[nu + 1 : nu + 1 + n], out[nu + 1 + n :]
+    _rows(nu, nu + 1 + n, x, [*null, *plus])
     _handed_class(plus, x, "minus", minus)
     _handed_class(plus, x, "plus", plus)
     return out

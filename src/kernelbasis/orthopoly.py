@@ -4,12 +4,14 @@ Every table, and every weighted basis block of the families, runs one
 three-term step, :func:`_step`: row k+1 = ((x - a_k) row k - c_k row k-1) d_k,
 in place in the caller's rows with one scratch row, from a seed row 0.
 :func:`_recur` runs it down a table; :func:`_recur_scaled` runs it with a
-per-point exponent for seeds that underflow.  The ``*_table`` evaluators
-are the seed-1 case and return rows m = 0..count-1; a family block seeds
-row 0 with its weight instead, so no weight pass follows.  The scalar
-evaluators ``laguerre``, ``assoc_laguerre`` and ``hermite_normalized`` are
-the last row of a table, built one chunk of points at a time, so their
-memory is O(m) per point of a chunk and O(1) per input point.  The
+per-point exponent for seeds that underflow.  The coefficients of each
+family are written once, in :func:`_laguerre_coef` and :func:`_hermite_coef`.
+The ``*_table`` evaluators are the seed-1 case and return rows
+m = 0..count-1; a family block seeds row 0 with its weight instead, so no
+weight pass follows.  The scalar evaluators ``laguerre``,
+``assoc_laguerre`` and ``hermite_normalized`` are the last row of a table,
+built one chunk of points at a time, so their memory is O(m) per point of
+a chunk and O(1) per input point.  The
 physicist's ``hermite`` keeps a recurrence of its own: it is an
 independent reference, not a building block.
 
@@ -64,16 +66,16 @@ def _step(nxt, cur, prev, x, a: float, c: float, d: float, tmp) -> None:
         nxt *= d
 
 
-def _recur(rows: np.ndarray, x: np.ndarray, coef) -> np.ndarray:
+def _recur(rows, x: np.ndarray, coef):
     """Fill rows[1:] from the seed rows[0] in place, with coef(k) = (a_k, c_k, d_k)
-    of :func:`_step`."""
+    of :func:`_step`; rows is a (count, N) array or a list of row views."""
     tmp = np.empty(x.shape)
-    for k in range(rows.shape[0] - 1):
+    for k in range(len(rows) - 1):
         _step(rows[k + 1], rows[k], rows[k - 1] if k else None, x, *coef(k), tmp)
     return rows
 
 
-def _recur_scaled(rows: np.ndarray, x: np.ndarray, coef, log_seed: np.ndarray) -> np.ndarray:
+def _recur_scaled(rows, x: np.ndarray, coef, log_seed: np.ndarray):
     """:func:`_recur` from the seed exp(log_seed), for seeds that underflow.
 
     Each point carries its two current rows divided by a power of two 2^j
@@ -86,7 +88,7 @@ def _recur_scaled(rows: np.ndarray, x: np.ndarray, coef, log_seed: np.ndarray) -
     cur, prev, nxt, tmp = np.ones(x.shape), np.zeros(x.shape), np.empty(x.shape), np.empty(x.shape)
     j = np.zeros(x.shape)
     np.exp(log_seed, out=rows[0])
-    for k in range(rows.shape[0] - 1):
+    for k in range(len(rows) - 1):
         _step(nxt, cur, prev if k else None, x, *coef(k), tmp)
         shift = np.frexp(np.maximum(np.abs(nxt), np.abs(cur)))[1]
         np.ldexp(nxt, -shift, out=nxt)
@@ -156,6 +158,18 @@ def hermite_normalized(m: int, t):
     return _last_row(hermite_normalized_table, m, t)
 
 
+def _laguerre_coef(eta: int):
+    """coef of :func:`_step` for L_k^(eta), eta any integer:
+    (k+1) L_{k+1} = (2k+1+eta-x) L_k - (k+eta) L_{k-1}."""
+    return lambda k: (2 * k + 1 + eta, -(k + eta), -1.0 / (k + 1))
+
+
+def _hermite_coef(p: float = 1.0):
+    """coef of :func:`_step` for p^{-k/2} e_k, e_k = H_k / sqrt(2^k k!):
+    g_{k+1} = sqrt(2/((k+1) p)) x g_k - sqrt(k/(k+1))/p g_{k-1}."""
+    return lambda k: (0.0, math.sqrt(k / (2.0 * p)), math.sqrt(2.0 / ((k + 1) * p)))
+
+
 def _table(count: int, t, coef) -> np.ndarray:
     """Rows 0..count-1 of the seed-1 recurrence with coefficients coef at the
     points t, flattened: (count, t.size)."""
@@ -169,19 +183,12 @@ def _table(count: int, t, coef) -> np.ndarray:
 
 def assoc_laguerre_table(count: int, eta: int, t) -> np.ndarray:
     """Rows m = 0..count-1 of L_m^(eta) at the points t, flattened: (count, t.size).
-
-    (k+1) L_{k+1}^(eta) = (2k+1+eta-t) L_k^(eta) - (k+eta) L_{k-1}^(eta),
-    with L_0^(eta) = 1 and L_1^(eta) = 1 + eta - t; eta = 0 gives the
-    plain Laguerre polynomials.
-    """
+    eta = 0 gives the plain Laguerre polynomials."""
     check_int(eta, "eta")
-    return _table(count, t, lambda k: (2 * k + 1 + eta, -(k + eta), -1.0 / (k + 1)))
+    return _table(count, t, _laguerre_coef(eta))
 
 
 def hermite_normalized_table(count: int, t) -> np.ndarray:
     """Rows m = 0..count-1 of H_m / sqrt(2^m m!) at the points t, flattened.
-
-    e_{k+1} = sqrt(2/(k+1)) t e_k - sqrt(k/(k+1)) e_{k-1}; the values stay
-    O(e^{t^2/2}) for every degree, so no overflow.
-    """
-    return _table(count, t, lambda k: (0.0, math.sqrt(k / 2.0), math.sqrt(2.0 / (k + 1))))
+    The values stay O(e^{t^2/2}) for every degree, so no overflow."""
+    return _table(count, t, _hermite_coef())

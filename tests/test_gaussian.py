@@ -146,6 +146,18 @@ class TestMercer:
         with pytest.raises(ValueError):
             MercerParams(alpha=1.0, beta=2.0, delta_sq=0.1)
 
+    @pytest.mark.parametrize("alpha", [1e200, 1e-155, math.inf, 0.0, -1.0, math.nan])
+    def test_alpha_out_of_range_rejected_at_construction(self, alpha):
+        # alpha^2 or 2/alpha^2 is not finite, or alpha is not positive
+        with pytest.raises(ValueError, match="alpha"):
+            MercerParams.from_alpha(alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            MercerParams(alpha=alpha, beta=1.0, delta_sq=0.5)
+
+    def test_alpha_range_edges_are_accepted(self):
+        for alpha in (1e-150, 1e150):
+            assert math.isfinite(MercerParams.from_alpha(alpha).beta)
+
     def test_distinguished_eigenvalues(self):
         p = MercerParams.from_alpha(ALPHA)
         for m in range(12):

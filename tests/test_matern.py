@@ -382,8 +382,7 @@ def test_psi_is_exact_block_row(nu, shape):
     n = nu + 2  # enough handed members to cover every null index too
     order = MaternOrder(nu, 1.3)
     x = 1.3 * np.atleast_1d(t).ravel()
-    # chunk by chunk, as the evaluators run: the null rows of a one-point
-    # chunk come from a matrix-vector product, which rounds differently
+    # chunk by chunk, as the evaluators run
     block = np.concatenate([_basis_block(MaternTruncation(order, n), x[s])
                             for s in chunks(x.size)], axis=1)
     rows = {"null": block[: nu + 1], "minus": block[nu + 1 : nu + 1 + n],
@@ -393,6 +392,19 @@ def test_psi_is_exact_block_row(nu, shape):
             got = matern_psi(order, MaternBasisId(kind, m), t)
             assert np.array_equal(got, members[m].reshape(np.shape(t))), (kind, m)
             assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4, 6])
+def test_value_does_not_depend_on_its_chunk(nu):
+    # the last point is alone in its chunk here and one of two points below
+    spec = FeatureMapSpec("matern", n=8, nu=nu)
+    x = np.linspace(-3.0, 3.0, CHUNK + 1)
+    assert np.array_equal(features(spec, x)[-1], features(spec, x[-2:])[-1])
+
+
+def test_scalar_null_value_equals_its_value_in_an_array():
+    order, bid = MaternOrder(4), MaternBasisId("null", 2)
+    assert matern_psi(order, bid, 1.7) == matern_psi(order, bid, np.array([1.7, -0.4]))[0]
 
 
 @pytest.mark.parametrize("nu", range(7))
@@ -465,3 +477,22 @@ def test_mpmath_reference_is_the_handed_basis():
                       * mpmath.laguerre(m, nu + 1, 2 * ax) * mpmath.exp(-ax))
             direct *= -1 if t < 0 and nu % 2 else 1
             assert abs(matern_handed_mp(nu, m + 1, t)[m] - direct) <= 1e-30 * abs(direct)
+
+
+@pytest.mark.parametrize("nu", [30, 100, 300])
+def test_large_order_basis(nu):
+    bound = matern_psi_bound(MaternOrder(nu))
+    x = np.concatenate([np.linspace(-300.0, 300.0, 31), np.linspace(-30.0, 30.0, 25),
+                        [0.0, -1e-3, 1e-8]])
+    with mpmath.workdps(40):
+        ref = np.array([[float(v) for v in matern_handed_mp(nu, 200, t)] for t in x]).T
+    np.testing.assert_allclose(_handed_rows(nu, 200, x), ref, rtol=0, atol=1e-14 * bound)
+    # at points of opposite sign only the nu + 1 null functions contribute,
+    # and their sum is the kernel exactly
+    rng = np.random.default_rng(nu)
+    t, u = rng.uniform(0.0, 30.0, 150), -rng.uniform(0.0, 30.0, 150)
+    spec = FeatureMapSpec("matern", n=8, nu=nu)
+    ft, fu = features(spec, t), features(spec, u)
+    ref = matern_kernel(MaternOrder(nu), t[:, None], u[None, :])
+    np.testing.assert_allclose(ft @ fu.T, ref, rtol=0, atol=1e-12)
+    assert np.max(np.abs(ft)) <= bound and np.max(np.abs(fu)) <= bound
