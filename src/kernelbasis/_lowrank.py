@@ -105,11 +105,16 @@ def rank_product(block, lam: float, t, u):
     """sum_k b_k(lam t) b_k(lam u) over the broadcast of t and u.
 
     ``block`` maps points of shape (N,) to basis rows of shape (dim, N); it
-    runs once on the distinct values of both arguments.  When there are no
-    more distinct pairs than output pairs (a grid) the small Gram matrix is
-    formed and gathered through the two index cores, so no index array of
-    the output's size is built; otherwise the block columns are gathered and
-    contracted pair by pair, so element-wise inputs never cost O(N^2).
+    runs once on the distinct values of both arguments.  Three branches:
+    * outer grid: the index cores of _distinct vary on disjoint axes, one's
+      all before the other's, span the output's shape together and list
+      their values in increasing C order; the Gram matrix (transposed when
+      u's axes come first) is then the output.  A product of gathered
+      columns rounds by place in it, so it would not be exact on other grids;
+    * Gram gather: other inputs with no more distinct pairs than output
+      pairs gather the Gram matrix through broadcast views of the cores;
+    * pairwise: the rest (element-wise inputs) contract gathered columns
+      pair by pair, so they never cost O(N^2).
 
     The values equal those of one block per argument, except where an
     argument has one distinct value: its one column is then a strided slice
@@ -122,6 +127,12 @@ def rank_product(block, lam: float, t, u):
     ys, iy = _distinct(y, lam)
     b = block(np.concatenate([xs, ys]))
     bx, by = b[:, : xs.size], b[:, xs.size :]
+    ax, ay = ([a for a, k in enumerate(i.shape) if k > 1] for i in (ix, iy))
+    if (ax and ay and (ax[-1] < ay[0] or ay[-1] < ax[0])
+            and np.broadcast_shapes(ix.shape, iy.shape) == x.shape
+            and all(np.array_equal(i.ravel(), np.arange(i.size)) for i in (ix, iy))):
+        gram = bx.T @ by
+        return (gram if ax[-1] < ay[0] else gram.T.copy()).reshape(x.shape)
     # broadcast views: the two cores need not broadcast to x.shape together
     # (both may be constant along one axis)
     ix, iy = np.broadcast_to(ix, x.shape), np.broadcast_to(iy, x.shape)

@@ -69,10 +69,10 @@ def cauchy_psi_complex(m: int, t):
     return complex(vals) if scalar else vals
 
 
-def _real_basis_block(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _real_basis_block(n: int, x: np.ndarray, out=None):
     """Rows [alpha_0..alpha_{n-1}, beta_0..beta_{n-1}] at points x: the real
     and imaginary parts of w_m = z^m w_0 (see the module docstring), written
-    into ``out`` (2n, N) when it is given."""
+    into ``out`` (a (2n, N) array or a list of 2n row views) if given."""
     big = np.abs(x) > 1.0
     r = np.divide(1.0, x, out=x.copy(), where=big)  # t, or 1/t where |t| > 1
     c = 1.0 / (1.0 + r * r)
@@ -82,7 +82,7 @@ def _real_basis_block(n: int, x: np.ndarray, out: np.ndarray | None = None) -> n
     p = np.where(big, c, rrc)  # t^2/(1+t^2)
     out = np.empty((2 * n, x.size)) if out is None else out
     alpha, beta = out[:n], out[n:]
-    alpha[0], beta[0] = alpha0, beta0
+    alpha[0][...], beta[0][...] = alpha0, beta0  # into the rows: a list item would be rebound
     tmp = np.empty(x.size)
     for m in range(n - 1):  # w_{m+1} = (p - i beta0) w_m
         np.multiply(p, alpha[m], out=alpha[m + 1])
@@ -96,12 +96,17 @@ def _real_basis_block(n: int, x: np.ndarray, out: np.ndarray | None = None) -> n
 
 def cauchy_real_basis(kind: str, m: int, t):
     """Real Cauchy--Laguerre basis function alpha_m or beta_m: row m or
-    n + m of :func:`_real_basis_block` with n = m + 1."""
+    n + m of :func:`_real_basis_block` with n = m + 1, on two rolling row pairs."""
     if kind not in ("alpha", "beta"):
         raise ValueError(f"kind must be 'alpha' or 'beta', got {kind!r}")
     check_int(m, "m")
     row = m if kind == "alpha" else 2 * m + 1
-    return block_row(lambda p: _real_basis_block(m + 1, p), row, t)
+
+    def rolling(p: np.ndarray) -> list[np.ndarray]:  # rows k of alpha, beta in pair k % 2
+        pairs = np.empty((2, 2, p.size))
+        return _real_basis_block(m + 1, p, [pairs[i, k % 2] for i in (0, 1) for k in range(m + 1)])
+
+    return block_row(rolling, row, t)
 
 
 def cauchy_truncated(lam: float, n: int, t, u):

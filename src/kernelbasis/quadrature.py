@@ -102,7 +102,10 @@ def _golub_welsch(n: int, eta: float | None) -> tuple[np.ndarray, np.ndarray]:
         diag, off, mass = np.zeros(n), np.sqrt(k[1:] / 2.0), math.sqrt(math.pi)
     else:
         diag, off = 2.0 * k + eta + 1.0, np.sqrt(k[1:] * (k[1:] + eta))
-        mass = math.gamma(eta + 1.0)
+        try:
+            mass = math.gamma(eta + 1.0)
+        except OverflowError:
+            raise ValueError(f"eta = {eta} is too large: Gamma(eta + 1) overflows") from None
     nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
     weights = mass * vecs[0] ** 2
     nodes.flags.writeable = False
@@ -117,8 +120,8 @@ def gauss_laguerre_rule(n: int, eta: float = 0.0) -> QuadratureRule:
     a_k = 2k + eta + 1, b_k = sqrt(k (k + eta)).
     """
     _check_node_count(n)
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     nodes, weights = _golub_welsch(n, eta)
     # past ~190 nodes the outermost weights (~e^{-950}) underflow float64;
     # they would contribute exactly zero, so keep the representable part

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kernelbasis.featuremap import (
@@ -231,6 +231,21 @@ _MANY_VALUES = {
     "elementwise_2d": tuple(_RNG.uniform(-3.0, 3.0, (2, 3, 4))),
     "empty": (np.array([]), np.array([])),
     "empty_2d": (np.zeros((3, 0)), np.zeros((1, 0))),
+    # increasing distinct axes: the distinct-value Gram matrix is the output
+    # (ij, column by row) or its transpose (xy, outer_reversed_3d)
+    "meshgrid_increasing_ij": tuple(np.meshgrid(np.unique(_T_AXIS), _U_AXIS, indexing="ij")),
+    "meshgrid_increasing_xy": tuple(np.meshgrid(np.unique(_T_AXIS), _U_AXIS, indexing="xy")),
+    "column_by_row_increasing": (np.unique(_T_AXIS)[:, None], _U_AXIS[None, :]),
+    "outer_reversed_3d": (np.sort(_RNG.uniform(-3.0, 3.0, 6)).reshape(1, 2, 3),
+                          np.broadcast_to(np.sort(_RNG.uniform(-3.0, 3.0, 4))[:, None, None],
+                                          (4, 2, 3))),
+    # t varies along axes 0 and 2, u along axis 1: no one product has the
+    # output's C order
+    "interleaved_axes": (np.sort(_RNG.uniform(-3.0, 3.0, 6)).reshape(2, 1, 3),
+                         np.sort(_RNG.uniform(-3.0, 3.0, 4)).reshape(1, 4, 1)),
+    # repeats on both axes, -0.0 beside 0.0: the Gram gather
+    "meshgrid_repeats_both": tuple(np.meshgrid([1.0, -0.0, 0.5, 0.0, 1.0, -2.0],
+                                               [0.0, 2.5, -0.0, 2.5, -1.0], indexing="ij")),
 }
 # an argument with one distinct value: its one-column products may round
 # the last bit differently
@@ -255,6 +270,29 @@ def _both_truncated(spec, t, u):
     return spec.truncated_kernel(t, u), public
 
 
+# wider blocks on a 200 x 207 grid: a product this large (2.6e6 multiply-adds
+# at dim 64) rounds an element by its place in the product and by which
+# operand is which, on the OpenBLAS AVX-512 kernels at least, so only the
+# distinct-value Gram matrix itself, in its own orientation, equals it
+_WIDE_SPECS = {
+    "matern": FeatureMapSpec("matern", lam=1.3, n=32, nu=2),
+    "cauchy": FeatureMapSpec("cauchy", lam=0.7, n=32),
+    "gaussian": FeatureMapSpec("gaussian", lam=1.1, n=64),
+}
+_WIDE_T, _WIDE_U = (np.random.default_rng(12).uniform(-3.0, 3.0, size) for size in (200, 207))
+_LARGE_GRIDS = {
+    f"{order}_{indexing}": tuple(np.meshgrid(*axes, indexing=indexing))
+    for order, axes in [("increasing", (np.sort(_WIDE_T), np.sort(_WIDE_U))),
+                        ("permuted", (_WIDE_T, _WIDE_U))]
+    for indexing in ("ij", "xy")
+}
+# meshgrid axes: +-0.0, subnormals, repeats and |x| up to 1e300
+_GRID_AXIS_VALUES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1.5]),
+              st.floats(-1e300, 1e300, allow_nan=False)),
+    min_size=1, max_size=40)
+
+
 class TestRankProduct:
     """The truncated kernels (the _SPECS families) against the block per
     argument and the flat gather of tests/oracles.py."""
@@ -265,6 +303,42 @@ class TestRankProduct:
         spec, (t, u) = _SPECS[family], _MANY_VALUES[case]
         ref = rank_product_gather(spec._block, spec.lam, t, u)
         for got in _both_truncated(spec, t, u):
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    @pytest.mark.parametrize("case", sorted(_MANY_VALUES))
+    def test_returns_a_fresh_writeable_c_ordered_array(self, family, case):
+        spec, (t, u) = _SPECS[family], _MANY_VALUES[case]
+        for got in _both_truncated(spec, t, u):
+            assert got.flags.c_contiguous and got.flags.writeable
+            got[...] = np.nan
+        ref = rank_product_gather(spec._block, spec.lam, t, u)
+        for got in _both_truncated(spec, t, u):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("family", sorted(_WIDE_SPECS))
+    @pytest.mark.parametrize("case", sorted(_LARGE_GRIDS))
+    def test_large_grids_equal_gather_of_separate_blocks(self, family, case):
+        spec, (t, u) = _WIDE_SPECS[family], _LARGE_GRIDS[case]
+        ref = rank_product_gather(spec._block, spec.lam, t, u)
+        for got in _both_truncated(spec, t, u):
+            np.testing.assert_array_equal(got, ref)
+
+    @settings(max_examples=50, deadline=None)
+    @given(family=st.sampled_from(sorted(_SPECS)), t=_GRID_AXIS_VALUES, u=_GRID_AXIS_VALUES,
+           order=st.sampled_from(["drawn", "repeated", "increasing"]),
+           indexing=st.sampled_from(["ij", "xy"]))
+    def test_meshgrids_equal_gather_of_separate_blocks(self, family, t, u, order, indexing):
+        spec = _SPECS[family]
+        t, u = (np.unique(a) if order == "increasing" else
+                np.array(a + a[::2] if order == "repeated" else a) for a in (t, u))
+        # an axis of one distinct value may round the last bit differently
+        # (test_one_distinct_value_within_last_bit)
+        assume(all(np.unique(spec.lam * a).size > 1 for a in (t, u)))
+        T, U = np.meshgrid(t, u, indexing=indexing)
+        ref = rank_product_gather(spec._block, spec.lam, T, U)
+        for got in _both_truncated(spec, T, U):
             assert got.shape == ref.shape
             np.testing.assert_array_equal(got, ref)
 
@@ -510,6 +584,15 @@ class TestMemory:
         t, u = np.meshgrid(side, side[::-1] / 2, indexing="ij")
         assert _peak_bytes(lambda: spec.truncated_kernel(t, u)) < 3 * t.size * 8
 
+    @pytest.mark.parametrize("family", sorted(_SPECS))
+    def test_outer_grid_memory_is_its_output_and_two_blocks(self, family):
+        # increasing axes: the distinct-value Gram matrix (8 MB) is the
+        # output, built from the blocks of the 1000 + 1000 distinct values
+        spec = _SPECS[family]
+        side = np.linspace(-3.0, 3.0, 1000)
+        t, u = np.meshgrid(side, side / 2, indexing="ij")
+        assert _peak_bytes(lambda: spec.truncated_kernel(t, u)) < 1.5 * t.size * 8
+
     def test_features_memory_is_its_output(self):
         spec = FeatureMapSpec("gaussian", n=64)
         x = _points(200_000)
@@ -528,3 +611,8 @@ class TestMemory:
         # a whole (201, 1e5) table would take 161 MB
         x = _points(100_000)
         assert _peak_bytes(lambda: evaluator(x)) < 16e6
+
+    def test_cauchy_real_basis_keeps_two_row_pairs(self):
+        # 2 (m + 1) block rows of a 4096-point chunk would take 13 MB at m = 200
+        x = _points(100_000)
+        assert _peak_bytes(lambda: cauchy_real_basis("beta", 200, x)) < 4e6

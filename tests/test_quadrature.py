@@ -21,6 +21,14 @@ class TestGaussLaguerre:
             rule = gauss_laguerre_rule(48, eta)
             assert rule.weights.sum() == pytest.approx(math.gamma(eta + 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("eta", [170.9, 171.0, 200.0, math.inf, math.nan])
+    def test_eta_whose_mass_overflows_is_rejected_by_name(self, eta):
+        # the total weight Gamma(eta + 1) overflows past eta ~ 170.62
+        assert gauss_laguerre_rule(8, 170.0).weights.sum() == pytest.approx(math.gamma(171.0),
+                                                                            rel=1e-12)
+        with pytest.raises(ValueError, match="eta"):
+            gauss_laguerre_rule(8, eta)
+
     def test_first_moment(self):
         rule = gauss_laguerre_rule(8, 0.0)
         assert integrate(rule, lambda t: t) == pytest.approx(1.0, rel=1e-12)
