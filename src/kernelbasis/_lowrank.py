@@ -66,11 +66,20 @@ def stack_rows(block, x: np.ndarray, dim: int, buf: np.ndarray | None = None) ->
     return out
 
 
+def check_not_nan(x: np.ndarray, name: str = "t") -> np.ndarray:
+    """x, or ValueError where a point of it is NaN, which has no basis value."""
+    nan = np.count_nonzero(np.isnan(x))
+    if nan:
+        raise ValueError(f"{name} is NaN at {nan} of {x.size} points")
+    return x
+
+
 def block_row(block, row: int, t):
     """Row ``row`` of ``block`` (as in stack_rows) at the points t, shaped like
-    t (a float for scalar or 0-d t).  The block runs one chunk of points at a
-    time, so memory is O(dim * CHUNK) whatever the number of points."""
-    x = np.asarray(t, dtype=float)
+    t (a float for scalar or 0-d t); ValueError where t is NaN.  The block runs
+    one chunk of points at a time, so memory is O(dim * CHUNK) whatever the
+    number of points."""
+    x = check_not_nan(np.asarray(t, dtype=float))
     flat = x.ravel()
     out = np.empty(flat.size)
     for s in chunks(flat.size):

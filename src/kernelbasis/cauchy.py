@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._lowrank import block_row, check_int, check_lam, rank_product
+from ._lowrank import block_row, check_int, check_lam, check_not_nan, rank_product
 
 __all__ = [
     "cauchy_kernel",
@@ -55,18 +55,19 @@ def cauchy_psi_complex(m: int, t):
     """Complex Cauchy--Laguerre function psi_m(t), any integer m.
 
     Evaluated as -(1/sqrt 2) ratio^k / pole with |ratio| < 1, so large |m|
-    cannot overflow.
+    cannot overflow.  At t = +-inf it is its limit 0; NaN t raises ValueError.
     """
-    x = np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
-    it = 1j * x
+    x = check_not_nan(np.asarray(t, dtype=float))
+    inf = np.isinf(x)
+    it = 1j * np.where(inf, 0.0, x)  # 1j * inf is nan+infj
     if m >= 0:
         pole = it - 1.0
         vals = -_INV_SQRT2 * (it / pole) ** m / pole
     else:
         pole = it + 1.0
         vals = -_INV_SQRT2 * (it / pole) ** (-m - 1) / pole
-    return complex(vals) if scalar else vals
+    vals = np.where(inf, 0j, vals)
+    return complex(vals) if x.ndim == 0 else vals
 
 
 def _real_basis_block(n: int, x: np.ndarray, out=None):

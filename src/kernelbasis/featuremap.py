@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import cauchy as _cauchy
 from . import gaussian as _gaussian
@@ -132,7 +131,7 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
     """Reduced-rank kernel ridge regression.
 
     For ridge > 0 solves the dim x dim normal equations
-    (F^T F + ridge I) c = F^T y by Cholesky and predicts F_test c.  F^T F
+    (F^T F + ridge I) c = F^T y by ``np.linalg.solve`` and predicts F_test c.  F^T F
     and F^T y are accumulated over chunks of points, whose blocks share one
     buffer, so F is never formed and memory does not grow with N.  For
     ridge = 0 the fit is exact interpolation through the N x N feature Gram
@@ -156,7 +155,7 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
         for s, b in chunk_blocks(block, x, buf):
             gram += b @ b.T
             rhs += b @ y[s]
-        coef = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, lower=True), rhs)
+        coef = np.linalg.solve(gram, rhs)
         pred = np.empty(xt.size)
         for s, b in chunk_blocks(block, xt, buf):
             pred[s] = coef @ b
@@ -170,5 +169,5 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
             f"(estimated condition number {cond:.3e}); add regularisation",
             cond=cond,
         )
-    dual = scipy.linalg.solve(gram, y, assume_a="pos")
+    dual = np.linalg.solve(gram, y)
     return stack_rows(block, xt, spec.dim, buf) @ (F.T @ dual)

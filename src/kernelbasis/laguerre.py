@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from ._lowrank import check_not_nan
 from .orthopoly import _LOG_TINY, _laguerre_coef, _last_row, _recur, _recur_scaled
 from .report import VerificationReport
 
@@ -90,11 +91,13 @@ def _ratio(omega: np.ndarray) -> np.ndarray:
 
 
 def laguerre_fn_ft(m: int, omega):
-    """Fourier transform phi_hat_m(w) = sqrt(2) (iw-1)^m / (iw+1)^{m+1}."""
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    vals = _SQRT2 * _ratio(w) ** m / (1j * w + 1.0)
-    return complex(vals) if scalar else vals
+    """Fourier transform phi_hat_m(w) = sqrt(2) (iw-1)^m / (iw+1)^{m+1}: its
+    limit 0 at w = +-inf, and ValueError where w is NaN."""
+    w = check_not_nan(np.asarray(omega, dtype=float), "omega")
+    inf = np.isinf(w)
+    wf = np.where(inf, 0.0, w)  # 1j * inf is nan+infj
+    vals = np.where(inf, 0j, _SQRT2 * _ratio(wf) ** m / (1j * wf + 1.0))
+    return complex(vals) if w.ndim == 0 else vals
 
 
 def _dev_conjugate_symmetry(params, w):

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._lowrank import block_row, check_int, check_lam, rank_product, stack_rows
 from .laguerre import _weighted_rows
@@ -105,7 +104,7 @@ class MaternTruncation:
 
 def _log_c(nu: int) -> float:
     # log of nu!/sqrt((2 nu)!)
-    return gammaln(nu + 1) - 0.5 * gammaln(2 * nu + 1)
+    return math.lgamma(nu + 1) - 0.5 * math.lgamma(2 * nu + 1)
 
 
 def matern_kernel(order: MaternOrder, t, u):
@@ -123,10 +122,10 @@ def matern_kernel(order: MaternOrder, t, u):
     d = np.minimum(d, np.finfo(float).max)
     with np.errstate(divide="ignore"):
         log2d = math.log(2.0) + np.log(d)
-    logpref = gammaln(nu + 1) - gammaln(2 * nu + 1)
+    logpref = math.lgamma(nu + 1) - math.lgamma(2 * nu + 1)
     vals = np.zeros_like(d)
     for k in range(nu + 1):
-        logc = gammaln(nu + k + 1) - gammaln(k + 1) - gammaln(nu - k + 1) + logpref
+        logc = math.lgamma(nu + k + 1) - math.lgamma(k + 1) - math.lgamma(nu - k + 1) + logpref
         # (nu - k) log 2d is -inf at d = 0 for k < nu and absent for k = nu
         vals += np.exp((nu - k) * log2d + logc - d) if k < nu else np.exp(logc - d)
     return float(vals) if vals.ndim == 0 else vals
@@ -237,9 +236,7 @@ def matern_psi_norm_sq(order: MaternOrder, m: int) -> float:
     (nu!)^2/(2 nu)! * m!/(m+nu+1)!."""
     check_int(m, "m")
     nu = order.nu
-    return math.exp(
-        2 * gammaln(nu + 1) - gammaln(2 * nu + 1) + gammaln(m + 1) - gammaln(m + nu + 2)
-    )
+    return math.exp(2 * _log_c(nu) + math.lgamma(m + 1) - math.lgamma(m + nu + 2))
 
 
 def matern_truncation_error_bound(order: MaternOrder, n: int) -> float:
@@ -247,9 +244,7 @@ def matern_truncation_error_bound(order: MaternOrder, n: int) -> float:
     c_nu = (nu!)^2/(2 nu)! sqrt(2(2 nu+2)/(2 nu+1))."""
     check_int(n, "n", 1)
     nu = order.nu
-    c = math.exp(2 * gammaln(nu + 1) - gammaln(2 * nu + 1)) * math.sqrt(
-        2.0 * (2 * nu + 2) / (2 * nu + 1)
-    )
+    c = math.exp(2 * _log_c(nu)) * math.sqrt(2.0 * (2 * nu + 2) / (2 * nu + 1))
     return c / n ** (nu + 0.5)
 
 
@@ -297,7 +292,7 @@ def matern_exact_hs_error(order: MaternOrder, n: int) -> float:
     sqrt(2) (nu!)^2/(2 nu)! sqrt(sum_{m>=n} (m!/(m+nu+1)!)^2)."""
     check_int(n, "n", 1)
     nu = order.nu
-    pref = math.exp(2 * gammaln(nu + 1) - gammaln(2 * nu + 1))
+    pref = math.exp(2 * _log_c(nu))
     return pref * math.sqrt(2.0 * _tail_sum(nu, n))
 
 

@@ -3,7 +3,8 @@
 Rules are built by Golub--Welsch: nodes are eigenvalues of the symmetric
 tridiagonal Jacobi matrix of the weight's orthogonal polynomials, weights
 come from the first eigenvector components.  The eigenproblem is solved
-with ``scipy.linalg.eigh_tridiagonal``.
+with ``scipy.linalg.eigh_tridiagonal``, which is imported when the first
+rule is built, so importing this module loads no scipy.
 
 Convention: a rule integrates ``f`` against its base weight,
 
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadratureRule",
@@ -96,7 +96,10 @@ def _golub_welsch(n: int, eta: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule from the eigensolve of its
     Jacobi matrix: Gauss--Laguerre for weight t^eta e^{-t}, or Gauss--Hermite
     for eta None.  Built once per (n, eta) and returned read-only, since every
-    rule of that size shares them."""
+    rule of that size shares them.  LAPACK's stev keeps the tiny outer
+    weights accurate."""
+    from scipy.linalg import eigh_tridiagonal
+
     k = np.arange(n, dtype=float)
     if eta is None:
         diag, off, mass = np.zeros(n), np.sqrt(k[1:] / 2.0), math.sqrt(math.pi)
