@@ -9,11 +9,11 @@ import numbers
 import numpy as np
 
 # points per block evaluation, so memory does not grow with N.  Each
-# features or krr call writes every chunk's block into one (dim, CHUNK)
-# buffer, 2.3 MB at ~70 rows.  On a 2 MiB-L2 Xeon, 4096 was re-swept
+# features or krr call writes every chunk's block into one buffer of
+# dim rows, 2.3 MB at ~70 rows.  On a 2 MiB-L2 Xeon, 4096 was re-swept
 # against 2048 and 8192 with the weighted in-place recurrences: see the
-# CHUNK sweep in CHANGES.md.  Its block rows start 32 KiB apart and share
-# L1 sets; 4104 avoids that and measured faster on features (README)
+# CHUNK sweep in CHANGES.md.  A chunk's rows are _stride(k) floats apart,
+# not 32 KiB, so they do not share L1 sets in the transposing copy
 CHUNK = 4096
 
 
@@ -38,22 +38,31 @@ def chunks(n: int):
     return (slice(start, start + CHUNK) for start in range(0, max(n, 1), CHUNK))
 
 
+def _stride(k: int) -> int:
+    """Floats from one block row to the next for a chunk of k points: k, or
+    one 64-byte line (8 floats) more where k floats fill whole 4 KiB pages,
+    whose rows would all start on one L1 set.  Other chunks stay contiguous,
+    as a product with a block of a few points rounds as on a new block."""
+    return k + 8 if 8 * k % 4096 == 0 else k
+
+
 def chunk_buffer(dim: int, *sizes: int) -> np.ndarray:
-    """One (dim, min(CHUNK, largest size)) block buffer for chunk loops over
-    point sets of these sizes."""
-    return np.empty((dim, min(CHUNK, max(sizes))))
+    """One block buffer for chunk loops over point sets of these sizes: dim
+    rows of _stride(k) <= k + 8 floats for every chunk of k points."""
+    return np.empty((dim, min(CHUNK, max(sizes)) + 8))
 
 
 def chunk_blocks(block, x: np.ndarray, buf: np.ndarray):
     """(slice, block) for each chunk of the points x (N,): ``block(p, out)``
     maps points of shape (k,) to rows of shape (dim, k) written into ``out``,
-    here the first dim * k floats of ``buf`` (from chunk_buffer) as a
-    C-ordered (dim, k) array, laid out as a new block would be.  Each block
-    lives only until the next chunk is built."""
+    here a (dim, k) view of ``buf`` (from chunk_buffer) whose contiguous rows
+    are _stride(k) floats apart.  Each block lives only until the next chunk
+    is built."""
     dim, flat = buf.shape[0], buf.reshape(-1)
     for s in chunks(x.size):
         p = x[s]
-        yield s, block(p, flat[: dim * p.size].reshape(dim, p.size))
+        stride = _stride(p.size)
+        yield s, block(p, flat[: dim * stride].reshape(dim, stride)[:, : p.size])
 
 
 def stack_rows(block, x: np.ndarray, dim: int, buf: np.ndarray | None = None) -> np.ndarray:
@@ -97,12 +106,14 @@ def _distinct(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     as constant) cut to its first slice, so a meshgrid sorts one axis of
     values, not all of them, and its index is (n, 1) or (1, m), not (n m,).
     A scaled value may overflow to +-inf, where every block gives its limit.
+    The second slice is compared first, so an axis along which it already
+    differs from the first is rejected without a whole-array comparison.
     """
     core = v
     for axis in range(v.ndim):
         if core.shape[axis] > 1:
             first = core.take([0], axis=axis)
-            if np.all(core == first):
+            if np.all(core.take([1], axis=axis) == first) and np.all(core == first):
                 core = first
     with np.errstate(over="ignore"):
         scaled = lam * core.ravel()

@@ -241,23 +241,26 @@ def matern_psi_norm_sq(order: MaternOrder, m: int) -> float:
 
 def matern_truncation_error_bound(order: MaternOrder, n: int) -> float:
     """Weighted Hilbert--Schmidt truncation bound c_nu / n^{nu+1/2} with
-    c_nu = (nu!)^2/(2 nu)! sqrt(2(2 nu+2)/(2 nu+1))."""
+    c_nu = (nu!)^2/(2 nu)! sqrt(2(2 nu+2)/(2 nu+1)).  The power is negative,
+    so it underflows to 0 where n^{nu+1/2} would overflow, and the bound with
+    it (c_nu <= 2)."""
     check_int(n, "n", 1)
     nu = order.nu
     c = math.exp(2 * _log_c(nu)) * math.sqrt(2.0 * (2 * nu + 2) / (2 * nu + 1))
-    return c / n ** (nu + 0.5)
+    return c * n ** -(nu + 0.5)
 
 
-def _tail_term(nu: int, m: np.ndarray) -> np.ndarray:
-    # (m!/(m+nu+1)!)^2 = prod_{j=1..nu+1} (m+j)^{-2}
+def _tail_term(nu: int, m: np.ndarray, n: int) -> np.ndarray:
+    # (m!/(m+nu+1)!)^2 relative to its value at n: prod_{j=1..nu+1} ((n+j)/(m+j))^2
     out = np.ones_like(m, dtype=float)
     for j in range(1, nu + 2):
-        out /= (m + j) ** 2
+        out *= ((n + j) / (m + j)) ** 2
     return out
 
 
 def _tail_sum(nu: int, n: int) -> float:
-    """sum_{m >= n} prod_j (m+j)^{-2} to near machine precision.
+    """sum_{m >= n} prod_j ((n+j)/(m+j))^2 to near machine precision: the
+    tail relative to its first term, which underflows for large nu.
 
     Direct summation of the leading 512 (positive) terms plus an
     Euler--Maclaurin remainder whose integral piece is evaluated by
@@ -267,18 +270,18 @@ def _tail_sum(nu: int, n: int) -> float:
     summation to 1e-18 relative would need ~1e9 terms at nu = 0.
     """
     N = n + 512
-    head = float(np.sum(_tail_term(nu, np.arange(n, N, dtype=float))))
+    head = float(np.sum(_tail_term(nu, np.arange(n, N, dtype=float), n)))
     # m = N + N y/(1-y) keeps the decaying integrand free of boundary layers
     y, w = _legendre_rule(64)
     y = 0.5 * (y + 1.0)
     w = 0.5 * w
-    integral = float(np.sum(w * _tail_term(nu, N + N * y / (1.0 - y)) * N / (1.0 - y) ** 2))
+    integral = float(np.sum(w * _tail_term(nu, N + N * y / (1.0 - y), n) * N / (1.0 - y) ** 2))
     # log-derivatives of f at N for the Euler--Maclaurin corrections
     j = np.arange(1, nu + 2, dtype=float)
     s1 = float(np.sum(1.0 / (N + j)))
     s2 = float(np.sum(1.0 / (N + j) ** 2))
     s3 = float(np.sum(1.0 / (N + j) ** 3))
-    fN = float(_tail_term(nu, np.array(float(N))))
+    fN = float(_tail_term(nu, np.array(float(N)), n))
     g1 = -2.0 * s1
     g2 = 2.0 * s2
     g3 = -4.0 * s3
@@ -289,11 +292,18 @@ def _tail_sum(nu: int, n: int) -> float:
 
 def matern_exact_hs_error(order: MaternOrder, n: int) -> float:
     """Exact weighted Hilbert--Schmidt truncation error,
-    sqrt(2) (nu!)^2/(2 nu)! sqrt(sum_{m>=n} (m!/(m+nu+1)!)^2)."""
+    sqrt(2) (nu!)^2/(2 nu)! sqrt(sum_{m>=n} (m!/(m+nu+1)!)^2).  The tail is
+    summed relative to its first term, and (nu!)^2/(2 nu)! n!/(n+nu+1)!
+    applied as factors below 1, so the result is flushed to 0 only where it
+    underflows itself."""
     check_int(n, "n", 1)
     nu = order.nu
-    pref = math.exp(2 * _log_c(nu))
-    return pref * math.sqrt(2.0 * _tail_sum(nu, n))
+    err = math.sqrt(2.0 * _tail_sum(nu, n))
+    for k in range(1, nu + 1):
+        err = err * k / (nu + k)
+    for j in range(1, nu + 2):
+        err /= n + j
+    return err
 
 
 def matern_psi_bound(order: MaternOrder) -> float:

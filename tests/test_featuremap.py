@@ -13,7 +13,7 @@ from kernelbasis.featuremap import (
     krr_fit_predict,
 )
 from kernelbasis import orthopoly
-from kernelbasis._lowrank import CHUNK, _distinct, chunks
+from kernelbasis._lowrank import CHUNK, _distinct, chunks, stack_rows
 from kernelbasis.cauchy import cauchy_kernel, cauchy_real_basis, cauchy_truncated
 from kernelbasis.gaussian import GaussianScale, gaussian_kernel, gaussian_psi, gaussian_truncated
 from kernelbasis.laguerre import laguerre_fn
@@ -550,6 +550,44 @@ def test_block_buffer_keeps_no_stale_rows(family):
     y = np.cos(x)
     gram, rhs = 1e-3 * np.eye(spec.dim), np.zeros(spec.dim)
     for s, b in zip(chunks(x.size), fresh):
+        gram += b @ b.T
+        rhs += b @ y[s]
+    coef = np.linalg.solve(gram, rhs)
+    ref = np.concatenate([coef @ spec._block(spec.lam * xt[s]) for s in chunks(xt.size)])
+    assert np.array_equal(krr_fit_predict(spec, x, y, 1e-3, xt), ref)
+
+
+def test_full_chunk_rows_are_not_whole_pages_apart():
+    # rows a multiple of 4 KiB apart all start on one L1 set, and the
+    # transposing copy into the (N, dim) output then misses on every read
+    seen = []
+
+    def block(p, out):
+        seen.append((p.size, out.strides))
+        out[...] = p
+        return out
+
+    x = _points(2 * CHUNK + 3)
+    F = stack_rows(block, x, 64)
+    assert [k for k, _ in seen] == [CHUNK, CHUNK, 3]
+    for k, (row, col) in seen[:2]:
+        assert col == 8 and row >= 8 * k and row % 4096 != 0
+    assert np.array_equal(F, np.repeat(x[:, None], 64, axis=1))
+
+
+@pytest.mark.parametrize("family", sorted(_SPECS))
+@pytest.mark.parametrize("sizes", [(513, 512), (512, 513), (CHUNK, 1), (1, CHUNK)],
+                         ids=["train513-test512", "train512-test513", "trainchunk-test1",
+                              "train1-testchunk"])
+def test_block_buffer_holds_the_padded_rows_of_either_set(family, sizes):
+    # 512 points fill whole 4 KiB pages and are padded, 513 are not: the one
+    # buffer must hold the padded test chunk of a larger training set
+    spec = _SPECS[family]
+    x, xt = _points(sizes[0], 5), _points(sizes[1], 6)
+    y = np.cos(x)
+    gram, rhs = 1e-3 * np.eye(spec.dim), np.zeros(spec.dim)
+    for s in chunks(x.size):
+        b = spec._block(spec.lam * x[s])
         gram += b @ b.T
         rhs += b @ y[s]
     coef = np.linalg.solve(gram, rhs)

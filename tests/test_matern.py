@@ -339,6 +339,42 @@ class TestNormsAndErrors:
         vals = [matern_exact_hs_error(o, n) for n in range(1, 40)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("nu", [100, 300, 1000])
+    def test_error_bound_at_large_order(self, nu):
+        # n^(nu+1/2) overflows a float at nu = 1000, n = 9; no case here is
+        # subnormal, so each is either a normal float or 0.  c_nu comes from
+        # lgamma, whose error grows with nu: 1.6e-13 relative at nu = 300
+        with mpmath.workdps(30):
+            for n in (1, 2, 9, 64):
+                c = (mpmath.factorial(nu) ** 2 / mpmath.factorial(2 * nu)
+                     * mpmath.sqrt(mpmath.mpf(2 * (2 * nu + 2)) / (2 * nu + 1)))
+                expected = c / mpmath.mpf(n) ** (nu + mpmath.mpf(0.5))
+                bound = matern_truncation_error_bound(MaternOrder(nu), n)
+                if expected > np.finfo(float).tiny:
+                    assert bound == pytest.approx(float(expected), rel=1e-12, abs=0)
+                else:
+                    assert bound == 0.0
+
+    @pytest.mark.parametrize("nu", [30, 60, 100])
+    def test_exact_error_at_large_order(self, nu):
+        # the first tail term (n!/(n+nu+1)!)^2 underflows at nu = 100 while
+        # the error is a normal float (3.6e-232 at n = 9); the terms fall
+        # fast, so the tail is summed term by term to 1e-35 of its value
+        with mpmath.workdps(30):
+            for n in (1, 2, 9, 64):
+                term = (mpmath.factorial(n) / mpmath.factorial(n + nu + 1)) ** 2
+                tail, m = mpmath.mpf(0), n
+                while term > tail * mpmath.mpf(10) ** -35:
+                    tail += term
+                    term *= (mpmath.mpf(m + 1) / (m + nu + 2)) ** 2
+                    m += 1
+                pref = mpmath.factorial(nu) ** 2 / mpmath.factorial(2 * nu)
+                expected = float(pref * mpmath.sqrt(2 * tail))
+                assert expected > np.finfo(float).tiny
+                assert matern_exact_hs_error(MaternOrder(nu), n) == pytest.approx(
+                    expected, rel=1e-14, abs=0
+                )
+
 
 class TestNullSpaceIdentities:
     def test_symmetry(self):
