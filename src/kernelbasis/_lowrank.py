@@ -108,6 +108,8 @@ def _distinct(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     A scaled value may overflow to +-inf, where every block gives its limit.
     The second slice is compared first, so an axis along which it already
     differs from the first is rejected without a whole-array comparison.
+    A strictly increasing core (no NaN, no repeat) is its own sorted
+    distinct values, with index arange: np.unique's output, without its sort.
     """
     core = v
     for axis in range(v.ndim):
@@ -117,6 +119,8 @@ def _distinct(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
                 core = first
     with np.errstate(over="ignore"):
         scaled = lam * core.ravel()
+    if np.all(scaled[1:] > scaled[:-1]):
+        return scaled, np.arange(scaled.size).reshape(core.shape)
     vals, inverse = np.unique(scaled, return_inverse=True)
     return vals, inverse.reshape(core.shape)
 

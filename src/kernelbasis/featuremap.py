@@ -86,6 +86,15 @@ class FeatureMapSpec:
             return _cauchy._real_basis_block(self.n, x, out)
         return _gaussian._psi_block(self.n, x, out)
 
+    def _gram_block(self):
+        """(block, s): a block like :meth:`_block` of the basis rows divided
+        by s, for a Gram matrix scaled once as s s^T; raw Hermite rows for
+        the Gaussian (``gaussian._psi_raw``), and s = None, the basis rows,
+        for the families with no normalising multiply per row to save."""
+        if self.family == "gaussian":
+            return _gaussian._psi_raw(self.n)
+        return self._block, None
+
     def truncated_kernel(self, t, u):
         """Truncated kernel the feature inner products reproduce."""
         return rank_product(self._block, self.lam, t, u)
@@ -109,22 +118,22 @@ def _check_points(points, name: str = "points") -> np.ndarray:
     return pts
 
 
-def _scaled_block(spec: FeatureMapSpec):
-    """Basis rows (dim, k) at unscaled points of shape (k,), written into
-    ``out`` when it is given.  A scaled point may overflow to +-inf, where
-    every block gives its limit, 0."""
+def _scaled_block(lam: float, rows):
+    """``rows(x, out)``, a block such as ``FeatureMapSpec._block``, at the
+    points x = lam p for unscaled points p of shape (k,).  A scaled point may
+    overflow to +-inf, where every block gives its limit, 0."""
 
     def block(p, out=None):
         with np.errstate(over="ignore"):
-            x = spec.lam * p
-        return spec._block(x, out)
+            x = lam * p
+        return rows(x, out)
 
     return block
 
 
 def features(spec: FeatureMapSpec, points) -> np.ndarray:
     """Feature matrix: row i holds the feature vector of points[i]."""
-    return stack_rows(_scaled_block(spec), _check_points(points), spec.dim)
+    return stack_rows(_scaled_block(spec.lam, spec._block), _check_points(points), spec.dim)
 
 
 def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x) -> np.ndarray:
@@ -133,10 +142,15 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
     For ridge > 0 solves the dim x dim normal equations
     (F^T F + ridge I) c = F^T y by ``np.linalg.solve`` and predicts F_test c.  F^T F
     and F^T y are accumulated over chunks of points, whose blocks share one
-    buffer, so F is never formed and memory does not grow with N.  For
-    ridge = 0 the fit is exact interpolation through the N x N feature Gram
-    matrix F F^T, which must be well conditioned; duplicated inputs raise
-    :class:`ConditioningError` with the estimated condition number.
+    buffer, so F is never formed and memory does not grow with N.  Gaussian
+    blocks are raw Hermite rows U = D^-1 F^T (``FeatureMapSpec._gram_block``),
+    which skip the normalising multiply of every row: the sums U U^T and U y
+    are scaled once, to D U U^T D + ridge I and D U y, and the test blocks
+    meet D c.  For ridge = 0 the fit is exact interpolation through the
+    N x N feature Gram matrix F F^T, which must be well conditioned: more
+    points than features (rank at most dim < N) raise
+    :class:`ConditioningError` with cond = inf before F is formed, and
+    duplicated inputs raise it with the estimated condition number.
     """
     train_y = np.asarray(train_y, dtype=float)
     if np.shape(train_x) != train_y.shape:
@@ -146,20 +160,34 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
     x = _check_points(train_x, "train_x")
     y = _check_points(train_y, "train_y")
     xt = _check_points(test_x, "test_x")
-    block = _scaled_block(spec)
+    if ridge == 0 and x.size > spec.dim:
+        raise ConditioningError(
+            f"ridge=0 interpolation of N={x.size} points with dim={spec.dim} features is "
+            f"singular (the N x N Gram matrix has rank at most dim, condition number inf); "
+            f"add regularisation",
+            cond=np.inf,
+        )
     # one buffer serves the training and the test chunks
     buf = chunk_buffer(spec.dim, x.size, xt.size)
     if ridge > 0:
-        gram = ridge * np.eye(spec.dim)
+        rows, scale = spec._gram_block()
+        block = _scaled_block(spec.lam, rows)
+        gram = ridge * np.eye(spec.dim) if scale is None else np.zeros((spec.dim, spec.dim))
         rhs = np.zeros(spec.dim)
         for s, b in chunk_blocks(block, x, buf):
             gram += b @ b.T
             rhs += b @ y[s]
-        coef = np.linalg.solve(gram, rhs)
+        if scale is None:
+            coef = np.linalg.solve(gram, rhs)
+        else:  # the scale goes on before the ridge, as D G D + ridge I
+            gram *= np.outer(scale, scale)
+            gram[np.diag_indices(spec.dim)] += ridge
+            coef = scale * np.linalg.solve(gram, scale * rhs)
         pred = np.empty(xt.size)
         for s, b in chunk_blocks(block, xt, buf):
             pred[s] = coef @ b
         return pred
+    block = _scaled_block(spec.lam, spec._block)
     F = stack_rows(block, x, spec.dim, buf)
     gram = F @ F.T
     cond = float(np.linalg.cond(gram))

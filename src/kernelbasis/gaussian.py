@@ -18,6 +18,10 @@ takes (c, p, v, w) with p = q^{-2}, v = 1/a and w = 1/b, so t^2/3 and
 At alpha = sqrt(2/3) the basis is sqrt(mu_m) times the Mercer
 eigenfunctions, with mu_m = 2/3^{m+1}; at kappa = 1 the width-kappa
 basis is the RKHS basis.
+
+The block also gives raw RKHS rows psi_m / s_m (:func:`_psi_raw`), with no
+normalising multiply per row, for the kernel ridge regression's Gram
+matrix, which applies s once; every other caller uses the basis rows.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lowrank import check_int, check_lam, rank_product
-from .orthopoly import _hermite_coef, _last_row, _recur
+from .orthopoly import _hermite_coef, _hermite_raw, _last_row, _recur
 from .report import VerificationReport
 
 __all__ = [
@@ -109,9 +113,10 @@ _X_MAX = 1e150
 
 
 def _hermite_rows(count: int, c: float, p: float, v: float, w: float, x: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, coef=None) -> np.ndarray:
     """Rows m = 0..count-1 of c p^{-m/2} e^{-x^2/v} e_m(x/w) at points x (N,),
-    written into ``out`` (count, N) when it is given.
+    written into ``out`` (count, N) when it is given; with ``coef`` from
+    ``orthopoly._hermite_raw(count, p)``, the raw rows, each divided by its s.
 
     The recurrence of p^{-k/2} e_k (``orthopoly._hermite_coef``) runs at
     y = x/w on the weighted rows from g_0 = c e^{-x^2/v}, so no weight pass
@@ -130,7 +135,7 @@ def _hermite_rows(count: int, c: float, p: float, v: float, w: float, x: np.ndar
     seed /= -v
     np.exp(seed, out=seed)
     seed *= c
-    return _recur(rows, x / w, _hermite_coef(p))
+    return _recur(rows, x / w, coef or _hermite_coef(p))
 
 
 _HERMITE_FN = (math.pi**-0.25, 1.0, 2.0, 1.0)
@@ -140,6 +145,13 @@ _PSI = ((2.0 * math.sqrt(2.0) / 3.0) ** 0.5, 3.0, 3.0, 0.5 * math.sqrt(3.0))
 def _psi_block(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows m = 0..n-1 of psi_m at (already scaled) points x."""
     return _hermite_rows(n, *_PSI, x, out)
+
+
+def _psi_raw(n: int):
+    """(block, s): rows m = 0..n-1 of psi_m / s_m at (already scaled) points
+    x, by ``block(x, out)``, and their scale s (see :func:`_psi_block`)."""
+    coef, s = _hermite_raw(n, _PSI[1])
+    return (lambda x, out=None: _hermite_rows(n, *_PSI, x, out, coef)), s
 
 
 def _scaled_form(kappa: float) -> tuple[float, float, float, float]:

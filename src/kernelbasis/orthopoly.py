@@ -6,6 +6,9 @@ in place in the caller's rows with one scratch row, from a seed row 0.
 :func:`_recur` runs it down a table; :func:`_recur_scaled` runs it with a
 per-point exponent for seeds that underflow.  The coefficients of each
 family are written once, in :func:`_laguerre_coef` and :func:`_hermite_coef`.
+The step skips its pass for d_k where d_k = 1: :func:`_hermite_raw` moves
+the Hermite d_k into a scale s_k per row, which the Gram matrix of
+``krr_fit_predict`` applies once.
 The ``*_table`` evaluators are the seed-1 case and return rows
 m = 0..count-1; a family block seeds row 0 with its weight instead, so no
 weight pass follows.  The scalar evaluators ``laguerre``,
@@ -23,6 +26,7 @@ never as quotients of separately evaluated factorials.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -168,6 +172,35 @@ def _hermite_coef(p: float = 1.0):
     """coef of :func:`_step` for p^{-k/2} e_k, e_k = H_k / sqrt(2^k k!):
     g_{k+1} = sqrt(2/((k+1) p)) x g_k - sqrt(k/(k+1))/p g_{k-1}."""
     return lambda k: (0.0, math.sqrt(k / (2.0 * p)), math.sqrt(2.0 / ((k + 1) * p)))
+
+
+# a raw Hermite row exceeds its normalised row by at most about 2^_RAW_LIMIT
+_RAW_LIMIT = 256
+
+
+@functools.cache
+def _hermite_raw(count: int, p: float):
+    """coef of :func:`_step` for rows k = 0..count-1 of U_k = g_k / s_k, g_k
+    the rows of :func:`_hermite_coef`, and the read-only scale s: U_{k+1} =
+    r_k (x U_k - (k/2) r_{k-1} U_{k-1}) and s_{k+1} = s_k d_k / r_k, so the
+    step has no multiply by d_k (k/2 = c_k / d_{k-1} exactly).  r_k = 1 unless
+    s_{k+1} would fall below 2^-_RAW_LIMIT; then it is the power of two that
+    puts s_{k+1} in [1/2, 1), so sums of U U^T stay finite (64 rows at p = 3
+    need no reset, 200 need 2, 512 need 8).  The schedule depends on
+    (count, p) only, and for p >= 2 every s_k <= 1, so no raw row underflows
+    where its normalised row does not.
+    """
+    d = _hermite_coef(p)
+    coef, s, r = [], np.ones(count), 1.0
+    for k in range(count - 1):
+        c, r = k / 2 * r, 1.0
+        s[k + 1] = s[k] * d(k)[2]
+        if s[k + 1] < 2.0**-_RAW_LIMIT:
+            s[k + 1], e = math.frexp(s[k + 1])
+            r = math.ldexp(1.0, e)
+        coef.append((0.0, c, r))
+    s.flags.writeable = False
+    return coef.__getitem__, s
 
 
 def _table(count: int, t, coef) -> np.ndarray:

@@ -23,6 +23,7 @@ from kernelbasis.gaussian import (
     _hermite_rows,
     _mercer_form,
     _psi_block,
+    _psi_raw,
     _scaled_form,
 )
 from kernelbasis._lowrank import CHUNK
@@ -362,6 +363,28 @@ def test_psi_high_degree_far_from_the_origin():
         ref = float(gaussian_psi_mp(501, 40.0)[500])
     assert ref == pytest.approx(9.8250888109596335e-26, rel=1e-15)
     assert gaussian_psi(500, 40.0) == pytest.approx(ref, rel=1e-12)
+
+
+def test_raw_rows_are_the_basis_over_their_scale():
+    # U_k = psi_k / s_k at n = 512: ordinary points, seeds that are subnormal
+    # (|x| in 45.5..47.3) or 0 (|x| > 47.3), and the origin
+    x = np.concatenate([[0.0, -0.0, 5e-324], np.random.default_rng(5).uniform(-50.0, 50.0, 3000),
+                        np.linspace(45.5, 47.4, 200), np.linspace(-47.4, -45.5, 200)])
+    rows, s = _psi_raw(512)
+    raw, psi = rows(x.copy()), _psi_block(512, x.copy())
+    seed, tiny = psi[0], np.finfo(float).tiny
+    normal, subnormal, zero = seed >= tiny, (seed > 0) & (seed < tiny), seed == 0
+    assert np.count_nonzero(subnormal) > 100 and np.count_nonzero(zero) > 100
+    # s_k >= 2^-257 bounds |U_k| by 2^257 max|psi_k|, so U U^T stays finite
+    assert s[0] == 1.0 and np.all((s > 2.0**-257) & (s <= 1.0))
+    assert np.all(np.isfinite(raw))
+    assert np.all(np.abs(raw) >= np.abs(psi))
+    err = np.abs(s[:, None] * raw - psi)
+    # to rounding: measured 1.05e-14 of each column's largest value; where the
+    # seed is subnormal the normalised rows are accurate to 3.5e-74 only
+    assert np.all(err[:, normal] <= 2e-14 * np.max(np.abs(psi[:, normal]), axis=0))
+    assert np.all(err[:, subnormal] <= 3.5e-74)
+    assert np.all(raw[:, zero] == 0.0)
 
 
 def test_mpmath_reference_is_the_hermite_basis():

@@ -21,6 +21,7 @@ from kernelbasis.matern import (
     matern_truncated,
     matern_truncation_error_bound,
     _basis_block,
+    _c_sq,
     _handed_rows,
     _log_c,
     _null_block,
@@ -293,6 +294,20 @@ class TestNormsAndErrors:
                 assert integrate(rule, f) == pytest.approx(
                     matern_psi_norm_sq(o, m), rel=1e-8
                 )
+
+    @pytest.mark.parametrize("nu, rtol", [(3, 1e-15), (30, 1e-15), (300, 1e-15), (1000, 3e-15)])
+    def test_constant_against_mpmath(self, nu, rtol):
+        # c_nu^2 = (nu!)^2/(2 nu)! to rtol (measured 5.6e-17, 1.9e-16, 3.7e-16,
+        # 2.3e-15), log c_nu correctly rounded (0.20-0.41 ulp; the lgamma
+        # difference was up to 3 ulp, 8e-14 at nu = 300) and the bound
+        # 2^nu c_nu built from them (measured <= 1.2e-15)
+        with mpmath.workdps(50):
+            log_c = mpmath.loggamma(nu + 1) - mpmath.loggamma(2 * nu + 1) / 2
+            frac, exp = _c_sq(nu)
+            assert abs(mpmath.ldexp(frac, exp) / mpmath.exp(2 * log_c) - 1) <= rtol
+            assert abs(_log_c(nu) - log_c) <= 0.5 * math.ulp(float(log_c))
+            bound = mpmath.mpf(2) ** nu * mpmath.exp(log_c)
+            assert abs(matern_psi_bound(MaternOrder(nu)) / bound - 1) <= 2 * rtol
 
     def test_bound_values(self):
         assert matern_psi_bound(MaternOrder(0)) == pytest.approx(1.0, rel=1e-15)
