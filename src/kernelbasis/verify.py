@@ -22,7 +22,7 @@ from . import matern as _m
 from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
 from .laguerre import check_identity, laguerre_fn_ft
-from .orthopoly import hermite_normalized, laguerre
+from .orthopoly import _hermite_gram, _hermite_raw, hermite_normalized, laguerre
 from .quadrature import (
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
@@ -687,6 +687,14 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Veri
     # pointwise convergence at n = 60
     sweep = truncation_sweep("gaussian", [1, 2, 4, 8, 16, 32, 60], pairs, pointwise_tol=1e-8)
     reports.extend(r for r in sweep if "pointwise" in r.check_name)
+    # krr's Gram matrix of raw rows from its first row and last column,
+    # against U U^T, normwise on the scaled rows
+    rows, s = _g._psi_raw(64)
+    u = rows(np.random.default_rng(seed).uniform(-4.0, 4.0, 2000))
+    gram = _hermite_gram(_hermite_raw(64, _g._PSI[1])[0], u @ u[0], u @ u[-1])
+    ss = np.outer(s, s)
+    dev = float(np.max(np.abs((gram - u @ u.T) * ss)) / np.max(np.abs(u @ u.T * ss)))
+    reports.append(VerificationReport.deviation_check("gaussian/krr_gram_identity", dev, 1e-14))
     return reports
 
 

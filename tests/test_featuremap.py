@@ -584,15 +584,18 @@ _EXTREME = np.array([0.0, -0.0, 5e-324, 30.0, -47.5, 760.0, -1000.0, 1e6, -1e200
 
 def _raw_gaussian_krr(spec, x, y, xt):
     """krr_fit_predict's gaussian arithmetic at ridge 1e-3 on fresh raw
-    Hermite blocks U, one per chunk: (D U U^T D + ridge I) c = D U y, and
-    predictions (D c) U_test, with D the rows' scale."""
+    Hermite blocks U, one per chunk: the Gram matrix G = U U^T from its first
+    row and last column (orthopoly._hermite_gram), (D G D + ridge I) c = D U y,
+    and predictions (D c) U_test, with D the rows' scale."""
     rows, scale = _psi_raw(spec.n)
-    gram, rhs = np.zeros((spec.dim, spec.dim)), np.zeros(spec.dim)
+    first, last, rhs = np.zeros(spec.dim), np.zeros(spec.dim), np.zeros(spec.dim)
     with np.errstate(over="ignore"):  # lam * 1.7e308
         for s in chunks(x.size):
             b = rows(spec.lam * x[s])
-            gram += b @ b.T
+            first += b @ b[0]
+            last += b @ b[-1]
             rhs += b @ y[s]
+    gram = orthopoly._hermite_gram(orthopoly._hermite_raw(spec.n, 3.0)[0], first, last)
     coef = scale * np.linalg.solve(np.outer(scale, scale) * gram + 1e-3 * np.eye(spec.dim),
                                    scale * rhs)
     return np.concatenate([coef @ rows(spec.lam * xt[s]) for s in chunks(xt.size)])
@@ -622,9 +625,10 @@ def test_block_buffer_keeps_no_stale_rows(family):
 @pytest.mark.parametrize("n", [1, 2, 64, 150, 200, 512])
 def test_raw_gaussian_krr_matches_normalised_blocks(n):
     # the normal equations of the normalised rows, ridge first, as a
-    # reference; largest difference measured 2.9e-14 of max|pred| (lam 0.4,
-    # 1.1, 2.5), and every prediction is finite even where the raw rows
-    # would overflow without their power-of-two resets (n >= 150)
+    # reference; largest difference measured 7.4e-14 of max|pred| over lam
+    # 0.4, 1.1, 2.5 (1.3e-14 at lam 1.1; 2.9e-14 with the summed U U^T),
+    # and every prediction is finite even where the raw rows would overflow
+    # without their power-of-two resets (n >= 150)
     spec = FeatureMapSpec("gaussian", lam=1.1, n=n)
     x = np.concatenate([_EXTREME, _points(5000, 1)])
     xt = np.concatenate([_EXTREME, _points(3000, 2)])
@@ -640,6 +644,84 @@ def test_raw_gaussian_krr_matches_normalised_blocks(n):
         pred = krr_fit_predict(spec, x, y, 1e-3, xt)
     assert np.all(np.isfinite(pred))
     assert np.max(np.abs(pred - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _raw_rows_and_reference_gram(n, lam, x):
+    """Raw Hermite rows U (n, N) at lam x, their scale s and the Gram matrix
+    U U^T summed in long double."""
+    rows, scale = _psi_raw(n)
+    with np.errstate(over="ignore"):  # lam * 1.7e308
+        u = rows(lam * x)
+    wide = u.astype(np.longdouble)
+    return u, scale, np.einsum("in,jn->ij", wide, wide)
+
+
+def _gram_identity_error(n, lam, x):
+    """max|(G - G_ref) s s^T| / max|G_ref s s^T| for the Gram matrix G that
+    orthopoly._hermite_gram builds from the first row and last column of
+    U U^T, against the long-double G_ref; 0 where every row is 0."""
+    u, scale, ref = _raw_rows_and_reference_gram(n, lam, x)
+    gram = orthopoly._hermite_gram(orthopoly._hermite_raw(n, 3.0)[0], u @ u[0], u @ u[-1])
+    ss = np.outer(scale, scale)
+    err, top = np.max(np.abs((gram - ref) * ss)), np.max(np.abs(ref * ss))
+    return float(err / top) if top else float(err)
+
+
+_RNG = np.random.default_rng(11)
+_GRAM_SETS = {
+    "clusters": np.concatenate([4.0 + _RNG.uniform(-1e-3, 1e-3, 150),
+                                -4.0 + _RNG.uniform(-1e-3, 1e-3, 150)]),
+    "cauchy": _RNG.standard_cauchy(300),
+    "far": _RNG.uniform(20.0, 40.0, 300),
+    "near-zero": _RNG.uniform(-1e-3, 1e-3, 300),
+    "three": _RNG.uniform(-3.0, 3.0, 3),
+    "extreme": np.concatenate([_EXTREME, _RNG.uniform(-3.0, 3.0, 300)]),
+}
+
+
+@pytest.mark.parametrize("lam", [0.4, 2.5])
+@pytest.mark.parametrize("points", sorted(_GRAM_SETS))
+def test_gram_identity_matches_long_double_gram(points, lam):
+    # forward from the first row, with the last column given; largest
+    # error measured 8.4e-16 (the syrk U U^T: 1.3e-15).  Every row is 0 at
+    # lam 2.5 on [20, 40], and so is every entry of the identity's Gram
+    for n in [1, 2, 3, 64, 200, 512]:
+        assert _gram_identity_error(n, lam, _GRAM_SETS[points]) <= 2e-15
+
+
+def test_gram_identity_on_one_repeated_point():
+    # the identity adds no error of its own here: the float64 sums of the
+    # first row and the last column lose it, 1.1e-14 measured (the syrk
+    # U U^T: 8.2e-15)
+    for lam in [0.4, 2.5]:
+        for n in [2, 64, 200]:
+            assert _gram_identity_error(n, lam, np.full(3000, 0.7)) <= 3e-14
+
+
+@pytest.mark.parametrize("ridge, bar", [(1e-3, 1e-13), (1e-8, 3e-11)])
+@pytest.mark.parametrize("size, dims", [(300, [1, 2, 3, 64, 200, 512]), (5000, [64])],
+                         ids=["300", "5000"])
+def test_gaussian_krr_matches_long_double_gram(ridge, bar, size, dims):
+    # the long-double Gram matrix of the same raw rows, solved in float64.
+    # Largest difference measured, of max|pred|, against the float64 U U^T:
+    # 300 points: 1.4e-14 (1.6e-14) at ridge 1e-3, 4.7e-12 (3.9e-12) at 1e-8;
+    # 5000 points: 9.2e-14 (3.8e-14) and 2.0e-11 (9.7e-12), the identity's
+    # largest at lam 0.4, where its Gram matrix is accurate normwise but not
+    # entry by entry (see orthopoly._hermite_gram).  At ridge 1e-8 the float64 solve
+    # itself reads up to 1.6e-11 on other seeded sets of 300 points
+    x = np.concatenate([_EXTREME, _points(size, 1)])
+    xt = np.concatenate([_EXTREME, _points(1000, 2)])
+    y = np.cos(x)
+    for n in dims:
+        for lam in [0.4, 2.5]:
+            u, scale, ref = _raw_rows_and_reference_gram(n, lam, x)
+            rhs = (u.astype(np.longdouble) @ y).astype(float)
+            gram = np.outer(scale, scale) * ref.astype(float) + ridge * np.eye(n)
+            coef = scale * np.linalg.solve(gram, scale * rhs)
+            with np.errstate(over="ignore"):  # lam * 1.7e308
+                expected = coef @ _psi_raw(n)[0](lam * xt)
+                pred = krr_fit_predict(FeatureMapSpec("gaussian", lam=lam, n=n), x, y, ridge, xt)
+            assert np.max(np.abs(pred - expected)) <= bar * np.max(np.abs(expected))
 
 
 def test_full_chunk_rows_are_not_whole_pages_apart():
@@ -699,6 +781,18 @@ class TestMemory:
         x, xt = _points(200_000, 1), _points(1000, 2)
         y = np.sin(2.0 * x)
         assert _peak_bytes(lambda: krr_fit_predict(spec, x, y, 1e-3, xt)) < 32e6
+
+    def test_gaussian_krr_memory_is_the_block_buffer(self):
+        # the (64, 4104) block buffer and at most five point rows of a chunk:
+        # 136-141 kB measured beyond the buffer, a block's temporaries and
+        # the predictions.  A per-chunk copy still alive while the next block
+        # is built, of two block rows (64 kB) or a stacked (3, CHUNK)
+        # right-hand side (96 kB), would exceed it
+        spec = FeatureMapSpec("gaussian", n=64)
+        x, xt = _points(200_000, 1), _points(1000, 2)
+        y = np.sin(2.0 * x)
+        bound = 64 * (CHUNK + 8) * 8 + 5 * CHUNK * 8
+        assert _peak_bytes(lambda: krr_fit_predict(spec, x, y, 1e-3, xt)) <= bound
 
     @pytest.mark.parametrize("family", sorted(_SPECS))
     def test_grid_memory_is_its_output_and_the_gram_matrix(self, family):
