@@ -135,7 +135,8 @@ def _hermite_rows(count: int, c: float, p: float, v: float, w: float, x: np.ndar
     seed /= -v
     np.exp(seed, out=seed)
     seed *= c
-    return _recur(rows, x / w, coef or _hermite_coef(p))
+    x /= w  # the clamped copy, so the points are copied once
+    return _recur(rows, x, coef or _hermite_coef(p))
 
 
 _HERMITE_FN = (math.pi**-0.25, 1.0, 2.0, 1.0)

@@ -2,8 +2,10 @@
 
 The module provides three reusable operations (a convolution oracle for the
 basis construction, weighted Gram matrices, and truncation-error sweeps)
-plus named suites that bundle them into reproducible lists of
-:class:`VerificationReport`.  Gram matrices and the suites evaluate the
+plus named suites that bundle them into checks.  A suite is a table of
+check rows ``(name, computed, reference, tolerance, metadata)``, and
+:func:`run_suite` alone turns rows into :class:`VerificationReport`, so a
+new check is one more row.  Gram matrices and the suites evaluate the
 package's own basis blocks, once per grid; the convolution oracle alone
 keeps the raw polynomial evaluators, because it is the independent check.
 All randomness is drawn from a fixed seed so reports are bit-reproducible
@@ -13,6 +15,7 @@ on one platform.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -49,6 +52,8 @@ DEFAULT_SEED = 0x5EED
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 21)
 ALGEBRAIC_TOL = 1e-12
 QUADRATURE_TOL = 1e-8
+# large orders of the Matern checks that need no quadrature rule
+_LARGE_NUS = (30, 100, 300)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +198,41 @@ def gram_matrix(family: str, indices, rule: QuadratureRule,
     if family not in _GRAM:
         raise ValueError(f"unknown gram family {family!r}; expected one of {GRAM_FAMILIES}")
     idx = list(indices)
-    if not idx or min(idx) < 0:
-        raise ValueError(f"indices must be nonempty and nonnegative, got {idx}")
+    if not idx:
+        raise ValueError("indices must be nonempty")
+    for k, i in enumerate(idx):
+        check_int(i, f"indices[{k}]")
     domain, message, rows = _GRAM[family]
     if rule.domain != domain:
         raise ValueError(f"{message}, rule has {rule.domain}")
     B = rows(max(idx) + 1, rule.nodes, nu, mercer)[idx]
     return (B * rule.weights) @ B.T
+
+
+# ---------------------------------------------------------------------------
+# the runner
+
+
+def _report(row) -> VerificationReport:
+    """Turn one check row into its report; a ready-made report passes through.
+
+    A row is ``(name, computed, reference, tolerance, metadata)``.
+    ``computed`` is a number, an array or a list of either, and the check
+    reads its maximum, taken by ``np.max``: unlike ``max`` it keeps a NaN,
+    so a NaN anywhere fails the check.  With ``reference`` None the row is a
+    deviation check, whose maximum is clamped at 0 from below (a value
+    inside its bound deviates by 0); otherwise it is a scalar check of the
+    maximum against ``reference``.
+    """
+    if isinstance(row, VerificationReport):
+        return row
+    name, computed, reference, tolerance, metadata = row
+    value = float(np.max(computed))
+    if reference is None:
+        # np.maximum keeps a NaN, and puts 0.0 where the maximum is -0.0
+        return VerificationReport.deviation_check(
+            name, float(np.maximum(value, 0.0)), tolerance, **metadata)
+    return VerificationReport.scalar_check(name, value, reference, tolerance, **metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -219,55 +252,37 @@ def truncation_sweep(family: str, n_list, sample_pairs, nu: int | None = None,
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and increasing")
     pairs = [(float(a), float(b)) for a, b in sample_pairs]
+    if not pairs:
+        raise ValueError("sample_pairs must hold at least one (t, u) pair")
     ts = np.array([p[0] for p in pairs])
     us = np.array([p[1] for p in pairs])
     kvals = FeatureMapSpec(family, lam, n_list[0], nu).kernel(ts, us)
     tag = f"{family}" + (f"/nu={nu}" if family == "matern" else "")
-    reports = []
-    errors = {}
-    for n in n_list:
-        trunc = FeatureMapSpec(family, lam, n, nu).truncated_kernel(ts, us)
-        errors[n] = float(np.max(np.abs(kvals - trunc)))
-        if family == "matern":
-            order = _m.MaternOrder(nu, lam)
-            exact = _m.matern_exact_hs_error(order, n)
-            bound = _m.matern_truncation_error_bound(order, n)
-            ratio = exact / bound
-            reports.append(
-                VerificationReport.scalar_check(
-                    f"{tag}/hs_ratio/n={n}", ratio, 0.5, 0.5,
-                    exact=exact, bound=bound,
-                )
-            )
-        elif family == "gaussian":
-            reports.append(
-                VerificationReport.scalar_check(
-                    f"{tag}/hs_exact/n={n}",
-                    _g.gaussian_truncation_error(n),
-                    3.0 ** (-n) / math.sqrt(2.0),
-                    1e-15,
-                )
-            )
-    n_last, n_first = n_list[-1], n_list[0]
-    reports.append(
-        VerificationReport.deviation_check(
-            f"{tag}/pointwise/n={n_last}", errors[n_last], pointwise_tol,
-            errors={str(k): v for k, v in errors.items()}, pairs=len(pairs),
-        )
-    )
-    reports.append(
-        VerificationReport.deviation_check(
-            f"{tag}/pointwise_decay/{n_first}->{n_last}",
-            max(0.0, errors[n_last] - errors[n_first]),
-            1e-13,
-            first=errors[n_first], last=errors[n_last],
-        )
-    )
-    return reports
+
+    def rows():
+        errors = {}
+        for n in n_list:
+            trunc = FeatureMapSpec(family, lam, n, nu).truncated_kernel(ts, us)
+            errors[n] = float(np.max(np.abs(kvals - trunc)))
+            if family == "matern":
+                order = _m.MaternOrder(nu, lam)
+                exact = _m.matern_exact_hs_error(order, n)
+                bound = _m.matern_truncation_error_bound(order, n)
+                yield f"{tag}/hs_ratio/n={n}", exact / bound, 0.5, 0.5, dict(exact=exact, bound=bound)
+            elif family == "gaussian":
+                yield (f"{tag}/hs_exact/n={n}", _g.gaussian_truncation_error(n),
+                       3.0 ** (-n) / math.sqrt(2.0), 1e-15, {})
+        n_last, n_first = n_list[-1], n_list[0]
+        yield (f"{tag}/pointwise/n={n_last}", errors[n_last], None, pointwise_tol,
+               dict(errors={str(k): v for k, v in errors.items()}, pairs=len(pairs)))
+        yield (f"{tag}/pointwise_decay/{n_first}->{n_last}", errors[n_last] - errors[n_first],
+               None, 1e-13, dict(first=errors[n_first], last=errors[n_last]))
+
+    return [_report(row) for row in rows()]
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each yields rows (see _report) and ready-made reports
 
 
 def _sample_pairs(count: int, lo: float, hi: float, seed: int) -> list[tuple[float, float]]:
@@ -276,45 +291,26 @@ def _sample_pairs(count: int, lo: float, hi: float, seed: int) -> list[tuple[flo
     return [(float(a), float(b)) for a, b in pts]
 
 
-def suite_identities(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+def suite_identities(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     grid = np.linspace(-20.0, 20.0, 50)
     ks = range(-6, 7)
-    reports = []
     for m in range(-6, 7):
-        reports.append(check_identity("conjugate_symmetry", (m,), grid))
-        shift_dev = max(
-            check_identity("shift", (m, k), grid).computed for k in ks
-        )
-        reports.append(
-            VerificationReport.deviation_check(
-                f"identities/shift/m={m}/max_over_k", shift_dev, ALGEBRAIC_TOL,
-                k_min=-6, k_max=6,
-            )
-        )
-        mult_dev = max(
-            check_identity("multiplication", (m, k), grid).computed for k in ks
-        )
-        reports.append(
-            VerificationReport.deviation_check(
-                f"identities/multiplication/m={m}/max_over_k", mult_dev, ALGEBRAIC_TOL,
-                k_min=-6, k_max=6,
-            )
-        )
+        yield check_identity("conjugate_symmetry", (m,), grid)
+        for which in ("shift", "multiplication"):
+            yield (f"identities/{which}/m={m}/max_over_k",
+                   [check_identity(which, (m, k), grid).computed for k in ks],
+                   None, ALGEBRAIC_TOL, dict(k_min=-6, k_max=6))
     for nu in range(7):
-        reports.append(check_identity("binomial", (nu,), grid))
+        yield check_identity("binomial", (nu,), grid)
     # |phi_hat_m| is sqrt(2)/sqrt(1+w^2) for every m
-    mod_dev = max(
-        float(np.max(np.abs(np.abs(laguerre_fn_ft(m, grid)) - math.sqrt(2.0) / np.sqrt(1 + grid**2))))
-        for m in range(-6, 7)
-    )
-    reports.append(
-        VerificationReport.deviation_check("identities/modulus/max_over_m", mod_dev, ALGEBRAIC_TOL)
-    )
-    return reports
+    modulus = math.sqrt(2.0) / np.sqrt(1 + grid**2)
+    yield ("identities/modulus/max_over_m",
+           [np.abs(np.abs(laguerre_fn_ft(m, grid)) - modulus) for m in range(-6, 7)],
+           None, ALGEBRAIC_TOL, {})
 
 
-def _null_annihilation_residual(nu: int, m: int) -> float:
-    """Max |(D+1)^{nu+1} psi0| over positive test points, by finite differences."""
+def _null_annihilation_residual(nu: int, m: int, t: float) -> float:
+    """|(D+1)^{nu+1} psi0_m| at a positive t, by finite differences."""
     order = _m.MaternOrder(nu)
     bid = _m.MaternBasisId("null", m)
     stencils = {
@@ -323,287 +319,179 @@ def _null_annihilation_residual(nu: int, m: int) -> float:
         3: (np.array([-0.5, 1.0, 0.0, -1.0, 0.5]), 3),
         4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 4),
     }
-    tpts = [0.5, 1.0, 1.7, 2.5]
-    worst = 0.0
-    for t in tpts:
-        if nu <= 2:
-            # literal binomial expansion of (D+1)^{nu+1} at the stated step
-            h = 1e-3
-            total = _m.matern_psi(order, bid, t)
-            for j in range(1, nu + 2):
-                coeffs, power = stencils[j]
-                offs = np.arange(len(coeffs)) - (len(coeffs) - 1) / 2.0
-                vals = _m.matern_psi(order, bid, t + offs * h)
-                total += math.comb(nu + 1, j) * float(coeffs @ vals) / h**power
-        else:
-            # (D+1)^{k} f = e^{-t} D^{k} (e^t f); e^t psi0 is a polynomial on
-            # t > 0, so the stencil is exact and a larger step absorbs the
-            # float64 roundoff that dominates 4th differences at h = 1e-3
-            h = 0.05
-            coeffs, power = stencils[nu + 1]
+    if nu <= 2:
+        # literal binomial expansion of (D+1)^{nu+1} at the stated step
+        h = 1e-3
+        total = _m.matern_psi(order, bid, t)
+        for j in range(1, nu + 2):
+            coeffs, power = stencils[j]
             offs = np.arange(len(coeffs)) - (len(coeffs) - 1) / 2.0
-            pts = t + offs * h
-            vals = np.exp(pts) * _m.matern_psi(order, bid, pts)
-            total = math.exp(-t) * float(coeffs @ vals) / h**power
-        worst = max(worst, abs(total))
-    return worst
+            vals = _m.matern_psi(order, bid, t + offs * h)
+            total += math.comb(nu + 1, j) * float(coeffs @ vals) / h**power
+    else:
+        # (D+1)^{k} f = e^{-t} D^{k} (e^t f); e^t psi0 is a polynomial on
+        # t > 0, so the stencil is exact and a larger step absorbs the
+        # float64 roundoff that dominates 4th differences at h = 1e-3
+        h = 0.05
+        coeffs, power = stencils[nu + 1]
+        offs = np.arange(len(coeffs)) - (len(coeffs) - 1) / 2.0
+        pts = t + offs * h
+        vals = np.exp(pts) * _m.matern_psi(order, bid, pts)
+        total = math.exp(-t) * float(coeffs @ vals) / h**power
+    return abs(total)
 
 
-def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    reports = []
+def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     grid = DEFAULT_GRID
     # Gram matrices: diagonal = exact norms, off-diagonal = 0
-    for nu in range(5):
-        rule = gauss_laguerre_rule(quad_nodes, nu + 1.0)
-        idx = list(range(13))
-        G = gram_matrix("matern_plus", idx, rule, nu=nu)
-        order = _m.MaternOrder(nu)
-        expected = np.diag([_m.matern_psi_norm_sq(order, m) for m in idx])
-        reports.append(
-            VerificationReport.deviation_check(
-                f"matern/gram_plus/nu={nu}", float(np.max(np.abs(G - expected))),
-                QUADRATURE_TOL, nodes=quad_nodes, m_max=idx[-1],
-            )
-        )
-    for nu in (0, 2, 4):
-        rule = gauss_laguerre_rule(quad_nodes, nu + 1.0).reflected()
-        idx = list(range(13))
-        G = gram_matrix("matern_minus", idx, rule, nu=nu)
-        order = _m.MaternOrder(nu)
-        expected = np.diag([_m.matern_psi_norm_sq(order, m) for m in idx])
-        reports.append(
-            VerificationReport.deviation_check(
-                f"matern/gram_minus/nu={nu}", float(np.max(np.abs(G - expected))),
-                QUADRATURE_TOL, nodes=quad_nodes, m_max=idx[-1],
-            )
-        )
+    idx = list(range(13))
+    for kind, nus in (("plus", range(5)), ("minus", (0, 2, 4))):
+        for nu in nus:
+            rule = gauss_laguerre_rule(quad_nodes, nu + 1.0)
+            G = gram_matrix(f"matern_{kind}", idx, rule if kind == "plus" else rule.reflected(),
+                            nu=nu)
+            expected = np.diag([_m.matern_psi_norm_sq(_m.MaternOrder(nu), m) for m in idx])
+            yield (f"matern/gram_{kind}/nu={nu}", np.abs(G - expected), None, QUADRATURE_TOL,
+                   dict(nodes=quad_nodes, m_max=idx[-1]))
     # null-space symmetry psi0_{nu-m}(t) = (-1)^nu psi0_m(-t)
     for nu in range(7):
         block = _m._null_block(nu, np.concatenate([grid, -grid]))
         lhs, rhs = block[::-1, : grid.size], (-1.0) ** nu * block[:, grid.size :]
-        dev = float(np.max(np.abs(lhs - rhs)))
-        reports.append(
-            VerificationReport.deviation_check(
-                f"matern/null_symmetry/nu={nu}", dev, ALGEBRAIC_TOL
-            )
-        )
+        yield f"matern/null_symmetry/nu={nu}", np.abs(lhs - rhs), None, ALGEBRAIC_TOL, {}
     # uniform bound over the unified two-sided index
     tgrid = np.linspace(-8.0, 8.0, 801)
-    for nu in range(5):
+    for nu in (*range(5), *_LARGE_NUS):
         bound = _m.matern_psi_bound(_m.MaternOrder(nu))
         # indices -30..30: every null function, psi+_0..psi+_30 (the handed
-        # rows on t >= 0) and psi-_0..psi-_{28-nu} (the handed rows on t < 0)
+        # rows on t >= 0) and psi-_0..psi-_{28-nu} (the handed rows on t < 0).
+        # From nu = 29 on those indices hold no psi-, so there the peak is
+        # over the whole null block and 31 handed rows on either side
         handed = np.abs(_m._handed_rows(nu, 31, tgrid))
-        peak = float(max(np.max(np.abs(_m._null_block(nu, tgrid))),
-                         np.max(handed[:, tgrid >= 0]), np.max(handed[: 29 - nu, tgrid < 0])))
-        reports.append(
-            VerificationReport.deviation_check(
-                f"matern/uniform_bound/nu={nu}", max(0.0, peak - bound), ALGEBRAIC_TOL,
-                peak=peak, bound=bound,
-            )
-        )
+        minus = 29 - nu if nu < 29 else 31
+        peak = float(np.max([np.max(np.abs(_m._null_block(nu, tgrid))),
+                             np.max(handed[:, tgrid >= 0]), np.max(handed[:minus, tgrid < 0])]))
+        yield (f"matern/uniform_bound/nu={nu}", peak - bound, None, ALGEBRAIC_TOL,
+               dict(peak=peak, bound=bound))
     # opposite signs: the n = 1 truncation is already exact
     pairs = _sample_pairs(20, 0.1, 4.0, seed)
-    for nu in range(4):
+    for nu in (*range(4), *_LARGE_NUS):
         order = _m.MaternOrder(nu)
         tr = _m.MaternTruncation(order, 1)
-        dev = max(
-            abs(_m.matern_kernel(order, -a, b) - _m.matern_truncated(tr, -a, b))
-            for a, b in pairs
-        )
-        reports.append(
-            VerificationReport.deviation_check(
-                f"matern/sign_split/nu={nu}", dev, ALGEBRAIC_TOL
-            )
-        )
+        yield (f"matern/sign_split/nu={nu}",
+               [abs(_m.matern_kernel(order, -a, b) - _m.matern_truncated(tr, -a, b))
+                for a, b in pairs], None, ALGEBRAIC_TOL, {})
     # null-space sum reproduces the kernel at r(0, d); nu = 1, 2 are the
     # classical (1+d)e^-d and (1+d+d^2/3)e^-d closed forms
     dgrid = np.linspace(0.0, 6.0, 61)
-    for nu in range(7):
+    for nu in (*range(7), *_LARGE_NUS):
         block = _m._null_block(nu, np.concatenate([[0.0], dgrid]))
         nullsum = np.sum(block[:, :1] * block[:, 1:], axis=0)
-        dev = float(np.max(np.abs(nullsum - _m.matern_kernel(_m.MaternOrder(nu), 0.0, dgrid))))
-        reports.append(
-            VerificationReport.deviation_check(
-                f"matern/null_reconstruction/nu={nu}", dev, ALGEBRAIC_TOL
-            )
-        )
+        yield (f"matern/null_reconstruction/nu={nu}",
+               np.abs(nullsum - _m.matern_kernel(_m.MaternOrder(nu), 0.0, dgrid)),
+               None, ALGEBRAIC_TOL, {})
     # annihilation by (D+1)^{nu+1} on the positive half line
     for nu in range(4):
-        dev = max(_null_annihilation_residual(nu, m) for m in range(nu + 1))
-        reports.append(
-            VerificationReport.deviation_check(
-                f"matern/null_annihilation/nu={nu}", dev, 1e-4
-            )
-        )
+        yield (f"matern/null_annihilation/nu={nu}",
+               [_null_annihilation_residual(nu, m, t)
+                for m in range(nu + 1) for t in (0.5, 1.0, 1.7, 2.5)], None, 1e-4, {})
     # exact Hilbert--Schmidt error vs the n^{-(nu+1/2)} bound
     for nu in range(5):
-        order = _m.MaternOrder(nu)
         sweep = truncation_sweep(
             "matern", [1, 2, 4, 8, 16, 32, 64], _sample_pairs(20, -3.0, 3.0, seed),
             nu=nu, pointwise_tol=math.inf,
         )
-        reports.extend(r for r in sweep if "hs_ratio" in r.check_name)
+        yield from (r for r in sweep if "hs_ratio" in r.check_name)
     # trigamma closed form for the nu = 0 tail, against scipy's as the reference
     from scipy.special import polygamma
 
     order0 = _m.MaternOrder(0)
     for n in (1, 7, 64):
-        reports.append(
-            VerificationReport.scalar_check(
-                f"matern/hs_trigamma/n={n}",
-                _m.matern_exact_hs_error(order0, n),
-                math.sqrt(2.0 * float(polygamma(1, n + 1))),
-                1e-14,
-            )
-        )
+        yield (f"matern/hs_trigamma/n={n}", _m.matern_exact_hs_error(order0, n),
+               math.sqrt(2.0 * float(polygamma(1, n + 1))), 1e-14, {})
     # pointwise convergence of the truncated kernel (slow for small nu)
     for nu, tol in ((0, 5e-2), (1, 5e-3), (3, 1e-6)):
         sweep = truncation_sweep(
             "matern", [1, 2, 4, 8, 16, 32, 64, 128, 256],
             _sample_pairs(20, -3.0, 3.0, seed), nu=nu, pointwise_tol=tol,
         )
-        reports.extend(r for r in sweep if "pointwise" in r.check_name)
+        yield from (r for r in sweep if "pointwise" in r.check_name)
     # feature map factorises the truncated kernel
     tr = _m.MaternTruncation(_m.MaternOrder(1), 8)
     pts = np.linspace(-3.0, 3.0, 13)
     F = np.vstack([_m.matern_feature_map(tr, p) for p in pts])
-    gram = F @ F.T
     direct = _m.matern_truncated(tr, pts[:, None], pts[None, :])
-    reports.append(
-        VerificationReport.deviation_check(
-            "matern/feature_factorization/nu=1",
-            float(np.max(np.abs(gram - direct))), 1e-13,
-        )
-    )
-    return reports
+    yield "matern/feature_factorization/nu=1", np.abs(F @ F.T - direct), None, 1e-13, {}
 
 
-def suite_cauchy(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    reports = []
+def suite_cauchy(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     grid = DEFAULT_GRID
+    psi = _c.cauchy_psi_complex
     # real basis from the recurrence block vs sqrt(2) Re/Im of psi_m
-    psi = math.sqrt(2.0) * np.array([_c.cauchy_psi_complex(m, grid) for m in range(13)])
+    derived = math.sqrt(2.0) * np.array([psi(m, grid) for m in range(13)])
     direct = _c._real_basis_block(13, grid)
-    for kind, derived, rows in (("alpha", psi.real, direct[:13]), ("beta", psi.imag, direct[13:])):
-        dev = float(np.max(np.abs(rows - derived)))
-        reports.append(
-            VerificationReport.deviation_check(
-                f"cauchy/real_basis_consistency/{kind}", dev, ALGEBRAIC_TOL
-            )
-        )
+    for kind, part, rows in (("alpha", derived.real, direct[:13]),
+                             ("beta", derived.imag, direct[13:])):
+        yield f"cauchy/real_basis_consistency/{kind}", np.abs(rows - part), None, ALGEBRAIC_TOL, {}
     # conjugate symmetry psi_m^*(t) = -psi_{-m-1}(t) = psi_m(-t)
-    dev = 0.0
-    for m in range(-6, 7):
-        psi = _c.cauchy_psi_complex(m, grid)
-        dev = max(dev, float(np.max(np.abs(np.conj(psi) + _c.cauchy_psi_complex(-m - 1, grid)))))
-        dev = max(dev, float(np.max(np.abs(np.conj(psi) - _c.cauchy_psi_complex(m, -grid)))))
-    reports.append(
-        VerificationReport.deviation_check("cauchy/conjugate_symmetry", dev, ALGEBRAIC_TOL)
-    )
+    conj = {m: np.conj(psi(m, grid)) for m in range(-6, 7)}
+    yield ("cauchy/conjugate_symmetry",
+           [np.abs(c + psi(-m - 1, grid)) for m, c in conj.items()]
+           + [np.abs(c - psi(m, -grid)) for m, c in conj.items()], None, ALGEBRAIC_TOL, {})
     pairs = _sample_pairs(20, -3.0, 3.0, seed)
     # geometric closed form of the positive-index partial sums
     for n in (1, 7, 40):
-        dev = 0.0
-        for t, u in pairs:
-            direct = sum(
-                np.conj(_c.cauchy_psi_complex(m, t)) * _c.cauchy_psi_complex(m, u)
-                for m in range(n)
-            )
-            dev = max(dev, abs(direct - _c.cauchy_partial_sum_closed_form(n, t, u)))
-        reports.append(
-            VerificationReport.deviation_check(
-                f"cauchy/geometric_partial/n={n}", dev, ALGEBRAIC_TOL
-            )
-        )
+        yield (f"cauchy/geometric_partial/n={n}",
+               [abs(sum(np.conj(psi(m, t)) * psi(m, u) for m in range(n))
+                    - _c.cauchy_partial_sum_closed_form(n, t, u)) for t, u in pairs],
+               None, ALGEBRAIC_TOL, {})
     # n -> infinity limit of the geometric sum; the tail |first q^n/(1-q)|
     # reaches 3.5e-10 at n = 200 on [-3, 3]^2 but stays below 1e-14 at n = 300
-    dev = 0.0
-    for t, u in pairs:
-        limit = 0.5 / ((-1j * t - 1.0) * (1j * u - 1.0) - t * u)
-        dev = max(dev, abs(_c.cauchy_partial_sum_closed_form(300, t, u) - limit))
-    reports.append(
-        VerificationReport.deviation_check("cauchy/geometric_limit/n=300", dev, 1e-10)
-    )
+    yield ("cauchy/geometric_limit/n=300",
+           [abs(_c.cauchy_partial_sum_closed_form(300, t, u)
+                - 0.5 / ((-1j * t - 1.0) * (1j * u - 1.0) - t * u)) for t, u in pairs],
+           None, 1e-10, {})
     # complex and real expansions agree group-by-group
-    dev = 0.0
-    for n in (1, 2, 4, 8, 16, 32, 64):
-        for t, u in pairs[:8]:
-            complex_sum = sum(
-                (np.conj(_c.cauchy_psi_complex(m, t)) * _c.cauchy_psi_complex(m, u)).real
-                for m in range(-n, n)
-            )
-            dev = max(dev, abs(complex_sum - _c.cauchy_truncated(1.0, n, t, u)))
-    reports.append(
-        VerificationReport.deviation_check("cauchy/two_expansions/n<=64", dev, ALGEBRAIC_TOL)
-    )
+    yield ("cauchy/two_expansions/n<=64",
+           [abs(sum((np.conj(psi(m, t)) * psi(m, u)).real for m in range(-n, n))
+                - _c.cauchy_truncated(1.0, n, t, u))
+            for n in (1, 2, 4, 8, 16, 32, 64) for t, u in pairs[:8]], None, ALGEBRAIC_TOL, {})
     # kernel reconstruction and the finite reduction at the origin
     sweep = truncation_sweep("cauchy", [1, 4, 16, 64, 256, 400], pairs, pointwise_tol=1e-10)
-    reports.extend(r for r in sweep if "pointwise" in r.check_name)
+    yield from (r for r in sweep if "pointwise" in r.check_name)
     tgrid = np.linspace(-4.0, 4.0, 81)
-    dev = float(
-        np.max(np.abs(_c.cauchy_truncated(1.0, 1, tgrid, 0.0) - 1.0 / (tgrid**2 + 1.0)))
-    )
-    reports.append(
-        VerificationReport.deviation_check("cauchy/origin_reduction", dev, ALGEBRAIC_TOL)
-    )
+    yield ("cauchy/origin_reduction",
+           np.abs(_c.cauchy_truncated(1.0, 1, tgrid, 0.0) - 1.0 / (tgrid**2 + 1.0)),
+           None, ALGEBRAIC_TOL, {})
     # |psi_m(t)| <= 2^{-1/2} |t|^m (t^2+1)^{-(m+1)/2} <= 2^{-1/2}
-    dev = 0.0
-    for m in range(31):
-        mod = np.abs(_c.cauchy_psi_complex(m, grid))
-        envelope = (
-            2.0**-0.5 * np.abs(grid) ** m / (grid**2 + 1.0) ** ((m + 1) / 2.0)
-        )
-        dev = max(dev, float(np.max(mod - envelope)))
-    reports.append(
-        VerificationReport.deviation_check("cauchy/modulus_envelope", max(0.0, dev), ALGEBRAIC_TOL)
-    )
-    return reports
+    yield ("cauchy/modulus_envelope",
+           [np.abs(psi(m, grid)) - 2.0**-0.5 * np.abs(grid) ** m / (grid**2 + 1.0) ** ((m + 1) / 2.0)
+            for m in range(31)], None, ALGEBRAIC_TOL, {})
 
 
-def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    reports = []
+def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     grid = DEFAULT_GRID
     hr = gauss_hermite_rule(quad_nodes)
     # Hermite functions are orthonormal under the unit weight
     G = gram_matrix("hermite_fn", range(16), hr)
-    reports.append(
-        VerificationReport.deviation_check(
-            "gaussian/hermite_fn_orthonormal", float(np.max(np.abs(G - np.eye(16)))), 1e-10
-        )
-    )
+    yield "gaussian/hermite_fn_orthonormal", np.abs(G - np.eye(16)), None, 1e-10, {}
     # basis Gram under the Gaussian weight: diag = 2/3^{m+1}
     G = gram_matrix("gaussian_psi", range(13), hr)
     expected = np.diag([2.0 / 3.0 ** (m + 1) for m in range(13)])
-    reports.append(
-        VerificationReport.deviation_check(
-            "gaussian/psi_gram", float(np.max(np.abs(G - expected))), QUADRATURE_TOL
-        )
-    )
+    yield "gaussian/psi_gram", np.abs(G - expected), None, QUADRATURE_TOL, {}
     # Mercer eigenfunctions are orthonormal
     G = gram_matrix("mercer", range(13), hr)
-    reports.append(
-        VerificationReport.deviation_check(
-            "gaussian/mercer_orthonormal", float(np.max(np.abs(G - np.eye(13)))), 1e-10
-        )
-    )
+    yield "gaussian/mercer_orthonormal", np.abs(G - np.eye(13)), None, 1e-10, {}
     # sqrt(mu_m) theta_m == psi_m at alpha = sqrt(2/3)
     params = _g.MercerParams.from_alpha(_g.MERCER_ALPHA_DEFAULT)
     sqrt_mu = np.sqrt([_g.mercer_eigenvalue(params, m) for m in range(16)])
     lhs = sqrt_mu[:, None] * _g._hermite_rows(16, *_g._mercer_form(params), grid)
-    dev = float(np.max(np.abs(lhs - _g._psi_block(16, grid))))
-    reports.append(
-        VerificationReport.deviation_check("gaussian/mercer_relation", dev, ALGEBRAIC_TOL)
-    )
+    yield ("gaussian/mercer_relation", np.abs(lhs - _g._psi_block(16, grid)),
+           None, ALGEBRAIC_TOL, {})
     # eigenvalues sum to their geometric closed form
     s = params.alpha**2 + params.delta_sq + 0.5
     closed = math.sqrt(params.alpha**2 / s) / (1.0 - 0.5 / s)
     partial = sum(_g.mercer_eigenvalue(params, m) for m in range(80))
-    reports.append(
-        VerificationReport.scalar_check(
-            "gaussian/eigenvalue_sum", partial, closed, 1e-12
-        )
-    )
+    yield "gaussian/eigenvalue_sum", partial, closed, 1e-12, {}
     # exact Hilbert--Schmidt error vs 128-node tensor quadrature
     t_nodes = hr.nodes / _g.MERCER_ALPHA_DEFAULT
     w2 = np.outer(hr.weights, hr.weights) / math.pi
@@ -612,81 +500,59 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Veri
     r_full = _g.gaussian_kernel(scale, T, U)
     for n in range(1, 7):
         r_n = _g.gaussian_truncated(scale, n, T, U)
-        quad_sq = float(np.sum(w2 * (r_full - r_n) ** 2))
-        quad = math.sqrt(max(quad_sq, 0.0))
+        quad = math.sqrt(float(np.sum(w2 * (r_full - r_n) ** 2)))
         exact = _g.gaussian_truncation_error(n)
-        reports.append(
-            VerificationReport.scalar_check(
-                f"gaussian/hs_quadrature/n={n}", quad, exact, 1e-6 * exact,
-                nodes=quad_nodes,
-            )
-        )
+        yield f"gaussian/hs_quadrature/n={n}", quad, exact, 1e-6 * exact, dict(nodes=quad_nodes)
     # Mehler series vs closed form on a 5x5 grid at rho = 1/3
     mgrid = np.linspace(-2.0, 2.0, 5)
-    dev = 0.0
-    for x in mgrid:
-        for y in mgrid:
-            rep = _g.mehler_check(1.0 / 3.0, float(x), float(y))
-            dev = max(dev, rep.abs_error)
-    reports.append(
-        VerificationReport.deviation_check("gaussian/mehler_grid", dev, 1e-10)
-    )
+    yield ("gaussian/mehler_grid",
+           [_g.mehler_check(1.0 / 3.0, float(x), float(y)).abs_error for x in mgrid for y in mgrid],
+           None, 1e-10, {})
     # rho = 1/3 substitution reproduces the kernel
     pairs = _sample_pairs(20, -3.0, 3.0, seed)
-    dev = 0.0
-    for t, u in pairs:
-        rep = _g.mehler_check(1.0 / 3.0, 2.0 * t / math.sqrt(3.0), 2.0 * u / math.sqrt(3.0))
-        lhs = (2.0 * math.sqrt(2.0) / 3.0) * math.exp((t * t + u * u) / 3.0) * rep.computed
-        dev = max(dev, abs(lhs - _g.gaussian_kernel(_g.GaussianScale(1.0), t, u)))
-    reports.append(
-        VerificationReport.deviation_check("gaussian/mehler_kernel", dev, 1e-10)
-    )
+    root3 = math.sqrt(3.0)
+    yield ("gaussian/mehler_kernel",
+           [abs((2.0 * math.sqrt(2.0) / 3.0) * math.exp((t * t + u * u) / 3.0)
+                * _g.mehler_check(1.0 / 3.0, 2.0 * t / root3, 2.0 * u / root3).computed
+                - _g.gaussian_kernel(scale, t, u)) for t, u in pairs], None, 1e-10, {})
     # multiplication theorem: psi_m as a combination of Hermite functions;
     # matching the m = 0 term pins the constant at (2 sqrt(2 pi)/3)^{1/2}
-    dev = 0.0
     tg = np.linspace(-4.0, 4.0, 41)
     hermite = _g._hermite_rows(21, *_g._HERMITE_FN, math.sqrt(2.0 / 3.0) * tg)
     psi = _g._psi_block(21, tg)
-    for m in range(21):
-        acc = np.zeros_like(tg)
+
+    def reexpressed(m: int) -> np.ndarray:
         logc0 = 0.5 * (
             math.log(2.0 * math.sqrt(2.0 * math.pi) / 3.0)
             + m * math.log(2.0 / 3.0)
             + math.lgamma(m + 1)
         )
-        for k in range(m // 2 + 1):
-            logc = logc0 - k * math.log(4.0) - math.lgamma(k + 1) - 0.5 * math.lgamma(m - 2 * k + 1)
-            acc += math.exp(logc) * hermite[m - 2 * k]
-        dev = max(dev, float(np.max(np.abs(acc - psi[m]))))
-    reports.append(
-        VerificationReport.deviation_check("gaussian/hermite_reexpression", dev, 1e-10)
-    )
+        return sum(
+            math.exp(logc0 - k * math.log(4.0) - math.lgamma(k + 1)
+                     - 0.5 * math.lgamma(m - 2 * k + 1)) * hermite[m - 2 * k]
+            for k in range(m // 2 + 1)
+        )
+
+    yield ("gaussian/hermite_reexpression", [np.abs(reexpressed(m) - psi[m]) for m in range(21)],
+           None, 1e-10, {})
     # kappa = 1 reduces the generalised basis to the standard one
     scaled = _g._hermite_rows(13, *_g._scaled_form(1.0), grid)
-    dev = float(np.max(np.abs(scaled - _g._psi_block(13, grid))))
-    reports.append(
-        VerificationReport.deviation_check("gaussian/scaled_kappa1", dev, ALGEBRAIC_TOL)
-    )
+    yield ("gaussian/scaled_kappa1", np.abs(scaled - _g._psi_block(13, grid)),
+           None, ALGEBRAIC_TOL, {})
     # generalised basis still reproduces the kernel pointwise (kappa = 0.7)
     t, u = np.array(pairs[:8]).T
     block = _g._hermite_rows(120, *_g._scaled_form(0.7), np.concatenate([t, u]))
     acc = np.sum(block[:, : t.size] * block[:, t.size :], axis=0)
-    dev = float(np.max(np.abs(acc - _g.gaussian_kernel(_g.GaussianScale(1.0), t, u))))
-    reports.append(
-        VerificationReport.deviation_check("gaussian/scaled_kappa0.7_converges", dev, 1e-8)
-    )
+    yield ("gaussian/scaled_kappa0.7_converges", np.abs(acc - _g.gaussian_kernel(scale, t, u)),
+           None, 1e-8, {})
     # truncated kernels dip negative for small n
     tg = np.linspace(-6.0, 6.0, 1201)
     for n in (3, 11):
         low = float(np.min(_g.gaussian_truncated(scale, n, tg, 0.0)))
-        reports.append(
-            VerificationReport.deviation_check(
-                f"gaussian/negative_exhibit/n={n}", max(0.0, low + 1e-6), 0.0, min_value=low
-            )
-        )
+        yield f"gaussian/negative_exhibit/n={n}", low + 1e-6, None, 0.0, dict(min_value=low)
     # pointwise convergence at n = 60
     sweep = truncation_sweep("gaussian", [1, 2, 4, 8, 16, 32, 60], pairs, pointwise_tol=1e-8)
-    reports.extend(r for r in sweep if "pointwise" in r.check_name)
+    yield from (r for r in sweep if "pointwise" in r.check_name)
     # krr's Gram matrix of raw rows from its first row and last column,
     # against U U^T, normwise on the scaled rows
     rows, s = _g._psi_raw(64)
@@ -694,66 +560,33 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[Veri
     gram = _hermite_gram(_hermite_raw(64, _g._PSI[1])[0], u @ u[0], u @ u[-1])
     ss = np.outer(s, s)
     dev = float(np.max(np.abs((gram - u @ u.T) * ss)) / np.max(np.abs(u @ u.T * ss)))
-    reports.append(VerificationReport.deviation_check("gaussian/krr_gram_identity", dev, 1e-14))
-    return reports
+    yield "gaussian/krr_gram_identity", dev, None, 1e-14, {}
 
 
-def suite_oracle(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    reports = []
-    grid = DEFAULT_GRID
-    for nu in range(4):
+def suite_oracle(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
+    grid = [float(t) for t in DEFAULT_GRID]
+
+    def deviations(nu: int, kind: str, ms, shift: int) -> list[float]:
+        # oracle at unified index m + shift against the closed form of (kind, m)
         order = _m.MaternOrder(nu)
-        dev = 0.0
-        for m in range(9):
-            bid = _m.MaternBasisId("plus", m)
-            for t in grid:
-                dev = max(
-                    dev,
-                    abs(convolution_oracle("matern", m, float(t), nu=nu)
-                        - _m.matern_psi(order, bid, float(t))),
-                )
-        reports.append(
-            VerificationReport.deviation_check(
-                f"oracle/matern_plus/nu={nu}", dev, 1e-6, m_max=8, grid=len(grid)
-            )
-        )
+        return [abs(convolution_oracle("matern", m + shift, t, nu=nu)
+                    - _m.matern_psi(order, _m.MaternBasisId(kind, m), t))
+                for m in ms for t in grid]
+
+    for nu in range(4):
+        yield (f"oracle/matern_plus/nu={nu}", deviations(nu, "plus", range(9), 0),
+               None, 1e-6, dict(m_max=8, grid=len(grid)))
     # the convolution vanishes identically left of the origin
-    dev = max(
-        abs(convolution_oracle("matern", m, t, nu=1))
-        for m in range(9)
-        for t in (-3.0, -1.0, -0.25)
-    )
-    reports.append(
-        VerificationReport.deviation_check("oracle/matern_negative_side", dev, ALGEBRAIC_TOL)
-    )
+    yield ("oracle/matern_negative_side",
+           [abs(convolution_oracle("matern", m, t, nu=1)) for m in range(9)
+            for t in (-3.0, -1.0, -0.25)], None, ALGEBRAIC_TOL, {})
     # null-space members come out of the same convolution at negative indices
     for nu in range(3):
-        order = _m.MaternOrder(nu)
-        dev = 0.0
-        for m in range(nu + 1):
-            bid = _m.MaternBasisId("null", m)
-            for t in grid:
-                dev = max(
-                    dev,
-                    abs(convolution_oracle("matern", -nu - 1 + m, float(t), nu=nu)
-                        - _m.matern_psi(order, bid, float(t))),
-                )
-        reports.append(
-            VerificationReport.deviation_check(
-                f"oracle/matern_null/nu={nu}", dev, 1e-6
-            )
-        )
-    dev = 0.0
-    for m in range(11):
-        for t in grid:
-            dev = max(
-                dev,
-                abs(convolution_oracle("gaussian", m, float(t)) - _g.gaussian_psi(m, float(t))),
-            )
-    reports.append(
-        VerificationReport.deviation_check("oracle/gaussian", dev, 1e-6, m_max=10)
-    )
-    return reports
+        yield (f"oracle/matern_null/nu={nu}", deviations(nu, "null", range(nu + 1), -nu - 1),
+               None, 1e-6, {})
+    yield ("oracle/gaussian",
+           [abs(convolution_oracle("gaussian", m, t) - _g.gaussian_psi(m, t))
+            for m in range(11) for t in grid], None, 1e-6, dict(m_max=10))
 
 
 _SUITES = {
@@ -771,18 +604,15 @@ def run_suite(name: str, tol: float | None = None, quad_nodes: int = 128,
               seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """Run one named suite (or ``all``), sorted by check name.
 
+    Every report is built here, from the suites' rows, by :func:`_report`.
     ``tol`` overrides every report's tolerance (the pass flags are
     recomputed); ``quad_nodes`` sets the rule sizes of quadrature-backed
     checks.
     """
-    if name == "all":
-        reports = []
-        for fn in _SUITES.values():
-            reports.extend(fn(quad_nodes=quad_nodes, seed=seed))
-    elif name in _SUITES:
-        reports = _SUITES[name](quad_nodes=quad_nodes, seed=seed)
-    else:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    suites = _SUITES.values() if name == "all" else [_SUITES[name]]
+    reports = [_report(row) for suite in suites for row in suite(quad_nodes=quad_nodes, seed=seed)]
     if tol is not None:
         reports = [r.with_tolerance(tol) for r in reports]
     return sorted(reports, key=lambda r: r.check_name)

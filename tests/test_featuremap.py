@@ -784,7 +784,7 @@ class TestMemory:
 
     def test_gaussian_krr_memory_is_the_block_buffer(self):
         # the (64, 4104) block buffer and at most five point rows of a chunk:
-        # 136-141 kB measured beyond the buffer, a block's temporaries and
+        # 135-141 kB measured beyond the buffer, a block's temporaries and
         # the predictions.  A per-chunk copy still alive while the next block
         # is built, of two block rows (64 kB) or a stacked (3, CHUNK)
         # right-hand side (96 kB), would exceed it

@@ -1,9 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kernelbasis.cauchy as cauchy_mod
+from kernelbasis.featuremap import FeatureMapSpec
 from kernelbasis.gaussian import MercerParams, gaussian_psi, hermite_fn, mercer_eigenfunction
 from kernelbasis.matern import MaternBasisId, MaternOrder, matern_psi, matern_psi_norm_sq
 from kernelbasis.quadrature import gauss_hermite_rule, gauss_laguerre_rule
@@ -14,6 +17,14 @@ from kernelbasis.verify import (
     run_suite,
     truncation_sweep,
 )
+
+CHECK_LIST = Path(__file__).with_name("verify_checks.txt")
+
+
+@pytest.fixture(scope="module")
+def all_reports():
+    # one run of every suite, shared by the tests that read all of it
+    return run_suite("all", quad_nodes=64)
 
 
 class TestReport:
@@ -126,6 +137,10 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match=match):
             gram_matrix("hermite_fn", indices, gauss_hermite_rule(16))
 
+    def test_non_integer_index_is_named(self):
+        with pytest.raises(ValueError, match=r"indices\[1\] must be a nonnegative integer"):
+            gram_matrix("gaussian_psi", [0, 1.5], gauss_hermite_rule(8))
+
     @pytest.mark.parametrize("family", ["matern_plus", "matern_minus", "hermite_fn",
                                         "gaussian_psi", "mercer"])
     def test_unordered_indices_match_per_index_reference(self, family):
@@ -183,6 +198,30 @@ class TestTruncationSweep:
         with pytest.raises(ValueError):
             truncation_sweep("gaussian", [4, 2], [(0.0, 1.0)])
 
+    def test_rejects_empty_sample_pairs(self):
+        with pytest.raises(ValueError, match="sample_pairs"):
+            truncation_sweep("gaussian", [1, 2], [])
+
+    def test_nan_error_fails_the_decay_check(self, monkeypatch):
+        # a NaN at the first n makes the decay last - first NaN, which must
+        # fail instead of reading max(0, NaN) = 0
+        truncated = FeatureMapSpec.truncated_kernel
+
+        def patched(spec, t, u):
+            vals = truncated(spec, t, u)
+            if spec.n == 1:
+                vals = vals.copy()
+                vals[0] = np.nan
+            return vals
+
+        monkeypatch.setattr(FeatureMapSpec, "truncated_kernel", patched)
+        reps = truncation_sweep("gaussian", [1, 8, 32], [(0.3, 1.1), (-0.4, 0.2)],
+                                pointwise_tol=1e-6)
+        by_name = {r.check_name: r for r in reps}
+        decay = by_name["gaussian/pointwise_decay/1->32"]
+        assert math.isnan(decay.computed) and not decay.passed
+        assert by_name["gaussian/pointwise/n=32"].passed
+
     def test_pointwise_report_carries_errors(self):
         reps = truncation_sweep("gaussian", [1, 8, 32], [(0.3, 1.1)], pointwise_tol=1e-6)
         final = [r for r in reps if r.check_name.endswith("pointwise/n=32")][0]
@@ -214,10 +253,44 @@ class TestSuites:
         assert len(reps) >= 8
         assert all(r.passed for r in reps)
 
-    def test_all_collects_everything_and_passes(self):
-        reps = run_suite("all", quad_nodes=64)
+    def test_all_collects_everything_and_passes(self, all_reports):
+        reps = all_reports
         assert len(reps) >= 60
         prefixes = {r.check_name.split("/")[0] for r in reps}
         assert prefixes == {"identities", "matern", "cauchy", "gaussian", "oracle"}
         failed = [r.check_name for r in reps if not r.passed]
         assert failed == []
+
+    def test_check_list_is_pinned(self, all_reports):
+        # any dropped, renamed or re-toleranced check changes this list
+        pinned = []
+        for line in CHECK_LIST.read_text().splitlines():
+            if line and not line.startswith("#"):
+                name, tol = line.split("\t")
+                pinned.append((name, float(tol)))
+        assert sorted((r.check_name, r.tolerance) for r in all_reports) == sorted(pinned)
+
+    def test_nan_deviation_fails(self, monkeypatch):
+        # psi_3 NaN at the first point of every call (a scalar call is that
+        # point): every Cauchy check that reads psi_3 must fail, including
+        # those whose loops took max(0, NaN) = 0 or max(x, NaN) = x
+        psi = cauchy_mod.cauchy_psi_complex
+
+        def patched(m, t):
+            vals = psi(m, t)
+            if m != 3:
+                return vals
+            if isinstance(vals, complex):
+                return complex(np.nan, 0.0)
+            vals = vals.copy()
+            vals[0] = np.nan
+            return vals
+
+        monkeypatch.setattr(cauchy_mod, "cauchy_psi_complex", patched)
+        failed = {r.check_name for r in run_suite("cauchy") if not r.passed}
+        assert failed == {
+            "cauchy/real_basis_consistency/alpha", "cauchy/real_basis_consistency/beta",
+            "cauchy/conjugate_symmetry", "cauchy/geometric_partial/n=7",
+            "cauchy/geometric_partial/n=40", "cauchy/two_expansions/n<=64",
+            "cauchy/modulus_envelope",
+        }
