@@ -83,6 +83,27 @@ def check_not_nan(x: np.ndarray, name: str = "t") -> np.ndarray:
     return x
 
 
+def scaled(lam: float, t) -> np.ndarray:
+    """lam * t as floats; an overflow is +-inf, where every block gives its limit 0."""
+    with np.errstate(over="ignore"):
+        return lam * np.asarray(t, dtype=float)
+
+
+def pair_values(kernel, lam: float, t, u):
+    """``kernel(d)`` at d = lam (t - u) over the broadcast of t and u, a float
+    for scalars.  NaN and t = u = +-inf (no limit) raise ValueError; an
+    overflow is +-inf, where every kernel gives its limit 0."""
+    x, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
+    check_not_nan(x, "t")
+    check_not_nan(y, "u")
+    same = np.isinf(x) & (x == y)
+    if np.any(same):
+        raise ValueError(f"the kernel has no limit at t = u = {x[same][0]}")
+    with np.errstate(over="ignore"):
+        vals = kernel(lam * (x - y))
+    return float(vals) if vals.ndim == 0 else vals
+
+
 def block_row(block, row: int, t):
     """Row ``row`` of ``block`` (as in stack_rows) at the points t, shaped like
     t (a float for scalar or 0-d t); ValueError where t is NaN.  The block runs
@@ -117,11 +138,10 @@ def _distinct(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
             first = core.take([0], axis=axis)
             if np.all(core.take([1], axis=axis) == first) and np.all(core == first):
                 core = first
-    with np.errstate(over="ignore"):
-        scaled = lam * core.ravel()
-    if np.all(scaled[1:] > scaled[:-1]):
-        return scaled, np.arange(scaled.size).reshape(core.shape)
-    vals, inverse = np.unique(scaled, return_inverse=True)
+    vals = scaled(lam, core.ravel())
+    if np.all(vals[1:] > vals[:-1]):
+        return vals, np.arange(vals.size).reshape(core.shape)
+    vals, inverse = np.unique(vals, return_inverse=True)
     return vals, inverse.reshape(core.shape)
 
 
@@ -149,6 +169,9 @@ def rank_product(block, lam: float, t, u):
     x, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
     xs, ix = _distinct(x, lam)
     ys, iy = _distinct(y, lam)
+    for v, vals, name in ((x, xs, "t"), (y, ys, "u")):
+        if np.isnan(vals[-1:]).any():  # np.unique sorts NaN last
+            check_not_nan(v, name)
     b = block(np.concatenate([xs, ys]))
     bx, by = b[:, : xs.size], b[:, xs.size :]
     ax, ay = ([a for a, k in enumerate(i.shape) if k > 1] for i in (ix, iy))

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._lowrank import block_row, check_int, check_lam, check_not_nan, rank_product
+from ._lowrank import block_row, check_int, check_lam, check_not_nan, pair_values, rank_product
 
 __all__ = [
     "cauchy_kernel",
@@ -46,9 +46,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def cauchy_kernel(lam: float, t, u):
     """Cauchy kernel with length-scale: 1 / (1 + lam^2 (t-u)^2)."""
     check_lam(lam)
-    d = lam * (np.asarray(t, dtype=float) - np.asarray(u, dtype=float))
-    vals = 1.0 / (1.0 + d * d)
-    return float(vals) if vals.ndim == 0 else vals
+    return pair_values(lambda d: 1.0 / (1.0 + d * d), lam, t, u)
 
 
 def cauchy_psi_complex(m: int, t):

@@ -9,15 +9,14 @@ kernel ridge regression built on it demonstrates the O(n^2 N) use case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import cauchy as _cauchy
 from . import gaussian as _gaussian
 from . import matern as _matern
-from ._lowrank import chunk_blocks, chunk_buffer, check_int, check_lam, rank_product, stack_rows
-from .orthopoly import _hermite_gram, _hermite_raw
+from ._lowrank import (chunk_blocks, chunk_buffer, check_int, check_lam, rank_product, scaled,
+                       stack_rows)
 
 __all__ = ["FeatureMapSpec", "ConditioningError", "features", "krr_fit_predict"]
 
@@ -88,18 +87,6 @@ class FeatureMapSpec:
             return _cauchy._real_basis_block(self.n, x, out)
         return _gaussian._psi_block(self.n, x, out)
 
-    def _gram_block(self):
-        """(block, s, gram): a block like :meth:`_block` of the basis rows
-        divided by s, and ``gram(first, last)``, their Gram matrix (to be
-        scaled once as s s^T) from its first row and last column: raw Hermite
-        rows (``gaussian._psi_raw``) and ``orthopoly._hermite_gram`` for the
-        Gaussian.  For the other families s and gram are None: the basis
-        rows, whose Gram matrix is summed block by block."""
-        if self.family == "gaussian":
-            rows, s = _gaussian._psi_raw(self.n)
-            return rows, s, partial(_hermite_gram, _hermite_raw(self.n, _gaussian._PSI[1])[0])
-        return self._block, None, None
-
     def truncated_kernel(self, t, u):
         """Truncated kernel the feature inner products reproduce."""
         return rank_product(self._block, self.lam, t, u)
@@ -127,13 +114,7 @@ def _scaled_block(lam: float, rows):
     """``rows(x, out)``, a block such as ``FeatureMapSpec._block``, at the
     points x = lam p for unscaled points p of shape (k,).  A scaled point may
     overflow to +-inf, where every block gives its limit, 0."""
-
-    def block(p, out=None):
-        with np.errstate(over="ignore"):
-            x = lam * p
-        return rows(x, out)
-
-    return block
+    return lambda p, out=None: rows(scaled(lam, p), out)
 
 
 def features(spec: FeatureMapSpec, points) -> np.ndarray:
@@ -141,30 +122,40 @@ def features(spec: FeatureMapSpec, points) -> np.ndarray:
     return stack_rows(_scaled_block(spec.lam, spec._block), _check_points(points), spec.dim)
 
 
-def _ridge_fit(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray, ridge: float,
-               buf: np.ndarray):
-    """(block, c) of the ridge > 0 fit: the block of ``spec._gram_block`` at
-    unscaled points, and c with predictions c @ block(x_test).  Its Gram
-    matrix and sums are freed on return, before the test blocks are built."""
-    rows, scale, edges = spec._gram_block()
-    block = _scaled_block(spec.lam, rows)
-    rhs = np.zeros(spec.dim)
-    if edges is None:
-        gram = ridge * np.eye(spec.dim)
+def _fit(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray, ridge: float, buf: np.ndarray):
+    """(block, c): a block at unscaled points and c with predictions
+    c @ block(x_test).  The fit's Gram matrix and sums are freed on return,
+    before the test blocks are built."""
+    if ridge > 0 and spec.family == "gaussian":
+        rows, scale, edges = _gaussian._psi_raw(spec.n)
+        block = _scaled_block(spec.lam, rows)
+        first, last, rhs = np.zeros(spec.dim), np.zeros(spec.dim), np.zeros(spec.dim)
+        for s, b in chunk_blocks(block, x, buf):
+            first += b @ b[0]
+            last += b @ b[-1]
+            rhs += b @ y[s]
+        # the Gram matrix from its edges, scaled before the ridge goes on
+        gram = edges(first, last)
+        gram *= np.outer(scale, scale)
+        gram[np.diag_indices(spec.dim)] += ridge
+        return block, scale * np.linalg.solve(gram, scale * rhs)
+    block = _scaled_block(spec.lam, spec._block)
+    if ridge > 0:
+        gram, rhs = ridge * np.eye(spec.dim), np.zeros(spec.dim)
         for s, b in chunk_blocks(block, x, buf):
             gram += b @ b.T
             rhs += b @ y[s]
         return block, np.linalg.solve(gram, rhs)
-    first, last = np.zeros(spec.dim), np.zeros(spec.dim)
-    for s, b in chunk_blocks(block, x, buf):
-        first += b @ b[0]
-        last += b @ b[-1]
-        rhs += b @ y[s]
-    # the Gram matrix from its edges, scaled before the ridge goes on
-    gram = edges(first, last)
-    gram *= np.outer(scale, scale)
-    gram[np.diag_indices(spec.dim)] += ridge
-    return block, scale * np.linalg.solve(gram, scale * rhs)
+    F = stack_rows(block, x, spec.dim, buf)
+    gram = F @ F.T
+    cond = float(np.linalg.cond(gram))
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise ConditioningError(
+            f"ridge=0 interpolation is numerically singular "
+            f"(estimated condition number {cond:.3e}); add regularisation",
+            cond=cond,
+        )
+    return block, F.T @ np.linalg.solve(gram, y)
 
 
 def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x) -> np.ndarray:
@@ -174,7 +165,7 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
     (F^T F + ridge I) c = F^T y by ``np.linalg.solve`` and predicts F_test c.  F^T F
     and F^T y are accumulated over chunks of points, whose blocks share one
     buffer, so F is never formed and memory does not grow with N.  Gaussian
-    blocks are raw Hermite rows U = D^-1 F^T (``FeatureMapSpec._gram_block``),
+    blocks are raw Hermite rows U = D^-1 F^T (``gaussian._psi_raw``),
     which skip the normalising multiply of every row.  U U^T is not summed:
     each chunk adds its first row and last column, two matrix-vector
     products beside U y, and the Hermite three-term identity builds the
@@ -188,7 +179,9 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
     which must be well conditioned: more points than features (rank at
     most dim < N) raise :class:`ConditioningError` with cond = inf before F
     is formed, and duplicated inputs raise it with the estimated condition
-    number.
+    number.  Its coefficients are c = F^T (F F^T)^-1 y.  Both ridges
+    stream their predictions c @ block(x_test) chunk by chunk, so the test
+    feature matrix is never formed either.
     """
     train_y = np.asarray(train_y, dtype=float)
     if np.shape(train_x) != train_y.shape:
@@ -207,21 +200,8 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
         )
     # one buffer serves the training and the test chunks
     buf = chunk_buffer(spec.dim, x.size, xt.size)
-    if ridge > 0:
-        block, coef = _ridge_fit(spec, x, y, ridge, buf)
-        pred = np.empty(xt.size)
-        for s, b in chunk_blocks(block, xt, buf):
-            pred[s] = coef @ b
-        return pred
-    block = _scaled_block(spec.lam, spec._block)
-    F = stack_rows(block, x, spec.dim, buf)
-    gram = F @ F.T
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(
-            f"ridge=0 interpolation is numerically singular "
-            f"(estimated condition number {cond:.3e}); add regularisation",
-            cond=cond,
-        )
-    dual = np.linalg.solve(gram, y)
-    return stack_rows(block, xt, spec.dim, buf) @ (F.T @ dual)
+    block, coef = _fit(spec, x, y, ridge, buf)
+    pred = np.empty(xt.size)
+    for s, b in chunk_blocks(block, xt, buf):
+        pred[s] = coef @ b
+    return pred

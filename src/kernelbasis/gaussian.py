@@ -21,18 +21,20 @@ basis is the RKHS basis.
 
 The block also gives raw RKHS rows psi_m / s_m (:func:`_psi_raw`), with no
 normalising multiply per row, for the kernel ridge regression's Gram
-matrix, which applies s once; every other caller uses the basis rows.
+matrix, which applies s once and is built from its first row and last
+column; every other caller uses the basis rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._lowrank import check_int, check_lam, rank_product
-from .orthopoly import _hermite_coef, _hermite_raw, _last_row, _recur
+from ._lowrank import check_int, check_lam, pair_values, rank_product, scaled
+from .orthopoly import _hermite_coef, _hermite_gram, _hermite_raw, _last_row, _recur
 from .report import VerificationReport
 
 __all__ = [
@@ -103,9 +105,7 @@ def _beta_delta_sq(alpha: float) -> tuple[float, float]:
 
 def gaussian_kernel(scale: GaussianScale, t, u):
     """Gaussian kernel exp(-lam^2 (t-u)^2 / 2)."""
-    d = scale.lam * (np.asarray(t, dtype=float) - np.asarray(u, dtype=float))
-    vals = np.exp(-0.5 * d * d)
-    return float(vals) if vals.ndim == 0 else vals
+    return pair_values(lambda d: np.exp(-0.5 * d * d), scale.lam, t, u)
 
 
 # beyond this |x| every seed e^{-x^2/v} (v < 1e297) is 0, and x^2 stays finite
@@ -149,10 +149,13 @@ def _psi_block(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 
 
 def _psi_raw(n: int):
-    """(block, s): rows m = 0..n-1 of psi_m / s_m at (already scaled) points
-    x, by ``block(x, out)``, and their scale s (see :func:`_psi_block`)."""
+    """(block, s, gram): rows m = 0..n-1 of psi_m / s_m at (already scaled)
+    points x, by ``block(x, out)``, their scale s (see :func:`_psi_block`),
+    and ``gram(first, last)``, their Gram matrix (to be scaled once as
+    s s^T) from its first row and last column (``orthopoly._hermite_gram``)."""
     coef, s = _hermite_raw(n, _PSI[1])
-    return (lambda x, out=None: _hermite_rows(n, *_PSI, x, out, coef)), s
+    return ((lambda x, out=None: _hermite_rows(n, *_PSI, x, out, coef)), s,
+            partial(_hermite_gram, coef))
 
 
 def _scaled_form(kappa: float) -> tuple[float, float, float, float]:
@@ -181,7 +184,7 @@ def hermite_fn(m: int, t):
 
 def gaussian_psi(m: int, t, scale: GaussianScale = GaussianScale()):
     """RKHS basis function psi_m evaluated at lam * t."""
-    return _last_row(_hermite_rows, m, scale.lam * np.asarray(t, dtype=float), *_PSI)
+    return _last_row(_hermite_rows, m, scaled(scale.lam, t), *_PSI)
 
 
 def gaussian_psi_scaled(m: int, kappa: float, t):

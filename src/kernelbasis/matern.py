@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lowrank import block_row, check_int, check_lam, rank_product, stack_rows
+from ._lowrank import (block_row, check_int, check_lam, check_not_nan, pair_values, rank_product,
+                       scaled, stack_rows)
 from .laguerre import _weighted_rows
 from .orthopoly import _LN2_HI, _LN2_LO
 from .quadrature import _legendre_rule
@@ -154,17 +155,19 @@ def matern_kernel(order: MaternOrder, t, u):
     meets e^{-d}.  At d = 0 only the k = nu term is nonzero, and it is
     exactly 1.
     """
-    nu = order.nu
-    d = order.lam * np.abs(np.asarray(t, dtype=float) - np.asarray(u, dtype=float))
-    # an infinite distance is the largest float, so it gives 0 and not inf - inf
-    d = np.minimum(d, np.finfo(float).max)
-    with np.errstate(divide="ignore"):
-        log2d = math.log(2.0) + np.log(d)
-    vals = np.zeros_like(d)
-    for k, logc in enumerate(_kernel_log_coef(nu)):
-        # (nu - k) log 2d is -inf at d = 0 for k < nu and absent for k = nu
-        vals += np.exp((nu - k) * log2d + logc - d) if k < nu else np.exp(logc - d)
-    return float(vals) if vals.ndim == 0 else vals
+    def kernel(d):
+        nu = order.nu
+        # an infinite distance is the largest float, so it gives 0 and not inf - inf
+        d = np.minimum(np.abs(d), np.finfo(float).max)
+        with np.errstate(divide="ignore"):
+            log2d = math.log(2.0) + np.log(d)
+        vals = np.zeros_like(d)
+        for k, logc in enumerate(_kernel_log_coef(nu)):
+            # (nu - k) log 2d is -inf at d = 0 for k < nu and absent for k = nu
+            vals += np.exp((nu - k) * log2d + logc - d) if k < nu else np.exp(logc - d)
+        return vals
+
+    return pair_values(kernel, order.lam, t, u)
 
 
 def _rows(nu: int, count: int, x: np.ndarray, out=None):
@@ -227,10 +230,10 @@ def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
     basis_id.validate_for(order)
     lam, nu, kind, m = order.lam, order.nu, basis_id.kind, basis_id.m
     if kind == "null":
-        return block_row(lambda p: _null_block(nu, lam * p), m, t)
+        return block_row(lambda p: _null_block(nu, scaled(lam, p)), m, t)
 
     def handed_row(p: np.ndarray) -> np.ndarray:
-        x = lam * p
+        x = scaled(lam, p)
         return _handed_class(_handed_rows(nu, m + 1, x)[-1:], x, kind)
 
     return block_row(handed_row, 0, t)
@@ -261,8 +264,8 @@ def matern_truncated(tr: MaternTruncation, t, u):
 
 def matern_feature_map(tr: MaternTruncation, t) -> np.ndarray:
     """Feature vector [psi0_0..psi0_nu, psi-_0..psi-_{n-1}, psi+_0..psi+_{n-1}]
-    at lam * t, so that dot(f(t), f(u)) == matern_truncated(t, u)."""
-    x = tr.order.lam * np.asarray(t, dtype=float)
+    at lam * t, so that dot(f(t), f(u)) == matern_truncated(t, u); NaN t raises."""
+    x = check_not_nan(scaled(tr.order.lam, t))
     return stack_rows(lambda p, out: _basis_block(tr, p, out), x.ravel(), tr.dim).reshape(
         *x.shape, tr.dim)
 

@@ -25,7 +25,7 @@ from . import matern as _m
 from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
 from .laguerre import check_identity, laguerre_fn_ft
-from .orthopoly import _hermite_gram, _hermite_raw, hermite_normalized, laguerre
+from .orthopoly import hermite_normalized, laguerre
 from .quadrature import (
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
@@ -555,9 +555,9 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     yield from (r for r in sweep if "pointwise" in r.check_name)
     # krr's Gram matrix of raw rows from its first row and last column,
     # against U U^T, normwise on the scaled rows
-    rows, s = _g._psi_raw(64)
+    rows, s, edges = _g._psi_raw(64)
     u = rows(np.random.default_rng(seed).uniform(-4.0, 4.0, 2000))
-    gram = _hermite_gram(_hermite_raw(64, _g._PSI[1])[0], u @ u[0], u @ u[-1])
+    gram = edges(u @ u[0], u @ u[-1])
     ss = np.outer(s, s)
     dev = float(np.max(np.abs((gram - u @ u.T) * ss)) / np.max(np.abs(u @ u.T * ss)))
     yield "gaussian/krr_gram_identity", dev, None, 1e-14, {}

@@ -162,6 +162,13 @@ class TestEval:
         assert code == 2 and out == ""
         assert err == "usage error: --grid points must be finite\n"
 
+    @pytest.mark.parametrize("what", ["kernel", "truncated"])
+    def test_nan_second_argument_is_usage_error(self, capsys, what):
+        code, out, err = run_cli(capsys, "eval", "--family", "matern", "--what", what,
+                                 "--grid", "0:1:2", "--u", "nan")
+        assert code == 2 and out == ""
+        assert err == "usage error: u is NaN at 2 of 2 points\n"
+
     @pytest.mark.parametrize("what", ["kernel", "truncated", "basis"])
     @pytest.mark.parametrize("family", ["matern", "cauchy", "gaussian"])
     def test_infinite_lambda_is_usage_error(self, capsys, family, what):

@@ -1,6 +1,8 @@
 """Every single-function evaluator over the whole float range: a finite value
 (an underflow to 0 included) or a ValueError, never a silent NaN or inf.
-NaN points raise, and at +-inf every evaluator gives its limit 0."""
+NaN points raise, and at +-inf every evaluator gives its limit 0.  So do the
+kernels of two points, except the closed-form kernels at t = u = +-inf, which
+have no limit there and raise."""
 
 import math
 
@@ -73,3 +75,102 @@ def test_complex_evaluators_vanish_at_infinity(call, m):
     assert vals[0] == 0 and vals[-1] == 0
     # the finite points keep the values they have on their own
     assert vals[1] == call(m, -2.0) and vals[2] == call(m, 0.5)
+
+
+_TR = kb.MaternTruncation(kb.MaternOrder(2), 5)
+_SPECS = [kb.FeatureMapSpec("matern", n=5, nu=2), kb.FeatureMapSpec("cauchy", lam=0.7, n=6),
+          kb.FeatureMapSpec("gaussian", lam=1.1, n=9)]
+# call(t, u); the feature map is the one-point case, which reads t only
+_PAIR_EVALUATORS = {
+    "matern_kernel": lambda t, u: kb.matern_kernel(kb.MaternOrder(2), t, u),
+    "cauchy_kernel": lambda t, u: kb.cauchy_kernel(1.0, t, u),
+    "gaussian_kernel": lambda t, u: kb.gaussian_kernel(kb.GaussianScale(), t, u),
+    "matern_truncated": lambda t, u: kb.matern_truncated(_TR, t, u),
+    "cauchy_truncated": lambda t, u: kb.cauchy_truncated(1.0, 6, t, u),
+    "gaussian_truncated": lambda t, u: kb.gaussian_truncated(kb.GaussianScale(), 9, t, u),
+    **{f"spec_{s.family}.kernel": s.kernel for s in _SPECS},
+    **{f"spec_{s.family}.truncated_kernel": s.truncated_kernel for s in _SPECS},
+    "matern_feature_map": lambda t, u: kb.matern_feature_map(_TR, t),
+}
+_CLOSED_FORM = ["cauchy_kernel", "gaussian_kernel", "matern_kernel",
+                "spec_cauchy.kernel", "spec_gaussian.kernel", "spec_matern.kernel"]
+
+
+def _must_raise(name, t, u):
+    """A NaN the evaluator reads, or t = u = +-inf for a closed-form kernel."""
+    if name == "matern_feature_map":
+        return math.isnan(t)
+    return math.isnan(t) or math.isnan(u) or (name in _CLOSED_FORM and math.isinf(t) and t == u)
+
+
+_POINTS = st.one_of(st.sampled_from(_EXTREMES), st.floats())
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_EVALUATORS))
+@settings(max_examples=30, deadline=None)
+@given(_POINTS, _POINTS)
+@example(math.nan, 0.5)
+@example(0.5, math.nan)
+@example(math.inf, math.inf)
+@example(-math.inf, -math.inf)
+@example(math.inf, -math.inf)
+@example(-math.inf, 2.0)
+@example(1.7e308, -1.7e308)
+def test_pair_gives_a_finite_value_or_value_error(name, t, u):
+    try:
+        val = _PAIR_EVALUATORS[name](t, u)
+    except ValueError:
+        assert _must_raise(name, t, u), f"{name} raised at ({t!r}, {u!r})"
+        return
+    assert not _must_raise(name, t, u), f"{name} returned {val!r} at ({t!r}, {u!r})"
+    assert np.all(np.isfinite(val)), f"{name} returned {val!r} at ({t!r}, {u!r})"
+    if math.isinf(t) or (math.isinf(u) and name != "matern_feature_map"):
+        assert np.all(val == 0), f"{name} returned {val!r}, not its limit 0, at ({t!r}, {u!r})"
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_EVALUATORS))
+def test_nan_in_a_pair_raises_naming_it(name):
+    nan3 = np.array([0.5, math.nan, -1.0])
+    with pytest.raises(ValueError, match="t is NaN at 1 of 3 points"):
+        _PAIR_EVALUATORS[name](nan3, 0.25)
+    if name != "matern_feature_map":
+        with pytest.raises(ValueError, match="u is NaN at 1 of 3 points"):
+            _PAIR_EVALUATORS[name](0.25, nan3)
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORM)
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+def test_kernel_has_no_limit_at_a_same_sign_infinite_pair(name, inf):
+    with pytest.raises(ValueError, match=f"no limit at t = u = {inf}"):
+        _PAIR_EVALUATORS[name](np.array([0.5, inf]), inf)
+    # one infinite point, or infinities of opposite signs: the limit 0
+    assert _PAIR_EVALUATORS[name](inf, -inf) == 0
+    assert np.array_equal(_PAIR_EVALUATORS[name](np.array([inf, 0.5]), -inf), [0.0, 0.0])
+
+
+_BIG = 1e200
+# lam * t or t - u past the float range: each gives its limit 0 with no warning
+_OVERFLOWS = {
+    "matern_psi/null": lambda: kb.matern_psi(
+        kb.MaternOrder(2, _BIG), kb.MaternBasisId("null", 1), _BIG),
+    "matern_psi/plus": lambda: kb.matern_psi(
+        kb.MaternOrder(2, _BIG), kb.MaternBasisId("plus", 1), _BIG),
+    "matern_psi/minus": lambda: kb.matern_psi(
+        kb.MaternOrder(2, _BIG), kb.MaternBasisId("minus", 1), -_BIG),
+    "gaussian_psi": lambda: kb.gaussian_psi(3, _BIG, kb.GaussianScale(_BIG)),
+    "matern_feature_map": lambda: kb.matern_feature_map(
+        kb.MaternTruncation(kb.MaternOrder(2, _BIG), 3), [_BIG, -_BIG]),
+    "matern_kernel/lam": lambda: kb.matern_kernel(kb.MaternOrder(2, _BIG), _BIG, 0.0),
+    "cauchy_kernel/lam": lambda: kb.cauchy_kernel(_BIG, _BIG, 0.0),
+    "gaussian_kernel/lam": lambda: kb.gaussian_kernel(kb.GaussianScale(_BIG), _BIG, 0.0),
+    "matern_kernel/difference": lambda: kb.matern_kernel(kb.MaternOrder(2), 1.7e308, -1.7e308),
+    "cauchy_kernel/difference": lambda: kb.cauchy_kernel(1.0, 1.7e308, -1.7e308),
+    "gaussian_kernel/difference": lambda: kb.gaussian_kernel(
+        kb.GaussianScale(), 1.7e308, -1.7e308),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(_OVERFLOWS))
+def test_overflow_gives_the_limit_without_a_warning(name):
+    assert np.all(_OVERFLOWS[name]() == 0)

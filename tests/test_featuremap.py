@@ -587,7 +587,7 @@ def _raw_gaussian_krr(spec, x, y, xt):
     Hermite blocks U, one per chunk: the Gram matrix G = U U^T from its first
     row and last column (orthopoly._hermite_gram), (D G D + ridge I) c = D U y,
     and predictions (D c) U_test, with D the rows' scale."""
-    rows, scale = _psi_raw(spec.n)
+    rows, scale, _ = _psi_raw(spec.n)
     first, last, rhs = np.zeros(spec.dim), np.zeros(spec.dim), np.zeros(spec.dim)
     with np.errstate(over="ignore"):  # lam * 1.7e308
         for s in chunks(x.size):
@@ -649,7 +649,7 @@ def test_raw_gaussian_krr_matches_normalised_blocks(n):
 def _raw_rows_and_reference_gram(n, lam, x):
     """Raw Hermite rows U (n, N) at lam x, their scale s and the Gram matrix
     U U^T summed in long double."""
-    rows, scale = _psi_raw(n)
+    rows, scale, _ = _psi_raw(n)
     with np.errstate(over="ignore"):  # lam * 1.7e308
         u = rows(lam * x)
     wide = u.astype(np.longdouble)
@@ -781,6 +781,15 @@ class TestMemory:
         x, xt = _points(200_000, 1), _points(1000, 2)
         y = np.sin(2.0 * x)
         assert _peak_bytes(lambda: krr_fit_predict(spec, x, y, 1e-3, xt)) < 32e6
+
+    def test_interpolation_memory_does_not_grow_with_the_test_set(self):
+        # ridge = 0 streams its predictions as ridge > 0 does: the (64, 4104)
+        # block buffer and the 1.6 MB of predictions.  The (2e5, 64) test
+        # feature matrix would take 102 MB
+        spec = FeatureMapSpec("gaussian", n=64)
+        x, xt = _points(8, 1), _points(200_000, 2)
+        y = np.sin(2.0 * x)
+        assert _peak_bytes(lambda: krr_fit_predict(spec, x, y, 0.0, xt)) < 16e6
 
     def test_gaussian_krr_memory_is_the_block_buffer(self):
         # the (64, 4104) block buffer and at most five point rows of a chunk:

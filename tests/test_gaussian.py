@@ -370,7 +370,7 @@ def test_raw_rows_are_the_basis_over_their_scale():
     # (|x| in 45.5..47.3) or 0 (|x| > 47.3), and the origin
     x = np.concatenate([[0.0, -0.0, 5e-324], np.random.default_rng(5).uniform(-50.0, 50.0, 3000),
                         np.linspace(45.5, 47.4, 200), np.linspace(-47.4, -45.5, 200)])
-    rows, s = _psi_raw(512)
+    rows, s, _ = _psi_raw(512)
     raw, psi = rows(x.copy()), _psi_block(512, x.copy())
     seed, tiny = psi[0], np.finfo(float).tiny
     normal, subnormal, zero = seed >= tiny, (seed > 0) & (seed < tiny), seed == 0
