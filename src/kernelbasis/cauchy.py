@@ -121,12 +121,19 @@ def cauchy_partial_sum_closed_form(n: int, t: float, u: float) -> complex:
     First term psi_0^*(t) psi_0(u) = 1/(2 (-it-1)(iu-1)) and ratio
     q = t u / ((-it-1)(iu-1)), which satisfies |q| < 1 for all finite real
     t, u.  The n -> infty limit is 1/(2 ((-it-1)(iu-1) - tu)); the same
-    value with t and u exchanged is its complex conjugate.
+    value with t and u exchanged is its complex conjugate.  NaN t or u
+    raises.  Where t or u is infinite or t u overflows, every term is below
+    1/(2|t u|) < 3e-309 in modulus, and the sum is 0, its limit at infinity;
+    where q rounds to 1 it is n first terms.
     """
     check_int(n, "n", 1)
+    check_not_nan(np.asarray(t, dtype=float), "t")
+    check_not_nan(np.asarray(u, dtype=float), "u")
+    if not math.isfinite(float(t) * float(u)):
+        return 0j
     denom = (-1j * t - 1.0) * (1j * u - 1.0)
     q = (t * u) / denom
-    if abs(q) >= 1.0:
-        raise ValueError(f"geometric ratio |q| = {abs(q)} >= 1; sum does not converge")
     first = 0.5 / denom
+    if q == 1.0:
+        return complex(n * first)
     return complex(first * (1.0 - q**n) / (1.0 - q))

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from ._lowrank import chunks
-from .featuremap import ConditioningError, FeatureMapSpec, features, krr_fit_predict
+from .featuremap import FAMILIES, ConditioningError, FeatureMapSpec, features, krr_fit_predict
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="emit kernel/basis/truncated values on a grid")
-    p_eval.add_argument("--family", choices=("matern", "cauchy", "gaussian"), required=True)
+    p_eval.add_argument("--family", choices=FAMILIES, required=True)
     p_eval.add_argument("--nu", type=int, default=0, help="Matern smoothness index")
     p_eval.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_eval.add_argument("--what", choices=("kernel", "basis", "truncated"), required=True)
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_demo = sub.add_parser("demo-krr", help="reduced-rank vs full-kernel ridge regression")
-    p_demo.add_argument("--family", choices=("matern", "cauchy", "gaussian"), default="gaussian")
+    p_demo.add_argument("--family", choices=FAMILIES, default="gaussian")
     p_demo.add_argument("--nu", type=int, default=1)
     p_demo.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_demo.add_argument("--n", type=int, default=64)

@@ -81,8 +81,7 @@ class FeatureMapSpec:
         """Basis rows (dim, N) at already scaled points x of shape (N,),
         written into ``out`` when it is given."""
         if self.family == "matern":
-            order = _matern.MaternOrder(self.nu, self.lam)
-            return _matern._basis_block(_matern.MaternTruncation(order, self.n), x, out)
+            return _matern._basis_block(self.nu, self.n, x, out)
         if self.family == "cauchy":
             return _cauchy._real_basis_block(self.n, x, out)
         return _gaussian._psi_block(self.n, x, out)

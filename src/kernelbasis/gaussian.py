@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from ._lowrank import check_int, check_lam, pair_values, rank_product, scaled
+from ._lowrank import check_int, check_lam, check_not_nan, pair_values, rank_product, scaled
 from .orthopoly import _hermite_coef, _hermite_gram, _hermite_raw, _last_row, _recur
 from .report import VerificationReport
 
@@ -211,9 +211,11 @@ def mercer_eigenfunction(params: MercerParams, m: int, t):
 
 
 def mercer_weight(params: MercerParams, t):
-    """Gaussian weight w_alpha(t) = alpha pi^{-1/2} e^{-alpha^2 t^2}."""
-    x = np.asarray(t, dtype=float)
-    vals = params.alpha / math.sqrt(math.pi) * np.exp(-params.alpha**2 * x * x)
+    """Gaussian weight w_alpha(t) = alpha pi^{-1/2} e^{-alpha^2 t^2}; NaN t
+    raises, and where alpha^2 t^2 overflows the weight is its limit 0."""
+    x = check_not_nan(np.asarray(t, dtype=float))
+    with np.errstate(over="ignore"):
+        vals = params.alpha / math.sqrt(math.pi) * np.exp(-params.alpha**2 * x * x)
     return float(vals) if np.ndim(t) == 0 else vals
 
 

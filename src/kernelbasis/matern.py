@@ -15,7 +15,9 @@ sum_j (-1)^j C(nu+1, j) L_{M-j} = L_M^(-nu-1), and R_M = psi+_{M-nu-1} for
 M > nu, since L_{m+nu+1}^(-nu-1)(s) = m!/(m+nu+1)! (-s)^(nu+1) L_m^(nu+1)(s).
 Row M is the two-sided index M - nu - 1 of :func:`matern_psi_unified`.  On
 t < 0 the null rows mirror, psi0_m(t) = (-1)^nu psi0_{nu-m}(-t), so the
-whole block is one weighted recurrence on |t|.
+whole block is one weighted recurrence on |t|, written by
+:func:`_basis_block` (n = 0 is the null block alone).  A handed evaluator
+keeps rows M > nu of the same recurrence and mirrors no null row.
 
 A scaling lam enters as psi(lam t) and r(lam t, lam u).  The ``null`` class
 alone reproduces the kernel whenever the arguments lie on opposite sides of
@@ -170,71 +172,51 @@ def matern_kernel(order: MaternOrder, t, u):
     return pair_values(kernel, order.lam, t, u)
 
 
-def _rows(nu: int, count: int, x: np.ndarray, out=None):
-    """Rows M = 0..count-1 at (already scaled) points x, written into ``out``
-    (an array or a list of row views) when it is given: psi0_M for M <= nu,
-    then psi+_{M-nu-1} where x >= 0 and psi-_{M-nu-1} where x < 0.  One
-    recurrence on |x| gives R_M(|x|), signed (-1)^nu where x < 0; there
-    the null rows are then reversed."""
-    rows = _weighted_rows(count, -nu - 1, _log_c(nu), x, out, (-1.0) ** (nu + 1), nu % 2 == 1)
+def _basis_block(nu: int, n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """All nu+1+2n basis values at (already scaled) points x, ordered
+    null/minus/plus, written into ``out`` (dim, N) when it is given; n = 0
+    is the null block alone.  One recurrence on |x| writes R_M(|x|), signed
+    (-1)^nu where x < 0, into the null slot and then the plus slot.  Where
+    x < 0 the null rows are then reversed.  The handed rows are split
+    between the plus and minus slots: plus lives on x >= 0, minus on x < 0,
+    and every other column is exactly +0.0, even where the rows are not
+    finite.  The bits of each column are ANDed with an all-ones or
+    all-zeros word, so no select temporaries are made."""
+    out = np.empty((nu + 1 + 2 * n, x.size)) if out is None else out
+    null, minus, plus = out[: nu + 1], out[nu + 1 : nu + 1 + n], out[nu + 1 + n :]
+    _weighted_rows(nu + 1 + n, -nu - 1, _log_c(nu), x, [*null, *plus], (-1.0) ** (nu + 1),
+                   nu % 2 == 1)
     left = np.flatnonzero(x < 0)
-    null = rows[: nu + 1]
     for row, mirrored in zip(null, [row[left] for row in null[::-1]]):
         row[left] = mirrored
-    return rows
+    if n:
+        bits = plus.view(np.uint64)
+        np.bitwise_and(bits, np.negative((x < 0).astype(np.uint64)), out=minus.view(np.uint64))
+        np.bitwise_and(bits, np.negative((x >= 0).astype(np.uint64)), out=bits)
+    return out
 
 
 def _handed_rows(nu: int, count: int, x: np.ndarray) -> np.ndarray:
     """Rows m = 0..count-1 at (already scaled) points x of psi+_{m,nu}(x) where
-    x >= 0 and psi-_{m,nu}(x) where x < 0."""
-    return _rows(nu, nu + 1 + count, x)[nu + 1 :]
-
-
-def _handed_class(rows: np.ndarray, x: np.ndarray, kind: str,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The ``kind`` class from _handed_rows (or one of its rows): plus lives on
-    x >= 0, minus on x < 0, and every other column is exactly +0.0, even
-    where the rows are not finite.  The bits of each column are ANDed with
-    an all-ones or all-zeros word, so no select temporaries are made and
-    ``out`` may be ``rows``."""
-    side = x < 0 if kind == "minus" else x >= 0
-    out = np.empty_like(rows) if out is None else out
-    np.bitwise_and(rows.view(np.uint64), np.negative(side.astype(np.uint64)),
-                   out=out.view(np.uint64))
-    return out
-
-
-def _null_block(nu: int, x: np.ndarray) -> np.ndarray:
-    """Rows m = 0..nu of psi0_{m,nu} at (already scaled) points x."""
-    return _rows(nu, nu + 1, x)
-
-
-def _basis_block(tr: MaternTruncation, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """All nu+1+2n basis values at scaled points, ordered null/minus/plus,
-    written into ``out`` (dim, N) when it is given.  One recurrence writes
-    the null slot and then the plus slot; the handed rows are then split
-    between the plus and minus slots."""
-    nu, n = tr.order.nu, tr.n
-    out = np.empty((tr.dim, x.size)) if out is None else out
-    null, minus, plus = out[: nu + 1], out[nu + 1 : nu + 1 + n], out[nu + 1 + n :]
-    _rows(nu, nu + 1 + n, x, [*null, *plus])
-    _handed_class(plus, x, "minus", minus)
-    _handed_class(plus, x, "plus", plus)
-    return out
+    x >= 0 and psi-_{m,nu}(x) where x < 0: rows nu+1 onward of the sequence
+    of :func:`_basis_block`, whose null rows are not mirrored."""
+    return _weighted_rows(nu + 1 + count, -nu - 1, _log_c(nu), x, None, (-1.0) ** (nu + 1),
+                          nu % 2 == 1)[nu + 1 :]
 
 
 def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
-    """Evaluate one Matern--Laguerre basis function at lam * t: row m of
-    :func:`_null_block`, or the last of m + 1 :func:`_handed_rows` kept to
-    its class."""
+    """Evaluate one Matern--Laguerre basis function at lam * t: row m of the
+    null block of :func:`_basis_block`, or the last of m + 1
+    :func:`_handed_rows` kept to its side of the origin."""
     basis_id.validate_for(order)
     lam, nu, kind, m = order.lam, order.nu, basis_id.kind, basis_id.m
     if kind == "null":
-        return block_row(lambda p: _null_block(nu, scaled(lam, p)), m, t)
+        return block_row(lambda p: _basis_block(nu, 0, scaled(lam, p)), m, t)
 
     def handed_row(p: np.ndarray) -> np.ndarray:
         x = scaled(lam, p)
-        return _handed_class(_handed_rows(nu, m + 1, x)[-1:], x, kind)
+        side = x < 0 if kind == "minus" else x >= 0
+        return np.where(side, _handed_rows(nu, m + 1, x)[-1:], 0.0)
 
     return block_row(handed_row, 0, t)
 
@@ -259,15 +241,15 @@ def matern_truncated(tr: MaternTruncation, t, u):
     Whenever sign t != sign u every handed term vanishes and the value
     reduces to the null-space sum, which equals the kernel exactly.
     """
-    return rank_product(lambda x: _basis_block(tr, x), tr.order.lam, t, u)
+    return rank_product(functools.partial(_basis_block, tr.order.nu, tr.n), tr.order.lam, t, u)
 
 
 def matern_feature_map(tr: MaternTruncation, t) -> np.ndarray:
     """Feature vector [psi0_0..psi0_nu, psi-_0..psi-_{n-1}, psi+_0..psi+_{n-1}]
     at lam * t, so that dot(f(t), f(u)) == matern_truncated(t, u); NaN t raises."""
     x = check_not_nan(scaled(tr.order.lam, t))
-    return stack_rows(lambda p, out: _basis_block(tr, p, out), x.ravel(), tr.dim).reshape(
-        *x.shape, tr.dim)
+    block = functools.partial(_basis_block, tr.order.nu, tr.n)
+    return stack_rows(block, x.ravel(), tr.dim).reshape(*x.shape, tr.dim)
 
 
 def matern_psi_norm_sq(order: MaternOrder, m: int) -> float:

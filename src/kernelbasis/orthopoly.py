@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from ._lowrank import block_row, check_int
+from ._lowrank import block_row, check_int, check_not_nan
 
 __all__ = [
     "MAX_DEGREE",
@@ -150,9 +150,9 @@ def hermite(m: int, t):
     large degrees.
     """
     _check_degree(m)
-    x = np.asarray(t, dtype=float)
-    p_prev, p = np.ones_like(x), 2.0 * x
+    x = check_not_nan(np.asarray(t, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):  # a value beyond float64 raises below
+        p_prev, p = np.ones_like(x), 2.0 * x
         for k in range(1, m):
             p, p_prev = 2.0 * x * p - 2.0 * k * p_prev, p
     vals = _check_finite(p if m else p_prev, m)

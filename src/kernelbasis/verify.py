@@ -355,7 +355,7 @@ def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
                    dict(nodes=quad_nodes, m_max=idx[-1]))
     # null-space symmetry psi0_{nu-m}(t) = (-1)^nu psi0_m(-t)
     for nu in range(7):
-        block = _m._null_block(nu, np.concatenate([grid, -grid]))
+        block = _m._basis_block(nu, 0, np.concatenate([grid, -grid]))
         lhs, rhs = block[::-1, : grid.size], (-1.0) ** nu * block[:, grid.size :]
         yield f"matern/null_symmetry/nu={nu}", np.abs(lhs - rhs), None, ALGEBRAIC_TOL, {}
     # uniform bound over the unified two-sided index
@@ -368,7 +368,7 @@ def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
         # over the whole null block and 31 handed rows on either side
         handed = np.abs(_m._handed_rows(nu, 31, tgrid))
         minus = 29 - nu if nu < 29 else 31
-        peak = float(np.max([np.max(np.abs(_m._null_block(nu, tgrid))),
+        peak = float(np.max([np.max(np.abs(_m._basis_block(nu, 0, tgrid))),
                              np.max(handed[:, tgrid >= 0]), np.max(handed[:minus, tgrid < 0])]))
         yield (f"matern/uniform_bound/nu={nu}", peak - bound, None, ALGEBRAIC_TOL,
                dict(peak=peak, bound=bound))
@@ -384,7 +384,7 @@ def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     # classical (1+d)e^-d and (1+d+d^2/3)e^-d closed forms
     dgrid = np.linspace(0.0, 6.0, 61)
     for nu in (*range(7), *_LARGE_NUS):
-        block = _m._null_block(nu, np.concatenate([[0.0], dgrid]))
+        block = _m._basis_block(nu, 0, np.concatenate([[0.0], dgrid]))
         nullsum = np.sum(block[:, :1] * block[:, 1:], axis=0)
         yield (f"matern/null_reconstruction/nu={nu}",
                np.abs(nullsum - _m.matern_kernel(_m.MaternOrder(nu), 0.0, dgrid)),

@@ -179,6 +179,11 @@ class TestGeometricClosedForm:
         with pytest.raises(ValueError):
             cauchy_partial_sum_closed_form(0, 1.0, 2.0)
 
+    def test_ratio_that_rounds_to_one_gives_n_first_terms(self):
+        # q = 1e200/(1e200 + 1) is 1 in floats; each term is 1/(2 (1e200 + 1))
+        assert cauchy_partial_sum_closed_form(5, 1e100, 1e100) == pytest.approx(
+            2.5e-200, rel=1e-15, abs=0)
+
 
 def test_two_expansions_agree_groupwise():
     # group {m, -m-1} of the complex expansion vs real index m, m < 64

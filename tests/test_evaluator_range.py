@@ -2,8 +2,13 @@
 (an underflow to 0 included) or a ValueError, never a silent NaN or inf.
 NaN points raise, and at +-inf every evaluator gives its limit 0.  So do the
 kernels of two points, except the closed-form kernels at t = u = +-inf, which
-have no limit there and raise."""
+have no limit there and raise.  The polynomials have no limit at +-inf either:
+there, and wherever a value lies beyond float64, they raise.  Every public
+function of points is listed in one of the tables here (the raw recurrence
+tables as exempt)."""
 
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernelbasis as kb
+import kernelbasis.gaussian
+from kernelbasis import orthopoly
 
 # call(index, nu, u, t): index in [-121, 120], nu in [0, 40], u in [0, 1]
 # picks a class or a width; each evaluator maps them into its own domain
@@ -32,6 +39,8 @@ _EVALUATORS = {
     "hermite_fn": lambda i, nu, u, t: kb.hermite_fn(abs(i), t),
     "mercer_eigenfunction": lambda i, nu, u, t: kb.mercer_eigenfunction(
         kb.MercerParams.from_alpha(0.1 * 100.0**u), abs(i), t),
+    "mercer_weight": lambda i, nu, u, t: kernelbasis.gaussian.mercer_weight(
+        kb.MercerParams.from_alpha(0.1 * 100.0**u), t),
 }
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308,
@@ -91,6 +100,7 @@ _PAIR_EVALUATORS = {
     **{f"spec_{s.family}.kernel": s.kernel for s in _SPECS},
     **{f"spec_{s.family}.truncated_kernel": s.truncated_kernel for s in _SPECS},
     "matern_feature_map": lambda t, u: kb.matern_feature_map(_TR, t),
+    "cauchy_partial_sum_closed_form": lambda t, u: kb.cauchy_partial_sum_closed_form(7, t, u),
 }
 _CLOSED_FORM = ["cauchy_kernel", "gaussian_kernel", "matern_kernel",
                 "spec_cauchy.kernel", "spec_gaussian.kernel", "spec_matern.kernel"]
@@ -116,6 +126,8 @@ _POINTS = st.one_of(st.sampled_from(_EXTREMES), st.floats())
 @example(math.inf, -math.inf)
 @example(-math.inf, 2.0)
 @example(1.7e308, -1.7e308)
+@example(1e200, 1e200)
+@example(1e100, 1e100)
 def test_pair_gives_a_finite_value_or_value_error(name, t, u):
     try:
         val = _PAIR_EVALUATORS[name](t, u)
@@ -158,6 +170,8 @@ _OVERFLOWS = {
     "matern_psi/minus": lambda: kb.matern_psi(
         kb.MaternOrder(2, _BIG), kb.MaternBasisId("minus", 1), -_BIG),
     "gaussian_psi": lambda: kb.gaussian_psi(3, _BIG, kb.GaussianScale(_BIG)),
+    "mercer_weight": lambda: kernelbasis.gaussian.mercer_weight(
+        kb.MercerParams.from_alpha(1.0), _BIG),
     "matern_feature_map": lambda: kb.matern_feature_map(
         kb.MaternTruncation(kb.MaternOrder(2, _BIG), 3), [_BIG, -_BIG]),
     "matern_kernel/lam": lambda: kb.matern_kernel(kb.MaternOrder(2, _BIG), _BIG, 0.0),
@@ -174,3 +188,54 @@ _OVERFLOWS = {
 @pytest.mark.parametrize("name", sorted(_OVERFLOWS))
 def test_overflow_gives_the_limit_without_a_warning(name):
     assert np.all(_OVERFLOWS[name]() == 0)
+
+
+# call(m, t): a polynomial has no limit at +-inf, so there, and wherever its
+# value lies beyond float64, it raises naming the degree m
+_POLYNOMIALS = {
+    "laguerre": orthopoly.laguerre,
+    "assoc_laguerre": lambda m, t: orthopoly.assoc_laguerre(m, 3, t),
+    "hermite": orthopoly.hermite,
+    "hermite_normalized": orthopoly.hermite_normalized,
+}
+# the raw seed-1 recurrences: a value beyond float64 is inf or NaN, as the
+# direct products that tests compare blocks against need (test_matern.py)
+_RAW_TABLES = {"assoc_laguerre_table", "hermite_normalized_table"}
+
+
+@pytest.mark.parametrize("name", sorted(_POLYNOMIALS))
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 60), _POINTS)
+@example(0, math.nan)
+@example(0, math.inf)
+@example(40, -math.inf)
+@example(40, 1e200)
+@example(0, 1.7e308)
+def test_polynomial_gives_a_finite_value_or_value_error(name, m, t):
+    try:
+        val = _POLYNOMIALS[name](m, t)
+    except ValueError as err:
+        assert math.isnan(t) or f"m={m}:" in str(err), f"{name} raised {err} at t = {t!r}"
+        return
+    assert not math.isnan(t), f"{name} returned {val!r} at t = NaN"
+    assert np.all(np.isfinite(val)), f"{name} returned {val!r} at t = {t!r}"
+
+
+@pytest.mark.parametrize("name", sorted(_POLYNOMIALS))
+def test_nan_point_of_a_polynomial_raises_naming_it(name):
+    for m in (0, 2):
+        with pytest.raises(ValueError, match="t is NaN at 1 of 3 points"):
+            _POLYNOMIALS[name](m, np.array([0.5, math.nan, -1.0]))
+
+
+@pytest.mark.parametrize("module", ["cauchy", "gaussian", "laguerre", "matern", "orthopoly"])
+def test_every_public_evaluator_of_points_is_in_a_range_table(module):
+    # a public function that takes points t, u or omega must be listed above
+    tabled = {name.split("/")[0]
+              for table in (_EVALUATORS, _PAIR_EVALUATORS, _OVERFLOWS, _POLYNOMIALS, _RAW_TABLES)
+              for name in table}
+    mod = importlib.import_module(f"kernelbasis.{module}")
+    untabled = [name for name in mod.__all__
+                if callable(getattr(mod, name)) and name not in tabled
+                and {"t", "u", "omega"} & set(inspect.signature(getattr(mod, name)).parameters)]
+    assert not untabled, f"{module} evaluators in no range table: {untabled}"

@@ -25,7 +25,6 @@ from kernelbasis.matern import (
     _handed_rows,
     _kernel_log_coef,
     _log_c,
-    _null_block,
 )
 from kernelbasis._lowrank import CHUNK, chunks
 from kernelbasis.featuremap import FeatureMapSpec, features
@@ -272,7 +271,7 @@ class TestFeatureMap:
         tr = MaternTruncation(MaternOrder(2, 1.3), 4)
         t = np.asarray(np.random.default_rng(8).uniform(-3.0, 3.0, shape))
         got = matern_feature_map(tr, t)
-        ref = _basis_block(tr, 1.3 * t.ravel()).T.reshape(*shape, tr.dim)
+        ref = _basis_block(tr.order.nu, tr.n, 1.3 * t.ravel()).T.reshape(*shape, tr.dim)
         assert got.shape == (*shape, tr.dim)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
 
@@ -459,7 +458,7 @@ def test_psi_is_exact_block_row(nu, shape):
     order = MaternOrder(nu, 1.3)
     x = 1.3 * np.atleast_1d(t).ravel()
     # chunk by chunk, as the evaluators run
-    block = np.concatenate([_basis_block(MaternTruncation(order, n), x[s])
+    block = np.concatenate([_basis_block(nu, n, x[s])
                             for s in chunks(x.size)], axis=1)
     rows = {"null": block[: nu + 1], "minus": block[nu + 1 : nu + 1 + n],
             "plus": block[nu + 1 + n :]}
@@ -488,7 +487,7 @@ def test_null_rows_match_binomial_sum_of_laguerre_functions(nu):
     """psi0_m = c_nu/sqrt 2 sum_k C(nu+1, k) (-1)^k phi_{-nu-1+m+k}."""
     x = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, -0.0]])
     pref = math.exp(_log_c(nu)) / SQRT2
-    got = _null_block(nu, x)
+    got = _basis_block(nu, 0, x)
     for m in range(nu + 1):
         ref = pref * sum(math.comb(nu + 1, k) * (-1) ** k * laguerre_fn(-nu - 1 + m + k, x)
                          for k in range(nu + 2))
