@@ -148,8 +148,8 @@ def _distinct(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
 def rank_product(block, lam: float, t, u):
     """sum_k b_k(lam t) b_k(lam u) over the broadcast of t and u.
 
-    ``block`` maps points of shape (N,) to basis rows of shape (dim, N); it
-    runs once on the distinct values of both arguments.  Three branches:
+    ``block`` maps points of shape (N,) to basis rows of shape (dim, N); the
+    first two of three branches run it once on the distinct values of both:
     * outer grid: the index cores of _distinct vary on disjoint axes, one's
       all before the other's, span the output's shape together and list
       their values in increasing C order; the Gram matrix (transposed when
@@ -157,8 +157,10 @@ def rank_product(block, lam: float, t, u):
       columns rounds by place in it, so it would not be exact on other grids;
     * Gram gather: other inputs with no more distinct pairs than output
       pairs gather the Gram matrix through broadcast views of the cores;
-    * pairwise: the rest (element-wise inputs) contract gathered columns
-      pair by pair, so they never cost O(N^2).
+    * pairwise: the rest (element-wise inputs) run one chunk of pairs at a
+      time, a block and then its columns' products summed row by row, so
+      memory is O(dim * CHUNK) and a pair rounds the same wherever it sits
+      (einsum and a sum over axis 0 round by place and by shape).
 
     The values equal those of one block per argument, except where an
     argument has one distinct value: its one column is then a strided slice
@@ -172,6 +174,16 @@ def rank_product(block, lam: float, t, u):
     for v, vals, name in ((x, xs, "t"), (y, ys, "u")):
         if np.isnan(vals[-1:]).any():  # np.unique sorts NaN last
             check_not_nan(v, name)
+    # broadcast views: the two cores need not broadcast to x.shape together
+    # (both may be constant along one axis)
+    bix, biy = np.broadcast_to(ix, x.shape), np.broadcast_to(iy, x.shape)
+    if xs.size * ys.size > x.size:
+        bix, biy, vals = bix.ravel(), biy.ravel(), np.empty(x.size)
+        for s in chunks(x.size):
+            b = block(np.concatenate([xs[bix[s]], ys[biy[s]]]))
+            vals[s] = sum(row_x * row_y for row_x, row_y in zip(b[:, : vals[s].size],
+                                                                 b[:, vals[s].size :]))
+        return vals.reshape(x.shape)
     b = block(np.concatenate([xs, ys]))
     bx, by = b[:, : xs.size], b[:, xs.size :]
     ax, ay = ([a for a, k in enumerate(i.shape) if k > 1] for i in (ix, iy))
@@ -180,11 +192,5 @@ def rank_product(block, lam: float, t, u):
             and all(np.array_equal(i.ravel(), np.arange(i.size)) for i in (ix, iy))):
         gram = bx.T @ by
         return (gram if ax[-1] < ay[0] else gram.T.copy()).reshape(x.shape)
-    # broadcast views: the two cores need not broadcast to x.shape together
-    # (both may be constant along one axis)
-    ix, iy = np.broadcast_to(ix, x.shape), np.broadcast_to(iy, x.shape)
-    if xs.size * ys.size <= x.size:
-        vals = (bx.T @ by)[ix, iy]
-    else:
-        vals = np.einsum("kn,kn->n", bx[:, ix.ravel()], by[:, iy.ravel()])
+    vals = (bx.T @ by)[bix, biy]
     return float(vals) if x.ndim == 0 else vals.reshape(x.shape)

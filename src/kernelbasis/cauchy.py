@@ -26,6 +26,7 @@ oracles in the tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -118,22 +119,28 @@ def cauchy_truncated(lam: float, n: int, t, u):
 def cauchy_partial_sum_closed_form(n: int, t: float, u: float) -> complex:
     """Finite geometric form of sum_{m=0}^{n-1} psi_m^*(t) psi_m(u).
 
-    First term psi_0^*(t) psi_0(u) = 1/(2 (-it-1)(iu-1)) and ratio
-    q = t u / ((-it-1)(iu-1)), which satisfies |q| < 1 for all finite real
-    t, u.  The n -> infty limit is 1/(2 ((-it-1)(iu-1) - tu)); the same
-    value with t and u exchanged is its complex conjugate.  NaN t or u
-    raises.  Where t or u is infinite or t u overflows, every term is below
-    1/(2|t u|) < 3e-309 in modulus, and the sum is 0, its limit at infinity;
-    where q rounds to 1 it is n first terms.
+    First term 1/(2d), d = (-it-1)(iu-1) = tu + 1 + i(t - u), and ratio
+    q = t u / d, |q| < 1 for all finite real t, u.  1 - q = (1 + i(t - u))/d
+    exactly, so the sum is (1 - q^n)/(2 (1 + i(t - u))), whose n -> infty
+    limit is 1/(2 (1 + i(t - u))); exchanging t and u conjugates it.  Where
+    |q| >= 1/2, 1 - q^n = -expm1(n log q), with r^2 = 1 - |q|^2 =
+    (t^2 + u^2 + 1)/((t^2 + 1)(u^2 + 1)) in log|q|, so nothing cancels as q
+    nears 1.  NaN t or u raises.  Where t or u is infinite or t u overflows,
+    every term is below 1/(2|t u|) < 3e-309 in modulus, and the sum is 0.
     """
     check_int(n, "n", 1)
     check_not_nan(np.asarray(t, dtype=float), "t")
     check_not_nan(np.asarray(u, dtype=float), "u")
-    if not math.isfinite(float(t) * float(u)):
+    t, u = float(t), float(u)
+    if not math.isfinite(t * u):
         return 0j
-    denom = (-1j * t - 1.0) * (1j * u - 1.0)
-    q = (t * u) / denom
-    first = 0.5 / denom
-    if q == 1.0:
-        return complex(n * first)
-    return complex(first * (1.0 - q**n) / (1.0 - q))
+    q = (t * u) / ((-1j * t - 1.0) * (1j * u - 1.0))
+    if abs(q) < 0.5:
+        one_minus_qn = 1.0 - q**n
+    else:
+        r = math.hypot(t, u, 1.0) / (math.hypot(t, 1.0) * math.hypot(u, 1.0))
+        x, y = 0.5 * n * math.log1p(-r * r), n * cmath.phase(q)
+        # -expm1(x + iy); both real terms are >= 0 where cos y >= 0
+        one_minus_qn = complex(2.0 * math.sin(0.5 * y) ** 2 - math.expm1(x) * math.cos(y),
+                               -math.exp(x) * math.sin(y))
+    return 0.5 * one_minus_qn / complex(1.0, t - u)

@@ -30,37 +30,49 @@ _SQRT2 = math.sqrt(2.0)
 _X_MAX = 1e300
 
 
-def _weighted_rows(count: int, eta: int, log_c: float, x: np.ndarray, out=None,
-                   sign: float = 1.0, odd: bool = False):
-    """Rows m = 0..count-1 of c L_m^(eta)(2|x|) e^{-|x|}, c = sign e^log_c,
-    at points x (N,), negated where x < 0 if ``odd``, written into ``out``
-    (a (count, N) array or a list of row views) when it is given.
+def _weighted_rows(count: int, coef, log_c: float, x: np.ndarray, out=None,
+                   sign: float = 1.0, odd: bool = False, power: int = 0):
+    """Rows k = 0..count-1 of the recurrence ``coef`` of :func:`_step` on
+    s = 2|x| from the seed row c s^power e^{-|x|}, c = sign e^log_c, at
+    points x (N,), negated where x < 0 if ``odd``, written into ``out`` (a
+    (count, N) array or a list of row views) when it is given.  With
+    ``_laguerre_coef(eta)`` and power 0 they are c L_k^(eta)(2|x|) e^{-|x|}.
 
-    The recurrence runs on the weighted rows from the seed c e^{-|x|}, so no
-    weight pass follows.  A far point is one whose seed underflows; its rows
-    are redone by the exponent-tracked recurrence, so no row is flushed to 0
-    that is not 0.  Past |x| = 1e300 every row is 0, and |x| is clamped there.
+    The recurrence runs on the weighted rows, so no weight pass follows.
+    The seed is c s^power, formed in log space for power > 0, times
+    e^{-|x|}, whose exponent is exact, so its rounding does not grow with
+    |x|.  Where the seed underflows (far from the origin, and near it for
+    power > 0), or for power > 0 e^{-|x|} does, the rows are redone by the
+    exponent-tracked recurrence, so no row is flushed to 0 that is not 0.
+    Past |x| = 1e300 every row is 0, and |x| is clamped there.
     """
     rows = np.empty((count, x.size)) if out is None else out
     ax = np.minimum(np.abs(x), _X_MAX)
+    s = 2.0 * ax
     seed = rows[0]
-    np.negative(ax, out=seed)
-    np.exp(seed, out=seed)  # e^{-|x|}, whose exponent is exact
-    seed *= sign * math.exp(log_c)
+    if power:
+        with np.errstate(all="ignore"):  # log 0 = -inf; the slow path takes inf * 0
+            log_poly = power * np.log(s) + log_c
+            np.multiply(np.exp(log_poly), np.exp(-ax), out=seed)
+        low = np.flatnonzero((log_poly - ax < _LOG_TINY) | (ax > -_LOG_TINY))
+        log_low = log_poly[low] - ax[low]
+        seed *= sign
+    else:
+        np.negative(ax, out=seed)
+        np.exp(seed, out=seed)  # e^{-|x|}, whose exponent is exact
+        seed *= sign * math.exp(log_c)
+        low = np.flatnonzero(ax > log_c - _LOG_TINY)
+        log_low = log_c - ax[low]
     if odd:
         np.negative(seed, out=seed, where=x < 0)
-    s = 2.0 * ax
-    coef = _laguerre_coef(eta)
     _recur(rows, s, coef)
-    # the far points; one max per chunk tells whether there are any
-    if x.size and ax.max() > log_c - _LOG_TINY:
-        far = np.flatnonzero(ax > log_c - _LOG_TINY)
-        far_rows = _recur_scaled(np.empty((count, far.size)), s[far], coef, log_c - ax[far])
-        far_rows *= sign
+    if low.size:
+        low_rows = _recur_scaled(np.empty((count, low.size)), s[low], coef, log_low)
+        low_rows *= sign
         if odd:
-            np.negative(far_rows, out=far_rows, where=x[far] < 0)
-        for row, far_row in zip(rows, far_rows):
-            row[far] = far_row
+            np.negative(low_rows, out=low_rows, where=x[low] < 0)
+        for row, low_row in zip(rows, low_rows):
+            row[low] = low_row
     return rows
 
 
@@ -69,7 +81,7 @@ def _laguerre_rows(count: int, x: np.ndarray) -> np.ndarray:
 
     Row j is phi_j on x >= 0 and -phi_{-j-1} on x < 0.
     """
-    return _weighted_rows(count, 0, math.log(_SQRT2), x)
+    return _weighted_rows(count, _laguerre_coef(0), math.log(_SQRT2), x)
 
 
 def laguerre_fn(m: int, t):

@@ -15,9 +15,10 @@ sum_j (-1)^j C(nu+1, j) L_{M-j} = L_M^(-nu-1), and R_M = psi+_{M-nu-1} for
 M > nu, since L_{m+nu+1}^(-nu-1)(s) = m!/(m+nu+1)! (-s)^(nu+1) L_m^(nu+1)(s).
 Row M is the two-sided index M - nu - 1 of :func:`matern_psi_unified`.  On
 t < 0 the null rows mirror, psi0_m(t) = (-1)^nu psi0_{nu-m}(-t), so the
-whole block is one weighted recurrence on |t|, written by
-:func:`_basis_block` (n = 0 is the null block alone).  A handed evaluator
-keeps rows M > nu of the same recurrence and mirrors no null row.
+null block is one weighted recurrence on |t|, written by
+:func:`_basis_block` (n = 0 is the null block alone).  The handed rows
+restart the same sequence at row nu + 1 from its closed form (see
+:func:`_handed_rows`), so their cost does not grow with nu.
 
 A scaling lam enters as psi(lam t) and r(lam t, lam u).  The ``null`` class
 alone reproduces the kernel whenever the arguments lie on opposite sides of
@@ -35,7 +36,7 @@ import numpy as np
 from ._lowrank import (block_row, check_int, check_lam, check_not_nan, pair_values, rank_product,
                        scaled, stack_rows)
 from .laguerre import _weighted_rows
-from .orthopoly import _LN2_HI, _LN2_LO
+from .orthopoly import _LN2_HI, _LN2_LO, _laguerre_coef
 from .quadrature import _legendre_rule
 
 __all__ = [
@@ -121,11 +122,16 @@ def _c_sq(nu: int) -> tuple[float, int]:
     return frac, exp
 
 
-def _log_c(nu: int) -> float:
-    """log c_nu = log(nu!/sqrt((2 nu)!)) from :func:`_c_sq`, within half an
-    ulp: exp * ln 2 takes ln 2 split in two, whose high part times an
-    integer is exact, so it adds no rounding of its own."""
+@functools.cache
+def _log_c(nu: int, p: int = 0) -> float:
+    """log(c_nu / p!) from :func:`_c_sq` over (p!)^2, a factor j^2 at a time
+    with the exponent split off, as there.  exp * ln 2 takes ln 2 split in
+    two, whose high part times an integer is exact, so log c_nu is within
+    half an ulp."""
     frac, exp = _c_sq(nu)
+    for j in range(2, p + 1):
+        frac, e = math.frexp(frac / (j * j))
+        exp += e
     return 0.5 * (math.log(frac) + exp * _LN2_LO + exp * _LN2_HI)
 
 
@@ -176,32 +182,36 @@ def _basis_block(nu: int, n: int, x: np.ndarray, out: np.ndarray | None = None) 
     """All nu+1+2n basis values at (already scaled) points x, ordered
     null/minus/plus, written into ``out`` (dim, N) when it is given; n = 0
     is the null block alone.  One recurrence on |x| writes R_M(|x|), signed
-    (-1)^nu where x < 0, into the null slot and then the plus slot.  Where
-    x < 0 the null rows are then reversed.  The handed rows are split
-    between the plus and minus slots: plus lives on x >= 0, minus on x < 0,
-    and every other column is exactly +0.0, even where the rows are not
-    finite.  The bits of each column are ANDed with an all-ones or
+    (-1)^nu where x < 0, into the null slot, whose rows are then reversed
+    where x < 0; :func:`_handed_rows` writes the plus slot.  The handed rows
+    are split between the plus and minus slots: plus lives on x >= 0, minus
+    on x < 0, and every other column is exactly +0.0, even where the rows
+    are not finite.  The bits of each column are ANDed with an all-ones or
     all-zeros word, so no select temporaries are made."""
     out = np.empty((nu + 1 + 2 * n, x.size)) if out is None else out
     null, minus, plus = out[: nu + 1], out[nu + 1 : nu + 1 + n], out[nu + 1 + n :]
-    _weighted_rows(nu + 1 + n, -nu - 1, _log_c(nu), x, [*null, *plus], (-1.0) ** (nu + 1),
+    _weighted_rows(nu + 1, _laguerre_coef(-nu - 1), _log_c(nu), x, null, (-1.0) ** (nu + 1),
                    nu % 2 == 1)
     left = np.flatnonzero(x < 0)
     for row, mirrored in zip(null, [row[left] for row in null[::-1]]):
         row[left] = mirrored
     if n:
+        _handed_rows(nu, n, x, plus)
         bits = plus.view(np.uint64)
         np.bitwise_and(bits, np.negative((x < 0).astype(np.uint64)), out=minus.view(np.uint64))
         np.bitwise_and(bits, np.negative((x >= 0).astype(np.uint64)), out=bits)
     return out
 
 
-def _handed_rows(nu: int, count: int, x: np.ndarray) -> np.ndarray:
+def _handed_rows(nu: int, count: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows m = 0..count-1 at (already scaled) points x of psi+_{m,nu}(x) where
-    x >= 0 and psi-_{m,nu}(x) where x < 0: rows nu+1 onward of the sequence
-    of :func:`_basis_block`, whose null rows are not mirrored."""
-    return _weighted_rows(nu + 1 + count, -nu - 1, _log_c(nu), x, None, (-1.0) ** (nu + 1),
-                          nu % 2 == 1)[nu + 1 :]
+    x >= 0 and psi-_{m,nu}(x) where x < 0, written into ``out`` when it is
+    given: rows nu+1 onward of the sequence R_M, seeded at row nu+1 by
+    psi+_0 = c_nu (2|x|)^(nu+1) e^{-|x|}/(nu+1)!.  The step from there has
+    no term in row nu (c_{nu+1} = 0), so the cost is O(count), not O(nu + count)."""
+    coef = _laguerre_coef(-nu - 1)
+    return _weighted_rows(count, lambda k: coef(k + nu + 1), _log_c(nu, nu + 1), x, out,
+                          odd=nu % 2 == 1, power=nu + 1)
 
 
 def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):

@@ -168,7 +168,8 @@ def rank_product_gather(block, lam: float, t, u):
     """Truncated kernel sum_k b_k(lam t) b_k(lam u) the direct way: the block
     once per argument on the sorted distinct values of all its (broadcast)
     elements, then the Gram matrix of the two blocks, or for element-wise
-    inputs their columns, gathered with flat indices of the output's size."""
+    inputs their columns, gathered with flat indices of the output's size,
+    whose products are summed row by row in order."""
     x, y = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
     with np.errstate(over="ignore"):
         xs, ix = np.unique(lam * x.ravel(), return_inverse=True)
@@ -177,5 +178,5 @@ def rank_product_gather(block, lam: float, t, u):
     if xs.size * ys.size <= ix.size:
         vals = (bx.T @ by)[ix, iy]
     else:
-        vals = np.einsum("kn,kn->n", bx[:, ix], by[:, iy])
+        vals = sum(row_x * row_y for row_x, row_y in zip(bx[:, ix], by[:, iy]))
     return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,18 @@ class TestGeometricClosedForm:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             cauchy_partial_sum_closed_form(0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("t, u", [(1e4, 1e4), (1e6, 1e6), (1e6, -1e6), (3e5, 2e5),
+                                      (-1e3, -1.1e3), (0.3, -2.0), (-50.0, 60.0)])
+    def test_relative_to_mpmath_as_the_ratio_nears_one(self, t, u):
+        # 1 - q and 1 - q^n cancelled as q nears 1: 9.2e-12 and 1.5e-10 off
+        # at t = u = 1e4 and 1e6; now within 4.5e-16 on these points
+        with mpmath.workdps(50):
+            d = (-1j * mpmath.mpf(t) - 1) * (1j * mpmath.mpf(u) - 1)
+            q = t * u / d
+            ref = complex(0.5 / d * (1 - q**300) / (1 - q))
+        got = cauchy_partial_sum_closed_form(300, t, u)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
 
     def test_ratio_that_rounds_to_one_gives_n_first_terms(self):
         # q = 1e200/(1e200 + 1) is 1 in floats; each term is 1/(2 (1e200 + 1))

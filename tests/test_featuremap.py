@@ -821,6 +821,17 @@ class TestMemory:
         t, u = np.meshgrid(side, side / 2, indexing="ij")
         assert _peak_bytes(lambda: spec.truncated_kernel(t, u)) < 1.5 * t.size * 8
 
+    @pytest.mark.parametrize("family", sorted(_WIDE_SPECS))
+    def test_pairwise_memory_grows_by_points_not_blocks(self, family):
+        # element-wise inputs run one chunk of pairs at a time: measured 40
+        # bytes more per pair (index and value arrays), where the blocks and
+        # their gathered columns took about 2.1 kB per pair
+        spec = _WIDE_SPECS[family]
+        small, large = ((_points(n, 1), _points(n, 2)) for n in (20_000, 80_000))
+        grow = (_peak_bytes(lambda: spec.truncated_kernel(*large))
+                - _peak_bytes(lambda: spec.truncated_kernel(*small)))
+        assert grow < 200 * 60_000
+
     def test_features_memory_is_its_output(self):
         spec = FeatureMapSpec("gaussian", n=64)
         x = _points(200_000)

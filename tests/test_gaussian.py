@@ -275,7 +275,7 @@ class TestTruncation:
         for n in range(1, 7):
             rn = gaussian_truncated(s, n, T, U)
             quad = math.sqrt(float(np.sum(W * (r - rn) ** 2)))
-            assert quad == pytest.approx(gaussian_truncation_error(n), rel=1e-6)
+            assert quad == pytest.approx(gaussian_truncation_error(n), rel=1e-6, abs=0)
 
     @given(st.integers(1, 30))
     def test_error_is_geometric(self, n):
@@ -361,8 +361,8 @@ def test_psi_high_degree_far_from_the_origin():
     # the unweighted table overflows here and used to meet e^{-t^2/3} as inf * 0
     with mpmath.workdps(40):
         ref = float(gaussian_psi_mp(501, 40.0)[500])
-    assert ref == pytest.approx(9.8250888109596335e-26, rel=1e-15)
-    assert gaussian_psi(500, 40.0) == pytest.approx(ref, rel=1e-12)
+    assert ref == pytest.approx(9.8250888109596335e-26, rel=1e-15, abs=0)
+    assert gaussian_psi(500, 40.0) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_raw_rows_are_the_basis_over_their_scale():

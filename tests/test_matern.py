@@ -31,6 +31,7 @@ from kernelbasis.featuremap import FeatureMapSpec, features
 from kernelbasis.laguerre import laguerre_fn
 from kernelbasis.orthopoly import assoc_laguerre_table
 from kernelbasis.quadrature import gauss_laguerre_rule
+from kernelbasis.verify import gram_matrix
 from oracles import integrate, matern_handed_mp
 
 SQRT2 = math.sqrt(2.0)
@@ -370,7 +371,7 @@ class TestNormsAndErrors:
                 pref = mpmath.gamma(nu + 1) ** 2 / mpmath.gamma(2 * nu + 1)
                 expected = float(pref * mpmath.sqrt(2 * tail))
                 assert matern_exact_hs_error(MaternOrder(nu), n) == pytest.approx(
-                    expected, rel=1e-12
+                    expected, rel=1e-12, abs=0
                 )
 
     def test_exact_error_monotone_in_n(self):
@@ -571,3 +572,39 @@ def test_large_order_basis(nu):
     ref = matern_kernel(MaternOrder(nu), t[:, None], u[None, :])
     np.testing.assert_allclose(ft @ fu.T, ref, rtol=0, atol=1e-12)
     assert np.max(np.abs(ft)) <= bound and np.max(np.abs(fu)) <= bound
+
+
+# near the origin and far from it; the largest errors sit next to a root of a row
+_HANDED_X = np.concatenate([np.geomspace(1e-3, 2.0, 25), [5.0, 20.0, 60.0]])
+
+
+@pytest.mark.parametrize("nu, rtol", [(2, 1.5e-10), (6, 2.5e-11), (10, 5e-12), (30, 1.5e-13)])
+def test_handed_rows_relative_to_mpmath(nu, rtol):
+    # measured 4.4e-11, 7.1e-12, 1.2e-12 and 3.8e-14; each bar is 3.4-4.2x
+    # that.  Rows seeded at the null rows' seed were 3e-8, 5e7, 3e23 and
+    # 6e109 off here, relative, and passed an absolute 1e-14
+    x = np.concatenate([_HANDED_X, -_HANDED_X])
+    with mpmath.workdps(40):
+        ref = np.array([[float(v) for v in matern_handed_mp(nu, 64, t)] for t in x]).T
+    np.testing.assert_allclose(_handed_rows(nu, 64, x), ref, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 6, 10, 30, 100, 300])
+def test_first_handed_function_is_positive(nu):
+    # psi+_0 = c_nu (2x)^(nu+1) e^{-x}/(nu+1)! has no root on x > 0; only its
+    # underflow may give 0 (it gave -3.0e-17 at nu = 10, x = 0.01)
+    x = np.concatenate([np.geomspace(1e-300, 1e3, 2001), np.linspace(1e-3, 1e3, 4001)])
+    vals = matern_psi(MaternOrder(nu), MaternBasisId("plus", 0), x)
+    assert np.all(vals[vals != 0.0] > 0.0)
+    assert np.count_nonzero(vals) > 1000
+
+
+@pytest.mark.parametrize("nu, rtol", [(6, 5e-13), (10, 3e-12)])
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_gram_diagonal_relative_to_the_norms(nu, rtol, kind):
+    # measured 1.5e-13 and 8.0e-13 (3.6e-9 and 1.2e-4 with the rows seeded at
+    # the null rows' seed); bars as in the harness rows matern/gram_*_rel
+    rule = gauss_laguerre_rule(128, nu + 1.0)
+    G = gram_matrix(f"matern_{kind}", range(64), rule if kind == "plus" else rule.reflected(), nu=nu)
+    norms = [matern_psi_norm_sq(MaternOrder(nu), m) for m in range(64)]
+    np.testing.assert_allclose(np.diag(G), norms, rtol=rtol, atol=0)

@@ -34,9 +34,10 @@ class TestReport:
         rep = VerificationReport.scalar_check("x", 1.0, 2.0, 1e-8)
         assert not rep.passed
 
-    def test_inconsistent_flags_rejected(self):
-        with pytest.raises(ValueError):
-            VerificationReport("x", 1.0, 1.0, 0.0, 1e-8, passed=False)
+    @pytest.mark.parametrize("derived", [dict(abs_error=0.0), dict(passed=False)])
+    def test_derived_fields_are_not_arguments(self, derived):
+        with pytest.raises(TypeError):
+            VerificationReport("x", 1.0, 1.0, 1e-8, **derived)
 
     @pytest.mark.parametrize("computed, reference", [
         (np.nan, 1.0), (np.inf, 1.0), (np.inf, np.inf),
