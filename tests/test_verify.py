@@ -34,11 +34,14 @@ class TestReport:
         rep = VerificationReport.scalar_check("x", 1.0, 2.0, 1e-8)
         assert not rep.passed
 
-    def test_derived_fields_are_not_arguments(self):
+    @pytest.mark.parametrize("derived", [dict(abs_error=0.0, passed=True), dict(abs_error=0.0),
+                                         dict(passed=True)], ids=["both", "abs_error", "passed"])
+    def test_derived_fields_are_not_arguments(self, derived):
+        # abs_error and passed are set from the other fields, so even a
+        # consistent pair of them is refused
         with pytest.raises(TypeError):
-            VerificationReport("x", 1.0, 1.0, 1e-8, abs_error=0.0)
-        with pytest.raises(TypeError):
-            VerificationReport("x", 1.0, 1.0, 1e-8, passed=False)
+            VerificationReport(check_name="x", computed=1.0, reference=1.0, tolerance=1e-8,
+                               **derived)
 
     @pytest.mark.parametrize("computed, reference", [
         (np.nan, 1.0), (np.inf, 1.0), (np.inf, np.inf),
