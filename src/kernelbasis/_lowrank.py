@@ -148,8 +148,11 @@ def _distinct(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
 def rank_product(block, lam: float, t, u):
     """sum_k b_k(lam t) b_k(lam u) over the broadcast of t and u.
 
-    ``block`` maps points of shape (N,) to basis rows of shape (dim, N); the
-    first two of three branches run it once on the distinct values of both:
+    ``block`` maps points of shape (N,) to basis rows of shape (dim, N).  The
+    first two of three branches read the Gram matrix of the distinct values:
+    one block on both while they number at most CHUNK, else (in O(dim CHUNK)
+    memory besides it) the block of the side with fewer values and the
+    other's one chunk at a time:
     * outer grid: the index cores of _distinct vary on disjoint axes, one's
       all before the other's, span the output's shape together and list
       their values in increasing C order; the Gram matrix (transposed when
@@ -184,13 +187,21 @@ def rank_product(block, lam: float, t, u):
             vals[s] = sum(row_x * row_y for row_x, row_y in zip(b[:, : vals[s].size],
                                                                  b[:, vals[s].size :]))
         return vals.reshape(x.shape)
-    b = block(np.concatenate([xs, ys]))
-    bx, by = b[:, : xs.size], b[:, xs.size :]
+    if xs.size + ys.size <= CHUNK:
+        b = block(np.concatenate([xs, ys]))
+        gram = b[:, : xs.size].T @ b[:, xs.size :]
+    elif xs.size <= ys.size:
+        bx, gram = block(xs), np.empty((xs.size, ys.size))
+        for s in chunks(ys.size):
+            gram[:, s] = bx.T @ block(ys[s])
+    else:
+        by, gram = block(ys), np.empty((xs.size, ys.size))
+        for s in chunks(xs.size):
+            gram[s] = block(xs[s]).T @ by
     ax, ay = ([a for a, k in enumerate(i.shape) if k > 1] for i in (ix, iy))
     if (ax and ay and (ax[-1] < ay[0] or ay[-1] < ax[0])
             and np.broadcast_shapes(ix.shape, iy.shape) == x.shape
             and all(np.array_equal(i.ravel(), np.arange(i.size)) for i in (ix, iy))):
-        gram = bx.T @ by
         return (gram if ax[-1] < ay[0] else gram.T.copy()).reshape(x.shape)
-    vals = (bx.T @ by)[bix, biy]
+    vals = gram[bix, biy]
     return float(vals) if x.ndim == 0 else vals.reshape(x.shape)

@@ -232,46 +232,25 @@ def gaussian_truncation_error(n: int) -> float:
     return 3.0 ** (-n) / math.sqrt(2.0)
 
 
-def mehler_check(rho: float, x: float, y: float, tolerance: float = 1e-10,
-                 increment_tol: float = 1e-14, max_terms: int = 500) -> VerificationReport:
+def mehler_check(rho: float, x: float, y: float, tolerance: float = 1e-10) -> VerificationReport:
     """Compare the bilinear Hermite generating series against its closed form.
 
-    Series: sum_m (rho/2)^m / m! H_m(x) H_m(y) e^{-(x^2+y^2)/2}, summed until
-    the absolute increment drops below ``increment_tol`` (or ``max_terms``).
+    Series: sum_m (rho/2)^m / m! H_m(x) H_m(y) e^{-(x^2+y^2)/2} = sqrt(pi)
+    sum_m rho^m h_m(x) h_m(y), with h_m the Hermite functions, the rows of
+    one :func:`_hermite_rows` block.  Cramer's inequality |h_m| <= k pi^{-1/4},
+    k = 1.086435, bounds the tail after M terms by k^2 |rho|^M / (1 - |rho|),
+    and M is the least count that puts it below 1e-16 (at most 500).
     Closed form: (1-rho^2)^{-1/2} exp((4 x y rho - (1+rho^2)(x^2+y^2)) / (2(1-rho^2))).
     """
     if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    damp = math.exp(-0.5 * (x * x + y * y))
-    # (rho/2)^m/m! H_m(x) H_m(y) = rho^m e_m(x) e_m(y) with e_m = H_m/sqrt(2^m m!)
-    ex_prev, ey_prev = 1.0, 1.0
-    ex, ey = math.sqrt(2.0) * x, math.sqrt(2.0) * y
-    total = damp
-    terms = 1
-    small_streak = 0
-    for m in range(1, max_terms):
-        inc = rho**m * ex * ey * damp
-        total += inc
-        terms += 1
-        # odd terms vanish identically at x = 0 or y = 0; require two
-        # consecutive small increments before declaring convergence
-        small_streak = small_streak + 1 if abs(inc) < increment_tol else 0
-        if small_streak >= 2:
-            break
-        cnext = math.sqrt(2.0 / (m + 1))
-        cprev = math.sqrt(m / (m + 1.0))
-        ex, ex_prev = cnext * x * ex - cprev * ex_prev, ex
-        ey, ey_prev = cnext * y * ey - cprev * ey_prev, ey
+    a = abs(rho)
+    terms = 1 if a == 0 else min(500, max(1, math.ceil(math.log(1e-16 * (1 - a) / 1.086435**2)
+                                                       / math.log(a))))
+    h = _hermite_rows(terms, *_HERMITE_FN, np.array([x, y], dtype=float))
+    total = math.sqrt(math.pi) * float(rho ** np.arange(terms) @ (h[:, 0] * h[:, 1]))
     closed = math.sqrt(1.0 / (1.0 - rho * rho)) * math.exp(
         (4.0 * x * y * rho - (1.0 + rho * rho) * (x * x + y * y)) / (2.0 * (1.0 - rho * rho))
     )
-    return VerificationReport.scalar_check(
-        f"gaussian/mehler/rho={rho:g}/x={x:g}/y={y:g}",
-        total,
-        closed,
-        tolerance,
-        terms=terms,
-        rho=rho,
-        x=x,
-        y=y,
-    )
+    return VerificationReport(f"gaussian/mehler/rho={rho:g}/x={x:g}/y={y:g}", total, closed,
+                              tolerance, dict(terms=terms, rho=rho, x=x, y=y))

@@ -163,7 +163,5 @@ def check_identity(which: str, params: tuple, omega_grid,
         raise ValueError("omega_grid must be nonempty and finite")
     dev = float(np.max(IDENTITIES[which](tuple(params), w)))
     name = f"identities/{which}/params={tuple(int(p) for p in params)}"
-    return VerificationReport.deviation_check(
-        name, dev, tolerance, grid_size=int(w.size),
-        omega_min=float(w.min()), omega_max=float(w.max()),
-    )
+    return VerificationReport(name, dev, 0.0, tolerance, dict(
+        grid_size=int(w.size), omega_min=float(w.min()), omega_max=float(w.max())))

@@ -124,7 +124,8 @@ def _check_finite(vals, m: int):
 
 def _last_row(table, m: int, t, *args):
     """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar
-    t); ValueError where a value is not finite."""
+    t); ValueError where a value is not finite (a table's, or a Mercer row's
+    at large alpha: m = 40 at alpha = 1e9, t = 1)."""
     _check_degree(m)
     with np.errstate(over="ignore", invalid="ignore"):  # a value beyond float64 raises below
         vals = block_row(lambda p: table(m + 1, *args, p), -1, t)
@@ -242,13 +243,17 @@ def _hermite_gram(coef, first: np.ndarray, last: np.ndarray) -> np.ndarray:
 
 def _table(count: int, t, coef) -> np.ndarray:
     """Rows 0..count-1 of the seed-1 recurrence with coefficients coef at the
-    points t, flattened: (count, t.size)."""
+    points t, flattened: (count, t.size); ValueError where t is NaN or a value
+    lies beyond float64 (a non-finite row stays so, and the last row shows it)."""
     check_int(count, "count", 1)
     _check_degree(count - 1, "count-1")
-    x = np.asarray(t, dtype=float).ravel()
+    x = check_not_nan(np.asarray(t, dtype=float).ravel())
     rows = np.empty((count, x.size))
     rows[0] = 1.0
-    return _recur(rows, x, coef)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond float64 raises below
+        _recur(rows, x, coef)
+    _check_finite(rows[-1], count - 1)
+    return rows
 
 
 def assoc_laguerre_table(count: int, eta: int, t) -> np.ndarray:
@@ -259,6 +264,6 @@ def assoc_laguerre_table(count: int, eta: int, t) -> np.ndarray:
 
 
 def hermite_normalized_table(count: int, t) -> np.ndarray:
-    """Rows m = 0..count-1 of H_m / sqrt(2^m m!) at the points t, flattened.
-    The values stay O(e^{t^2/2}) for every degree, so no overflow."""
+    """Rows m = 0..count-1 of H_m / sqrt(2^m m!) at the points t, flattened;
+    |H_m / sqrt(2^m m!)| <= 1.086435 e^{t^2/2} (Cramer), finite for |t| < 37.6."""
     return _table(count, t, _hermite_coef())

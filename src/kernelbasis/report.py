@@ -32,15 +32,10 @@ class VerificationReport:
         object.__setattr__(self, "abs_error", abs(self.computed - self.reference))
         object.__setattr__(self, "passed", self.abs_error <= self.tolerance)
 
-    @classmethod
+    @classmethod  # for perfbench/tests; the package calls the constructor
     def scalar_check(cls, name: str, computed: float, reference: float,
                      tolerance: float, **metadata) -> "VerificationReport":
         return cls(name, computed, reference, tolerance, metadata)
-
-    @classmethod
-    def deviation_check(cls, name: str, max_deviation: float,
-                        tolerance: float, **metadata) -> "VerificationReport":
-        return cls(name, max_deviation, 0.0, tolerance, metadata)
 
     def with_tolerance(self, tolerance: float) -> "VerificationReport":
         return replace(self, tolerance=tolerance)

@@ -227,8 +227,8 @@ class TestVerify:
         from kernelbasis.report import VerificationReport
 
         reports = [
-            VerificationReport.scalar_check("demo/nan", math.nan, 1.0, 1e-8),
-            VerificationReport.deviation_check("demo/inf", math.inf, 1e-8),
+            VerificationReport("demo/nan", math.nan, 1.0, 1e-8),
+            VerificationReport("demo/inf", math.inf, 0.0, 1e-8),
         ]
         monkeypatch.setattr(cli_mod, "run_suite", lambda *args, **kwargs: reports)
         code, out, err = run_cli(capsys, "verify", "identities")

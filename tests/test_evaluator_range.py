@@ -3,9 +3,9 @@
 NaN points raise, and at +-inf every evaluator gives its limit 0.  So do the
 kernels of two points, except the closed-form kernels at t = u = +-inf, which
 have no limit there and raise.  The polynomials have no limit at +-inf either:
-there, and wherever a value lies beyond float64, they raise.  Every public
-function of points is listed in one of the tables here (the raw recurrence
-tables as exempt)."""
+there, and wherever a value lies beyond float64, they raise, and so do the
+raw recurrence tables.  Every public function of points is listed in one of
+the tables here."""
 
 import importlib
 import inspect
@@ -191,16 +191,16 @@ def test_overflow_gives_the_limit_without_a_warning(name):
 
 
 # call(m, t): a polynomial has no limit at +-inf, so there, and wherever its
-# value lies beyond float64, it raises naming the degree m
+# value lies beyond float64, it raises naming the degree m; a table of rows
+# 0..m names its last degree
 _POLYNOMIALS = {
     "laguerre": orthopoly.laguerre,
     "assoc_laguerre": lambda m, t: orthopoly.assoc_laguerre(m, 3, t),
     "hermite": orthopoly.hermite,
     "hermite_normalized": orthopoly.hermite_normalized,
+    "assoc_laguerre_table": lambda m, t: orthopoly.assoc_laguerre_table(m + 1, 3, t),
+    "hermite_normalized_table": lambda m, t: orthopoly.hermite_normalized_table(m + 1, t),
 }
-# the raw seed-1 recurrences: a value beyond float64 is inf or NaN, as the
-# direct products that tests compare blocks against need (test_matern.py)
-_RAW_TABLES = {"assoc_laguerre_table", "hermite_normalized_table"}
 
 
 @pytest.mark.parametrize("name", sorted(_POLYNOMIALS))
@@ -232,7 +232,7 @@ def test_nan_point_of_a_polynomial_raises_naming_it(name):
 def test_every_public_evaluator_of_points_is_in_a_range_table(module):
     # a public function that takes points t, u or omega must be listed above
     tabled = {name.split("/")[0]
-              for table in (_EVALUATORS, _PAIR_EVALUATORS, _OVERFLOWS, _POLYNOMIALS, _RAW_TABLES)
+              for table in (_EVALUATORS, _PAIR_EVALUATORS, _OVERFLOWS, _POLYNOMIALS)
               for name in table}
     mod = importlib.import_module(f"kernelbasis.{module}")
     untabled = [name for name in mod.__all__

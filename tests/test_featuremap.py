@@ -311,6 +311,17 @@ _LARGE_GRIDS = {
                         ("permuted", (_WIDE_T, _WIDE_U))]
     for indexing in ("ij", "xy")
 }
+# more distinct values than CHUNK on one side: its block runs one chunk at a
+# time, each writing its rows or columns of the distinct-value Gram matrix
+_ONE_SIDE_MANY = np.random.default_rng(13).uniform(-3.0, 3.0, CHUNK + 1000)
+_ONE_SIDE_FEW = np.array([-1.0, 0.2, 0.7])
+_ONE_SIDE_CASES = {
+    "outer_many_t": (np.sort(_ONE_SIDE_MANY)[:, None], _ONE_SIDE_FEW[None, :]),
+    "outer_many_u": (_ONE_SIDE_FEW[:, None], np.sort(_ONE_SIDE_MANY)[None, :]),
+    "gather_many_t": (_ONE_SIDE_MANY[:, None], _ONE_SIDE_FEW[None, ::-1]),
+    "gather_many_u": (np.array([0.5, -0.5, 0.5])[None, :], _ONE_SIDE_MANY[:, None]),
+    "scalar_u": (_ONE_SIDE_MANY, 0.3),
+}
 # meshgrid axes: +-0.0, subnormals, repeats and |x| up to 1e300
 _GRID_AXIS_VALUES = st.lists(
     st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1.5]),
@@ -348,6 +359,15 @@ class TestRankProduct:
         spec, (t, u) = _WIDE_SPECS[family], _LARGE_GRIDS[case]
         ref = rank_product_gather(spec._block, spec.lam, t, u)
         for got in _both_truncated(spec, t, u):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("family", sorted(_WIDE_SPECS))
+    @pytest.mark.parametrize("case", sorted(_ONE_SIDE_CASES))
+    def test_many_values_on_one_side_equal_gather_of_separate_blocks(self, family, case):
+        spec, (t, u) = _WIDE_SPECS[family], _ONE_SIDE_CASES[case]
+        ref = rank_product_gather(spec._block, spec.lam, t, u)
+        for got in _both_truncated(spec, t, u):
+            assert got.shape == ref.shape
             np.testing.assert_array_equal(got, ref)
 
     @settings(max_examples=50, deadline=None)
@@ -820,6 +840,15 @@ class TestMemory:
         side = np.linspace(-3.0, 3.0, 1000)
         t, u = np.meshgrid(side, side / 2, indexing="ij")
         assert _peak_bytes(lambda: spec.truncated_kernel(t, u)) < 1.5 * t.size * 8
+
+    @pytest.mark.parametrize("family", sorted(_WIDE_SPECS))
+    @pytest.mark.parametrize("u", [0.3, np.array([[0.3, -1.2]])], ids=["scalar", "two_values"])
+    def test_one_side_with_many_values_memory_is_chunked(self, family, u):
+        # 1e5 distinct t at dim 64-67: 5.7-6.5 MB measured (output, Gram
+        # matrix, index arrays and one (dim, CHUNK) block); one block on
+        # every distinct value peaked at 55-62 MB
+        spec, t = _WIDE_SPECS[family], _points(100_000)[:, None]
+        assert _peak_bytes(lambda: spec.truncated_kernel(t, u)) < 12e6
 
     @pytest.mark.parametrize("family", sorted(_WIDE_SPECS))
     def test_pairwise_memory_grows_by_points_not_blocks(self, family):

@@ -28,6 +28,7 @@ from kernelbasis.gaussian import (
 )
 from kernelbasis._lowrank import CHUNK
 from kernelbasis.quadrature import gauss_hermite_rule
+from kernelbasis.verify import DEFAULT_SEED, _sample_pairs
 from oracles import gaussian_psi_mp
 
 ALPHA = math.sqrt(2.0 / 3.0)
@@ -310,6 +311,30 @@ class TestMehler:
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
             mehler_check(1.0, 0.0, 0.0)
+
+    def test_kernel_substitution_is_summed_to_its_tail_bound(self):
+        # the harness's 20 seeded pairs: on the kernel's scale the series
+        # error is a few ulp (a stop after two small terms left 5.5e-13)
+        root3 = math.sqrt(3.0)
+        for t, u in _sample_pairs(20, -3.0, 3.0, DEFAULT_SEED):
+            rep = mehler_check(1.0 / 3.0, 2.0 * t / root3, 2.0 * u / root3)
+            scale = (2.0 * math.sqrt(2.0) / 3.0) * math.exp((t * t + u * u) / 3.0)
+            assert rep.abs_error < 1e-15 and scale * rep.abs_error < 1e-14
+
+    def test_random_draws_within_bound(self):
+        # 1000 seeded draws, |rho| <= 0.9 and |x|, |y| <= 4 (measured 1.7e-14
+        # on 3000; 1.2e-12 with the two-small-terms stop)
+        rng = np.random.default_rng(2024)
+        rhos, xs, ys = rng.uniform(-0.9, 0.9, 1000), rng.uniform(-4, 4, 1000), rng.uniform(-4, 4, 1000)
+        worst = max(mehler_check(float(r), float(x), float(y)).abs_error
+                    for r, x, y in zip(rhos, xs, ys))
+        assert worst < 5e-14
+
+    @pytest.mark.parametrize("rho, terms", [(0.0, 1), (1e-300, 1), (1.0 / 3.0, 35), (-0.9, 374),
+                                            (0.9999, 500)])
+    def test_term_count_from_the_tail_bound(self, rho, terms):
+        # least M with k^2 |rho|^M / (1 - |rho|) <= 1e-16, k = 1.086435, at most 500
+        assert mehler_check(rho, 0.4, -1.2).metadata["terms"] == terms
 
     def test_reports_term_count(self):
         rep = mehler_check(1.0 / 3.0, 1.0, 1.0)

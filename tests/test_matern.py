@@ -511,8 +511,13 @@ def test_off_side_handed_columns_stay_zero_far_from_the_origin(nu, size):
         ax = np.abs(x)
         m = np.arange(n)[:, None]
         weights = np.exp(_log_c(nu) + gammaln(m + 1) - gammaln(m + nu + 2))  # c_nu m!/(m+nu+1)!
+        # the table raises beyond float64, which its rows m < 32 reach near
+        # 2|x| = 1e11 (L_m^(nu+1)(s) ~ s^m/m!): the product is NaN past |x| = 1e9
+        fits = ax < 1e9
         direct = (weights * (2.0 * ax) ** (nu + 1)
-                  * assoc_laguerre_table(n, nu + 1, 2.0 * ax) * np.exp(-ax)).T
+                  * assoc_laguerre_table(n, nu + 1, np.where(fits, 2.0 * ax, 0.0))
+                  * np.exp(-ax)).T
+        direct[~fits] = np.nan
     minus, plus = F[:, nu + 1 : nu + 1 + n], F[:, nu + 1 + n :]
     left = x < 0
     assert np.all(minus[~left] == 0.0) and np.all(plus[left] == 0.0)

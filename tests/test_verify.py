@@ -29,9 +29,9 @@ def all_reports():
 
 class TestReport:
     def test_passed_flag_is_derived(self):
-        rep = VerificationReport.scalar_check("x", 1.0, 1.0 + 1e-9, 1e-8)
+        rep = VerificationReport("x", 1.0, 1.0 + 1e-9, 1e-8)
         assert rep.passed and rep.abs_error == pytest.approx(1e-9)
-        rep = VerificationReport.scalar_check("x", 1.0, 2.0, 1e-8)
+        rep = VerificationReport("x", 1.0, 2.0, 1e-8)
         assert not rep.passed
 
     @pytest.mark.parametrize("derived", [dict(abs_error=0.0, passed=True), dict(abs_error=0.0),
@@ -47,17 +47,21 @@ class TestReport:
         (np.nan, 1.0), (np.inf, 1.0), (np.inf, np.inf),
     ])
     def test_nonfinite_result_fails(self, computed, reference):
-        rep = VerificationReport.scalar_check("x", computed, reference, 1e-8)
+        rep = VerificationReport("x", computed, reference, 1e-8)
         assert not rep.passed
         assert not np.isfinite(rep.abs_error)
 
     def test_tolerance_override(self):
-        rep = VerificationReport.scalar_check("x", 1.0, 1.5, 1e-8)
+        rep = VerificationReport("x", 1.0, 1.5, 1e-8)
         assert not rep.passed
         assert rep.with_tolerance(1.0).passed
 
+    def test_scalar_check_is_the_constructor_with_keyword_metadata(self):
+        assert (VerificationReport.scalar_check("x", 1.0, 2.0, 1e-8, grid=5)
+                == VerificationReport("x", 1.0, 2.0, 1e-8, dict(grid=5)))
+
     def test_round_trips_through_json(self):
-        rep = VerificationReport.deviation_check("a/b", 1e-13, 1e-12, grid=50)
+        rep = VerificationReport("a/b", 1e-13, 0.0, 1e-12, dict(grid=50))
         again = json.loads(json.dumps(rep.to_dict()))
         assert again["check_name"] == "a/b"
         assert again["passed"] is True
@@ -183,21 +187,17 @@ class TestGramMatrix:
 
 
 class TestTruncationSweep:
-    def test_gaussian_hs_reports_exact_ratio_third(self):
-        reps = truncation_sweep("gaussian", [1, 2, 3, 4], [(0.5, 1.0)], pointwise_tol=1.0)
-        hs = [r for r in reps if "hs_exact" in r.check_name]
-        assert len(hs) == 4
-        assert all(r.passed for r in hs)
-        vals = [r.computed for r in hs]
-        for a, b in zip(vals, vals[1:]):
-            assert b == pytest.approx(a / 3.0, rel=1e-12)
-
     def test_matern_ratio_within_unit_interval(self):
-        reps = truncation_sweep("matern", [1, 4, 16, 64], [(0.5, 1.0)], nu=2,
-                                pointwise_tol=1.0)
-        ratios = [r for r in reps if "hs_ratio" in r.check_name]
+        # the exact Hilbert--Schmidt error over its bound, nu < 5 and 7 levels n
+        ratios = [r for r in run_suite("matern") if "hs_ratio" in r.check_name]
+        assert len(ratios) == 35
         assert all(r.passed for r in ratios)
         assert all(0.0 < r.computed <= 1.0 for r in ratios)
+
+    def test_sweep_yields_only_pointwise_rows(self):
+        reps = truncation_sweep("matern", [1, 4], [(0.5, 1.0)], nu=2, pointwise_tol=1.0)
+        assert [r.check_name for r in reps] == ["matern/nu=2/pointwise/n=4",
+                                                "matern/nu=2/pointwise_decay/1->4"]
 
     def test_requires_increasing_n(self):
         with pytest.raises(ValueError):
