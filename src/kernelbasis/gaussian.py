@@ -245,8 +245,8 @@ def mehler_check(rho: float, x: float, y: float, tolerance: float = 1e-10) -> Ve
     if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
     a = abs(rho)
-    terms = 1 if a == 0 else min(500, max(1, math.ceil(math.log(1e-16 * (1 - a) / 1.086435**2)
-                                                       / math.log(a))))
+    terms = 1 if a == 0 else min(500, math.ceil(math.log(1e-16 * (1 - a) / 1.086435**2)
+                                                / math.log(a)))
     h = _hermite_rows(terms, *_HERMITE_FN, np.array([x, y], dtype=float))
     total = math.sqrt(math.pi) * float(rho ** np.arange(terms) @ (h[:, 0] * h[:, 1]))
     closed = math.sqrt(1.0 / (1.0 - rho * rho)) * math.exp(

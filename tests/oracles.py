@@ -12,6 +12,7 @@ order the weighted float recurrences avoid.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable
@@ -134,34 +135,107 @@ def integrate(rule: QuadratureRule, f: Callable) -> float:
     return float(rule.weights @ vals)
 
 
-def gaussian_psi_mp(count: int, x: float) -> list:
-    """psi_m(x) = (2 sqrt 2/3)^{1/2} 3^{-m/2} e^{-x^2/3} H_m(y)/sqrt(2^m m!),
-    y = 2x/sqrt 3, for m < count, in the current mpmath precision: the
-    unweighted normalised Hermite recurrence, times the weight at the end."""
-    y = 2 * mpmath.mpf(x) / mpmath.sqrt(3)
+@functools.lru_cache
+def _hermite_mp_coefs(count: int, prec: int) -> list:
+    """(sqrt(2/(k+1)), sqrt(k/(k+1)), sqrt(2(k+1))) for k < count - 1 at mpmath precision prec."""
+    with mpmath.workprec(prec):
+        return [(mpmath.sqrt(mpmath.mpf(2) / (k + 1)), mpmath.sqrt(mpmath.mpf(k) / (k + 1)),
+                 mpmath.sqrt(2 * (k + 1))) for k in range(count - 1)]
+
+
+def hermite_form_mp(ms, c, p, v, w, x) -> list:
+    """(f_m(x), x f_m'(x)) for m in ms of f_m = c p^{-m/2} e^{-x^2/v} e_m(x/w),
+    e_m = H_m / sqrt(2^m m!), in the current mpmath precision, with c, p, v
+    and w exact (mpmath numbers or exact floats): the unweighted normalised
+    Hermite recurrence, the weight applied at the end, and e_m' = sqrt(2m) e_{m-1}."""
+    count = max(ms) + 1
+    coefs = _hermite_mp_coefs(count, mpmath.mp.prec)
+    x = mpmath.mpf(x)
+    y = x / w
     e = [mpmath.mpf(1), mpmath.sqrt(2) * y]
     for k in range(1, count - 1):
-        e.append(mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * y * e[k]
-                 - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * e[k - 1])
-    weight = mpmath.sqrt(2 * mpmath.sqrt(2) / 3) * mpmath.exp(-mpmath.mpf(x) ** 2 / 3)
-    return [weight * mpmath.power(3, -mpmath.mpf(m) / 2) * e[m] for m in range(count)]
+        e.append(coefs[k][0] * y * e[k] - coefs[k][1] * e[k - 1])
+    weight, slope = c * mpmath.exp(-x * x / v), 2 * x / v
+    rows = []
+    for m in ms:
+        scale = weight * mpmath.power(p, -mpmath.mpf(m) / 2)
+        de = coefs[m - 1][2] * e[m - 1] / w if m else 0
+        rows.append((scale * e[m], scale * x * (de - slope * e[m])))
+    return rows
 
 
-def matern_handed_mp(nu: int, count: int, x: float) -> list:
-    """psi+_{m,nu}(|x|), times (-1)^nu where x < 0, for m < count, in the
-    current mpmath precision: c_nu m!/(m+nu+1)! (2|x|)^(nu+1) L_m^(nu+1)(2|x|)
-    e^{-|x|} with c_nu = nu!/sqrt((2 nu)!), L_m by the unweighted
-    associated-Laguerre recurrence, the prefactors applied at the end."""
-    ax = abs(mpmath.mpf(x))
-    s, eta = 2 * ax, nu + 1
+def gaussian_psi_mp(count: int, x: float) -> list:
+    """psi_m(x) = (2 sqrt 2/3)^{1/2} 3^{-m/2} e^{-x^2/3} H_m(y)/sqrt(2^m m!),
+    y = 2x/sqrt 3, for m < count, in the current mpmath precision
+    (:func:`hermite_form_mp`)."""
+    c = mpmath.sqrt(2 * mpmath.sqrt(2) / 3)
+    return [f for f, _ in hermite_form_mp(range(count), c, 3, 3, mpmath.sqrt(3) / 2, x)]
+
+
+def laguerre_form_mp(count: int, eta: int, power: int, x) -> list:
+    """(g_m(x), x g_m'(x)) for m < count of g_m = s^power L_m^(eta)(s) e^{-x},
+    s = 2x, at x >= 0, in the current mpmath precision: L_m by the
+    unweighted associated-Laguerre recurrence (any integer eta), the factors
+    applied at the end, and s L_m' = m L_m - (m + eta) L_{m-1}."""
+    x = mpmath.mpf(x)
+    s = 2 * x
     lag = [mpmath.mpf(1), 1 + eta - s]
     for k in range(1, count - 1):
         lag.append(((2 * k + 1 + eta - s) * lag[k] - (k + eta) * lag[k - 1]) / (k + 1))
-    c = mpmath.factorial(nu) / mpmath.sqrt(mpmath.factorial(2 * nu))
-    sign = -1 if x < 0 and nu % 2 else 1
-    factor = sign * c * s**eta * mpmath.exp(-ax)
-    return [factor * mpmath.factorial(m) / mpmath.factorial(m + eta) * lag[m]
+    factor = mpmath.power(s, power) * mpmath.exp(-x)
+    return [(factor * lag[m],
+             factor * ((power + m - x) * lag[m] - ((m + eta) * lag[m - 1] if m else 0)))
             for m in range(count)]
+
+
+def matern_c_mp(nu: int):
+    """c_nu = nu!/sqrt((2 nu)!) in the current mpmath precision."""
+    return mpmath.factorial(nu) / mpmath.sqrt(mpmath.factorial(2 * nu))
+
+
+def matern_handed_mp(nu: int, count: int, x: float, with_derivative: bool = False) -> list:
+    """psi+_{m,nu}(|x|), times (-1)^nu where x < 0, for m < count, in the
+    current mpmath precision: c_nu m!/(m+nu+1)! (2|x|)^(nu+1) L_m^(nu+1)(2|x|)
+    e^{-|x|} (:func:`laguerre_form_mp`); with ``with_derivative``, pairs
+    (value, x times its derivative)."""
+    sign = -1 if x < 0 and nu % 2 else 1
+    c = sign * matern_c_mp(nu) / mpmath.factorial(nu + 1)  # c_nu m!/(m+nu+1)! at m = 0
+    rows = []
+    for m, (g, dg) in enumerate(laguerre_form_mp(count, nu + 1, nu + 1, abs(x))):
+        rows.append((c * g, c * dg))
+        c = c * (m + 1) / (m + nu + 2)
+    return rows if with_derivative else [f for f, _ in rows]
+
+
+def matern_null_mp(nu: int, x: float) -> list:
+    """(psi0_m(x), x psi0_m'(x)) for m = 0..nu in the current mpmath precision:
+    c_nu (-1)^(nu+1) L_m^(-nu-1)(2x) e^{-x} on x >= 0, and (-1)^nu
+    psi0_{nu-m}(-x) on x < 0."""
+    c = (-1) ** (nu + 1) * matern_c_mp(nu)
+    rows = [(c * g, c * dg) for g, dg in laguerre_form_mp(nu + 1, -nu - 1, 0, abs(x))]
+    if x < 0:
+        # x f'(x) = |x| g'(|x|) for f(x) = g(-x)
+        rows = [((-1) ** nu * f, (-1) ** nu * xf) for f, xf in rows[::-1]]
+    return rows
+
+
+def cauchy_psi_mp(m: int, x: float) -> tuple:
+    """(psi_m(x), x psi_m'(x)) of the complex Cauchy basis in the current
+    mpmath precision: -(1/sqrt 2) (ix)^k / (ix -+ 1)^(k+1), k = m for m >= 0
+    (pole at ix = 1) and k = -m - 1 otherwise, whose logarithmic derivative
+    gives x psi' = psi (k - (k + 1) ix / (ix -+ 1))."""
+    ix = mpmath.mpc(0, x)
+    k, pole = (m, ix - 1) if m >= 0 else (-m - 1, ix + 1)
+    f = -ix**k / pole ** (k + 1) / mpmath.sqrt(2)
+    return f, f * (k - (k + 1) * ix / pole)
+
+
+def laguerre_fn_ft_mp(m: int, w: float) -> tuple:
+    """(phi_hat_m(w), w phi_hat_m'(w)) of sqrt(2) (iw - 1)^m / (iw + 1)^(m+1)
+    in the current mpmath precision."""
+    iw = mpmath.mpc(0, w)
+    f = mpmath.sqrt(2) * (iw - 1) ** m / (iw + 1) ** (m + 1)
+    return f, f * (m * iw / (iw - 1) - (m + 1) * iw / (iw + 1))
 
 
 def rank_product_gather(block, lam: float, t, u):

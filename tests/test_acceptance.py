@@ -47,7 +47,7 @@ def test_criterion_01_gaussian_exact_truncation_error():
     worst = 0.0
     for n in range(1, 7):
         closed = kb.gaussian_truncation_error(n)
-        assert closed == pytest.approx(3.0 ** (-n) / math.sqrt(2.0), rel=1e-15)
+        assert closed == pytest.approx(3.0 ** (-n) / math.sqrt(2.0), rel=1e-15, abs=0)
         quad = math.sqrt(float(np.sum(W * (r - kb.gaussian_truncated(s, n, T, U)) ** 2)))
         worst = max(worst, abs(quad - closed) / closed)
     elapsed = time.perf_counter() - start

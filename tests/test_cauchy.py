@@ -27,10 +27,10 @@ class TestKernel:
         assert cauchy_kernel(1.0, 0.7, 0.7) == 1.0
 
     def test_unit_distance(self):
-        assert cauchy_kernel(1.0, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert cauchy_kernel(1.0, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_length_scale(self):
-        assert cauchy_kernel(2.0, 1.0, 0.0) == pytest.approx(0.2, rel=1e-15)
+        assert cauchy_kernel(2.0, 1.0, 0.0) == pytest.approx(0.2, rel=1e-15, abs=0)
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
@@ -39,7 +39,7 @@ class TestKernel:
 
 class TestComplexBasis:
     def test_m0_at_origin(self):
-        assert cauchy_psi_complex(0, 0.0) == pytest.approx(1.0 / SQRT2, rel=1e-15)
+        assert cauchy_psi_complex(0, 0.0) == pytest.approx(1.0 / SQRT2, rel=1e-15, abs=0)
 
     def test_positive_degree_vanishes_at_origin(self):
         assert cauchy_psi_complex(3, 0.0) == 0.0
@@ -64,10 +64,10 @@ class TestComplexBasis:
 
 class TestRealBasis:
     def test_alpha0_at_origin(self):
-        assert cauchy_real_basis("alpha", 0, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert cauchy_real_basis("alpha", 0, 0.0) == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_beta0_at_one(self):
-        assert cauchy_real_basis("beta", 0, 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert cauchy_real_basis("beta", 0, 1.0) == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_matches_exact_rational_sums(self):
         # explicit alternating polynomial sums, evaluated over Fraction

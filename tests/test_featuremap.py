@@ -108,7 +108,7 @@ class TestFeatures:
         spec = FeatureMapSpec("gaussian", lam=1.3, n=1)
         F = features(spec, [0.4])
         assert F.shape == (1, 1)
-        assert F[0, 0] == pytest.approx(gaussian_psi(0, 1.3 * 0.4), rel=1e-14)
+        assert F[0, 0] == pytest.approx(gaussian_psi(0, 1.3 * 0.4), rel=1e-14, abs=0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["matern", "cauchy", "gaussian"]),

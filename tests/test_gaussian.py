@@ -38,9 +38,9 @@ class TestKernel:
     def test_values(self):
         s = GaussianScale(1.0)
         assert gaussian_kernel(s, 0.3, 0.3) == 1.0
-        assert gaussian_kernel(s, 1.0, 0.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert gaussian_kernel(s, 1.0, 0.0) == pytest.approx(math.exp(-0.5), rel=1e-15, abs=0)
         assert gaussian_kernel(GaussianScale(2.0), 1.0, 0.0) == pytest.approx(
-            math.exp(-2.0), rel=1e-15
+            math.exp(-2.0), rel=1e-15, abs=0
         )
 
     def test_invalid_scale(self):
@@ -50,11 +50,11 @@ class TestKernel:
 
 class TestHermiteFunctions:
     def test_ground_state(self):
-        assert hermite_fn(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
+        assert hermite_fn(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15, abs=0)
 
     def test_first_excited(self):
         expected = math.sqrt(1.0 / (2.0 * math.sqrt(math.pi))) * math.exp(-0.5) * 2.0
-        assert hermite_fn(1, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert hermite_fn(1, 1.0) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_orthonormal_under_unit_weight(self):
         rule = gauss_hermite_rule(96)
@@ -67,7 +67,7 @@ class TestHermiteFunctions:
 class TestBasis:
     def test_value_at_origin(self):
         assert gaussian_psi(0, 0.0) == pytest.approx(
-            (2.0 * math.sqrt(2.0) / 3.0) ** 0.5, rel=1e-15
+            (2.0 * math.sqrt(2.0) / 3.0) ** 0.5, rel=1e-15, abs=0
         )
 
     def test_odd_vanishes_at_origin(self):
@@ -107,7 +107,7 @@ class TestScaledVariant:
 
     def test_value_at_origin_kappa_half(self):
         expected = (math.sqrt(2.0) * 0.5 / 1.125) ** 0.5
-        assert gaussian_psi_scaled(0, 0.5, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert gaussian_psi_scaled(0, 0.5, 0.0) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_kappa_domain(self):
         with pytest.raises(ValueError):
@@ -141,8 +141,8 @@ class TestScaledVariant:
 class TestMercer:
     def test_derived_parameters(self):
         p = MercerParams.from_alpha(ALPHA)
-        assert p.beta == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert p.delta_sq == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert p.beta == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0)
+        assert p.delta_sq == pytest.approx(1.0 / 3.0, rel=1e-14, abs=0)
 
     def test_inconsistent_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ class TestMercer:
         p = MercerParams.from_alpha(ALPHA)
         for m in range(12):
             assert mercer_eigenvalue(p, m) == pytest.approx(
-                2.0 / 3.0 ** (m + 1), rel=1e-14
+                2.0 / 3.0 ** (m + 1), rel=1e-14, abs=0
             )
 
     def test_eigenvalues_strictly_decreasing(self):
@@ -177,13 +177,13 @@ class TestMercer:
         s = p.alpha**2 + p.delta_sq + 0.5
         closed = math.sqrt(p.alpha**2 / s) / (1.0 - 0.5 / s)
         assert sum(mercer_eigenvalue(p, m) for m in range(100)) == pytest.approx(
-            closed, rel=1e-14
+            closed, rel=1e-14, abs=0
         )
 
     def test_eigenfunction_at_origin(self):
         p = MercerParams.from_alpha(ALPHA)
         assert mercer_eigenfunction(p, 0, 0.0) == pytest.approx(
-            math.sqrt(p.beta), rel=1e-15
+            math.sqrt(p.beta), rel=1e-15, abs=0
         )
 
     @pytest.mark.parametrize("alpha", [ALPHA, 1.0, 1e2, 1e4, 1e9])
@@ -247,7 +247,7 @@ class TestMercer:
 class TestTruncation:
     def test_single_term_at_origin(self):
         assert gaussian_truncated(GaussianScale(1.0), 1, 0.0, 0.0) == pytest.approx(
-            2.0 * math.sqrt(2.0) / 3.0, rel=1e-14
+            2.0 * math.sqrt(2.0) / 3.0, rel=1e-14, abs=0
         )
 
     def test_converges_at_n60(self):
@@ -281,7 +281,7 @@ class TestTruncation:
     @given(st.integers(1, 30))
     def test_error_is_geometric(self, n):
         assert gaussian_truncation_error(n + 1) == pytest.approx(
-            gaussian_truncation_error(n) / 3.0, rel=1e-14
+            gaussian_truncation_error(n) / 3.0, rel=1e-14, abs=0
         )
 
 
@@ -289,12 +289,12 @@ class TestMehler:
     def test_rho_zero_single_term(self):
         rep = mehler_check(0.0, 0.8, -1.1)
         assert rep.passed
-        assert rep.computed == pytest.approx(math.exp(-0.5 * (0.8**2 + 1.1**2)), rel=1e-14)
+        assert rep.computed == pytest.approx(math.exp(-0.5 * (0.8**2 + 1.1**2)), rel=1e-14, abs=0)
 
     def test_origin(self):
         rep = mehler_check(1.0 / 3.0, 0.0, 0.0)
         assert rep.passed and rep.abs_error < 1e-12
-        assert rep.reference == pytest.approx(math.sqrt(9.0 / 8.0), rel=1e-14)
+        assert rep.reference == pytest.approx(math.sqrt(9.0 / 8.0), rel=1e-14, abs=0)
 
     def test_grid(self):
         for x in np.linspace(-2, 2, 5):
@@ -325,7 +325,7 @@ class TestMehler:
         # 1000 seeded draws, |rho| <= 0.9 and |x|, |y| <= 4 (measured 1.7e-14
         # on 3000; 1.2e-12 with the two-small-terms stop)
         rng = np.random.default_rng(2024)
-        rhos, xs, ys = rng.uniform(-0.9, 0.9, 1000), rng.uniform(-4, 4, 1000), rng.uniform(-4, 4, 1000)
+        rhos, xs, ys = rng.uniform(-0.9, 0.9, 1000), *rng.uniform(-4, 4, (2, 1000))
         worst = max(mehler_check(float(r), float(x), float(y)).abs_error
                     for r, x, y in zip(rhos, xs, ys))
         assert worst < 5e-14

@@ -16,17 +16,17 @@ SQRT2 = math.sqrt(2.0)
 
 class TestTimeDomain:
     def test_m0_positive_side(self):
-        assert laguerre_fn(0, 1.0) == pytest.approx(SQRT2 * math.exp(-1.0), rel=1e-15)
+        assert laguerre_fn(0, 1.0) == pytest.approx(SQRT2 * math.exp(-1.0), rel=1e-15, abs=0)
 
     def test_m0_negative_side_is_zero(self):
         assert laguerre_fn(0, -0.5) == 0.0
 
     def test_negative_index_reflection(self):
-        assert laguerre_fn(-1, -1.0) == pytest.approx(-SQRT2 * math.exp(-1.0), rel=1e-15)
+        assert laguerre_fn(-1, -1.0) == pytest.approx(-SQRT2 * math.exp(-1.0), rel=1e-15, abs=0)
 
     def test_zero_belongs_to_nonnegative_branch(self):
         for m in range(4):
-            assert laguerre_fn(m, 0.0) == pytest.approx(SQRT2, rel=1e-15)
+            assert laguerre_fn(m, 0.0) == pytest.approx(SQRT2, rel=1e-15, abs=0)
             assert laguerre_fn(-m - 1, 0.0) == 0.0
 
     @given(st.integers(-8, 8), st.floats(-30, 30, allow_nan=False))
@@ -76,12 +76,12 @@ def test_laguerre_fn_is_signed_block_row(m, t):
 
 class TestFourierDomain:
     def test_m0_at_origin(self):
-        assert laguerre_fn_ft(0, 0.0) == pytest.approx(SQRT2 + 0j, rel=1e-15)
+        assert laguerre_fn_ft(0, 0.0) == pytest.approx(SQRT2 + 0j, rel=1e-15, abs=0)
 
     @given(st.integers(-12, 12), st.floats(-50, 50, allow_nan=False))
     def test_modulus(self, m, omega):
         val = laguerre_fn_ft(m, omega)
-        assert abs(val) == pytest.approx(SQRT2 / math.sqrt(omega**2 + 1.0), rel=1e-12)
+        assert abs(val) == pytest.approx(SQRT2 / math.sqrt(omega**2 + 1.0), rel=1e-12, abs=0)
 
     @given(st.integers(-10, 10), st.floats(-40, 40, allow_nan=False))
     def test_conjugate_symmetry(self, m, omega):

@@ -76,7 +76,7 @@ class TestGaussHermite:
     def test_second_moment(self):
         rule = gauss_hermite_rule(12)
         assert integrate(rule, lambda t: t * t) == pytest.approx(
-            math.sqrt(math.pi) / 2.0, rel=1e-12
+            math.sqrt(math.pi) / 2.0, rel=1e-12, abs=0
         )
 
     def test_odd_moments_vanish(self):
@@ -131,7 +131,7 @@ class TestRuleInvariants:
 class TestIntegrate:
     def test_constant_under_laguerre(self):
         rule = gauss_laguerre_rule(4, 0.0)
-        assert integrate(rule, lambda t: np.ones_like(t)) == pytest.approx(1.0, rel=1e-14)
+        assert integrate(rule, lambda t: np.ones_like(t)) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_laguerre_squared_normalised(self):
         rule = gauss_laguerre_rule(32, 0.0)
@@ -165,7 +165,7 @@ class TestIntegrate:
                 raise TypeError("scalar only")
             return x * x
 
-        assert integrate(rule, f) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
+        assert integrate(rule, f) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12, abs=0)
 
 
 def test_legendre_rule_is_built_once_and_read_only():
@@ -178,7 +178,7 @@ def test_legendre_rule_is_built_once_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         w *= 2.0
     nodes, weights = _legendre_panel(32, 1.0, 3.0)
-    assert float(weights @ nodes**3) == pytest.approx((3.0**4 - 1.0) / 4.0, rel=1e-14)
+    assert float(weights @ nodes**3) == pytest.approx((3.0**4 - 1.0) / 4.0, rel=1e-14, abs=0)
 
 
 def _eigensolve(diag, off, mass):

@@ -187,9 +187,10 @@ class TestGramMatrix:
 
 
 class TestTruncationSweep:
-    def test_matern_ratio_within_unit_interval(self):
-        # the exact Hilbert--Schmidt error over its bound, nu < 5 and 7 levels n
-        ratios = [r for r in run_suite("matern") if "hs_ratio" in r.check_name]
+    def test_matern_ratio_within_unit_interval(self, all_reports):
+        # the Matern suite's exact Hilbert--Schmidt error over its bound, nu < 5
+        # and 7 levels n
+        ratios = [r for r in all_reports if "hs_ratio" in r.check_name]
         assert len(ratios) == 35
         assert all(r.passed for r in ratios)
         assert all(0.0 < r.computed <= 1.0 for r in ratios)
