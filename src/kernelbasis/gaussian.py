@@ -34,7 +34,8 @@ from functools import partial
 import numpy as np
 
 from ._lowrank import check_int, check_lam, check_not_nan, pair_values, rank_product, scaled
-from .orthopoly import _hermite_coef, _hermite_gram, _hermite_raw, _last_row, _recur
+from .orthopoly import (_check_finite, _hermite_coef, _hermite_gram, _hermite_raw, _last_row,
+                        _recur)
 from .report import VerificationReport
 
 __all__ = [
@@ -206,8 +207,11 @@ def mercer_eigenvalue(params: MercerParams, m: int) -> float:
 
 def mercer_eigenfunction(params: MercerParams, m: int, t):
     """Eigenfunction theta_{m,alpha}(t) = sqrt(beta/(2^m m!)) e^{-delta^2 t^2} H_m(alpha beta t),
-    orthonormal under the weight w_alpha."""
-    return _last_row(_hermite_rows, m, t, *_mercer_form(params))
+    orthonormal under the weight w_alpha; ValueError where it lies beyond
+    float64 (m = 40 at alpha = 1e9, t = 1)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond float64 raises below
+        vals = _last_row(_hermite_rows, m, t, *_mercer_form(params))
+    return _check_finite(vals, m)
 
 
 def mercer_weight(params: MercerParams, t):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelbasis.featuremap import (
@@ -236,8 +236,7 @@ def test_distinct_equals_unique_bit_for_bit(core, lam):
 
 _RNG = np.random.default_rng(11)
 _T_AXIS, _U_AXIS = np.array([-2.5, -0.5, 0.0, 0.5, 0.5, 2.0]), np.linspace(-3.0, 2.7, 5)
-# every argument has at least two distinct values: the same floats as a
-# block per argument
+# inputs of every branch: the same floats as a block per argument
 _MANY_VALUES = {
     "meshgrid_ij": tuple(np.meshgrid(_T_AXIS, _U_AXIS, indexing="ij")),
     "meshgrid_xy": tuple(np.meshgrid(_T_AXIS, _U_AXIS, indexing="xy")),
@@ -271,14 +270,10 @@ _MANY_VALUES = {
     # repeats on both axes, -0.0 beside 0.0: the Gram gather
     "meshgrid_repeats_both": tuple(np.meshgrid([1.0, -0.0, 0.5, 0.0, 1.0, -2.0],
                                                [0.0, 2.5, -0.0, 2.5, -1.0], indexing="ij")),
-}
-# an argument with one distinct value: its one-column products may round
-# the last bit differently
-_ONE_VALUE = {
+    # an argument with one distinct value: a block of one point
     "scalar_by_array": (0.4, _T_AXIS),
     "one_point_axis": (_T_AXIS[:1, None], _U_AXIS[None, :]),
     "signed_zeros_only": (np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, 1.2])),
-    "scalar_by_scalar": (0.3, -1.1),
 }
 # the truncated kernels at length-scale lam, level n and (Matern) order nu
 _TRUNCATED_AT = {
@@ -369,9 +364,6 @@ class TestRankProduct:
         spec = _SPECS[family]
         t, u = (np.unique(a) if order == "increasing" else
                 np.array(a + a[::2] if order == "repeated" else a) for a in (t, u))
-        # an axis of one distinct value may round the last bit differently
-        # (test_one_distinct_value_within_last_bit)
-        assume(all(np.unique(spec.lam * a).size > 1 for a in (t, u)))
         T, U = np.meshgrid(t, u, indexing=indexing)
         ref = rank_product_gather(spec._block, spec.lam, T, U)
         for got in _both_truncated(spec, T, U):
@@ -379,17 +371,11 @@ class TestRankProduct:
             np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("family", sorted(_SPECS))
-    @pytest.mark.parametrize("case", sorted(_ONE_VALUE))
-    def test_one_distinct_value_within_last_bit(self, family, case):
-        spec, (t, u) = _SPECS[family], _ONE_VALUE[case]
-        ref = rank_product_gather(spec._block, spec.lam, t, u)
-        for got in _both_truncated(spec, t, u):
-            assert np.shape(got) == np.shape(ref)
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("family", sorted(_SPECS))
     def test_scalar_by_scalar_is_a_float(self, family):
-        assert all(type(got) is float for got in _both_truncated(_SPECS[family], 0.3, -1.1))
+        spec = _SPECS[family]
+        ref = rank_product_gather(spec._block, spec.lam, 0.3, -1.1)
+        for got in _both_truncated(spec, 0.3, -1.1):
+            assert type(got) is float and got == ref
 
 
 class TestKRR:
