@@ -149,10 +149,10 @@ def rank_product(block, lam: float, t, u):
     """sum_k b_k(lam t) b_k(lam u) over the broadcast of t and u.
 
     ``block`` maps points of shape (N,) to basis rows of shape (dim, N).  The
-    first two of three branches read the Gram matrix of the distinct values,
-    from the block of the side with fewer values and the other side's one
-    chunk at a time, so the blocks take dim (fewer + min(CHUNK, more)) floats
-    besides it (less than the Gram matrix once both sides pass CHUNK):
+    first two of three branches read the Gram matrix of the distinct values:
+    one block on both while they number at most CHUNK, else the block of the
+    side with fewer values and the other's one chunk at a time, which besides
+    the Gram matrix take O(dim (fewer + min(CHUNK, more))) floats:
     * outer grid: the index cores of _distinct vary on disjoint axes, one's
       all before the other's, span the output's shape together and list
       their values in increasing C order; the Gram matrix (transposed when
@@ -185,15 +185,19 @@ def rank_product(block, lam: float, t, u):
             vals[s] = sum(row_x * row_y for row_x, row_y in zip(b[:, : vals[s].size],
                                                                  b[:, vals[s].size :]))
         return vals.reshape(x.shape)
-    # written in place, with x's block the left operand: a product rounds by
-    # which operand is which (a 300 x 200 Gram matrix as by.T @ bx differs)
-    gram = np.empty((xs.size, ys.size))
-    if xs.size <= ys.size:
-        bx = block(xs)
+    # x's block stays the left operand: a product rounds by which operand is which
+    if xs.size + ys.size <= CHUNK:
+        # one block call (a block per side costs a 300 x 300 grid a quarter
+        # more time); its parts are copied, as a strided one-column part
+        # rounds otherwise, and the block is freed before the product
+        bx, by = (part.copy() for part in np.hsplit(block(np.concatenate([xs, ys])), [xs.size]))
+        gram = bx.T @ by
+    elif xs.size <= ys.size:
+        gram, bx = np.empty((xs.size, ys.size)), block(xs)
         for s in chunks(ys.size):
             np.matmul(bx.T, block(ys[s]), out=gram[:, s])
     else:
-        by = block(ys)
+        gram, by = np.empty((xs.size, ys.size)), block(ys)
         for s in chunks(xs.size):
             np.matmul(block(xs[s]).T, by, out=gram[s])
     ax, ay = ([a for a, k in enumerate(i.shape) if k > 1] for i in (ix, iy))

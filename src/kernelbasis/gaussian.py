@@ -207,8 +207,7 @@ def mercer_eigenvalue(params: MercerParams, m: int) -> float:
 
 def mercer_eigenfunction(params: MercerParams, m: int, t):
     """Eigenfunction theta_{m,alpha}(t) = sqrt(beta/(2^m m!)) e^{-delta^2 t^2} H_m(alpha beta t),
-    orthonormal under the weight w_alpha; ValueError where it lies beyond
-    float64 (m = 40 at alpha = 1e9, t = 1)."""
+    orthonormal under w_alpha; ValueError beyond float64 (m = 40 at alpha = 1e9, t = 1)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a value beyond float64 raises below
         vals = _last_row(_hermite_rows, m, t, *_mercer_form(params))
     return _check_finite(vals, m)

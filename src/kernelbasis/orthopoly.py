@@ -123,8 +123,7 @@ def _check_finite(vals, m: int):
 
 
 def _last_row(table, m: int, t, *args):
-    """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar
-    t); the table checks its own values."""
+    """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar t)."""
     _check_degree(m)
     return block_row(lambda p: table(m + 1, *args, p), -1, t)
 
