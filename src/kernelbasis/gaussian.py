@@ -164,7 +164,8 @@ def _scaled_form(kappa: float) -> tuple[float, float, float, float]:
     if not 0.0 < kappa < math.sqrt(2.0):
         raise ValueError(f"kappa must lie in (0, sqrt(2)), got {kappa}")
     a2 = 1.0 + 0.5 * kappa * kappa
-    shrink = 1.0 - kappa * kappa / a2
+    # S = 1 - kappa^2/A as (1 - kappa^2/2)/A, whose subtraction is exact where it cancels
+    shrink = (1.0 - 0.5 * kappa * kappa) / a2
     c = (math.sqrt(2.0) * kappa / a2) ** 0.5
     # v = A/(A - 1) with A - 1 = kappa^2/2, which rounds to 0 for kappa < 1e-8
     return c, 1.0 / shrink, 2.0 * a2 / kappa / kappa, a2 * math.sqrt(shrink) / kappa
@@ -242,14 +243,15 @@ def mehler_check(rho: float, x: float, y: float, tolerance: float = 1e-10) -> Ve
     sum_m rho^m h_m(x) h_m(y), with h_m the Hermite functions, the rows of
     one :func:`_hermite_rows` block.  Cramer's inequality |h_m| <= k pi^{-1/4},
     k = 1.086435, bounds the tail after M terms by k^2 |rho|^M / (1 - |rho|),
-    and M is the least count that puts it below 1e-16 (at most 500).
+    and M is the least count that puts it below 1e-16 (ValueError past 500).
     Closed form: (1-rho^2)^{-1/2} exp((4 x y rho - (1+rho^2)(x^2+y^2)) / (2(1-rho^2))).
     """
     if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
     a = abs(rho)
-    terms = 1 if a == 0 else min(500, math.ceil(math.log(1e-16 * (1 - a) / 1.086435**2)
-                                                / math.log(a)))
+    terms = 1 if a == 0 else math.ceil(math.log(1e-16 * (1 - a) / 1.086435**2) / math.log(a))
+    if terms > 500:
+        raise ValueError(f"rho={rho}: the tail bound needs {terms} terms, past the 500-term limit")
     h = _hermite_rows(terms, *_HERMITE_FN, np.array([x, y], dtype=float))
     total = math.sqrt(math.pi) * float(rho ** np.arange(terms) @ (h[:, 0] * h[:, 1]))
     closed = math.sqrt(1.0 / (1.0 - rho * rho)) * math.exp(

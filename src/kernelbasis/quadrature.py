@@ -167,5 +167,6 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _legendre_panel(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss--Legendre nodes and weights on [a, b]."""
+    _check_node_count(n)
     x, w = _legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w

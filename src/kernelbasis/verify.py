@@ -60,69 +60,41 @@ _LARGE_NUS = (30, 100, 300)
 # convolution oracle
 
 
-def _panel_integral(f, a: float, b: float, panels: int, nodes: int = 32) -> float:
-    total = 0.0
-    edges = np.linspace(a, b, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = _legendre_panel(nodes, lo, hi)
-        total += float(w @ f(x))
-    return total
-
-
-def _refined_integral(f, a: float, b: float, tol: float = 1e-12,
-                      max_refine: int = 8, label: str = "") -> float:
-    if b <= a:
-        return 0.0
-    prev = _panel_integral(f, a, b, 1)
-    panels = 2
-    for _ in range(max_refine):
-        cur = _panel_integral(f, a, b, panels)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        panels *= 2
-    raise RuntimeError(
-        f"panel refinement did not converge for {label or 'integral'} on "
-        f"[{a}, {b}]: last estimates {prev!r} vs {cur!r} at {panels} panels"
-    )
-
-
-def _h_matern(nu: int, x: np.ndarray) -> np.ndarray:
-    # spectral square-root in time domain: vanishes on the negative axis
-    c = 2.0 ** (nu + 0.5) * math.exp(math.lgamma(nu + 1) - 0.5 * math.lgamma(2 * nu + 1))
-    pos = x >= 0
-    xp = np.where(pos, x, 0.0)
-    return np.where(pos, c * xp**nu * np.exp(-xp) / math.factorial(nu), 0.0)
-
-
 def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> float:
-    """Numerically evaluate the defining convolution int h(t - tau) phi_m(tau) dtau.
+    """Evaluate the defining convolution int h(t - tau) phi_m(tau) dtau by one Gauss rule.
 
-    ``family`` is ``matern`` (requires ``nu``; any integer index m) or
-    ``gaussian`` (m >= 0).  Shares only the raw polynomial evaluators with
-    the closed-form basis code, so agreement is an independent check.
+    ``family`` is ``matern`` (requires ``nu``; any integer index m, finite t)
+    or ``gaussian`` (m >= 0).  Each integrand is a polynomial times a rule's
+    weight, so a rule of the right size integrates it exactly; ValueError is
+    raised where that rule would need more than MAX_NODES nodes.  Shares only
+    the raw polynomial evaluators with the closed-form basis code, so
+    agreement is an independent check.
     """
     if family == "matern":
         check_int(nu, "nu")
+        check_int(abs(m), "|m|")
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
+        # h(r) = 2^{nu+1/2} r^nu e^{-r} / sqrt((2 nu)!) on r > 0; the positive
+        # factors are summed in log space (log_k: h's constant, phi_m's sqrt 2)
+        log_k = (nu + 1.0) * math.log(2.0) - 0.5 * math.lgamma(2 * nu + 1)
         if m >= 0:
-            # phi_m lives on [0, inf), h on [0, inf): support is [0, t]
+            # phi_m = sqrt 2 L_m(2 tau) e^{-tau} on tau >= 0; over tau = t x the
+            # integrand is e^{-t} t^{nu+1} times a polynomial of degree nu + m
             if t <= 0:
                 return 0.0
-
-            def f(tau):
-                phi = math.sqrt(2.0) * laguerre(m, 2.0 * tau) * np.exp(-tau)
-                return _h_matern(nu, t - tau) * phi
-
-            return _refined_integral(f, 0.0, t, label=f"matern conv m={m}")
-        mm = -m - 1
-        lo = min(t, 0.0) - 45.0  # phi_{-mm-1} decays like e^{tau}
-        hi = min(t, 0.0)
-
-        def f(tau):
-            phi = -math.sqrt(2.0) * laguerre(mm, -2.0 * tau) * np.exp(tau)
-            return _h_matern(nu, t - tau) * phi
-
-        return _refined_integral(f, lo, hi, label=f"matern conv m={m}")
+            x, w = _legendre_panel((nu + m) // 2 + 1, 0.0, 1.0)
+            log_f = np.log(w) + nu * np.log1p(-x) + (nu + 1) * math.log(t) - t
+            lag = laguerre(m, 2.0 * t * x)
+        else:
+            # phi_m = -sqrt 2 L_mm(-2 tau) e^{tau} on tau < 0, mm = -m - 1; over
+            # tau = b - s/2, b = min(t, 0), the integrand is e^{2b-t}/2 e^{-s}
+            # times a polynomial of degree nu + mm
+            mm, b = -m - 1, min(t, 0.0)
+            rule = gauss_laguerre_rule((nu + mm) // 2 + 1)
+            log_f = np.log(rule.weights) + nu * np.log(t - b + 0.5 * rule.nodes) + 2.0 * b - t
+            lag = -0.5 * laguerre(mm, rule.nodes - 2.0 * b)
+        return float(np.exp(log_f + log_k) @ lag)
     if family == "gaussian":
         check_int(m, "m")
         # complete the square: the integral becomes Gauss--Hermite in

@@ -193,6 +193,31 @@ def matern_c_mp(nu: int):
     return mpmath.factorial(nu) / mpmath.sqrt(mpmath.factorial(2 * nu))
 
 
+def matern_convolution_mp(nu: int, m: int, t: float):
+    """The defining integral of the Matern basis function of two-sided index
+    m, int h(t - tau) phi_m(tau) dtau with h(r) = 2^(nu+1/2) r^nu e^(-r) /
+    sqrt((2 nu)!) on r > 0 and phi_m the Laguerre function, by mpmath's
+    tanh-sinh quadrature over the integrand's support in the current mpmath
+    precision.  For m < 0 the integrand is e^(2 tau) times a polynomial of
+    degree d = nu - m - 1, which peaks near tau = min(t, 0) - d/2, and the
+    support is split there and far past it."""
+    t = mpmath.mpf(t)
+    k = mpmath.power(2, nu + mpmath.mpf(1) / 2) / mpmath.sqrt(mpmath.factorial(2 * nu))
+    sqrt2 = mpmath.sqrt(2)
+
+    def h(r):
+        return k * r**nu * mpmath.exp(-r)
+
+    if m >= 0:
+        if t <= 0:
+            return mpmath.mpf(0)
+        return mpmath.quad(lambda tau: h(t - tau) * sqrt2 * mpmath.laguerre(m, 0, 2 * tau)
+                           * mpmath.exp(-tau), [0, t])
+    b, d = min(t, 0), nu - m - 1
+    return mpmath.quad(lambda tau: -h(t - tau) * sqrt2 * mpmath.laguerre(-m - 1, 0, -2 * tau)
+                       * mpmath.exp(tau), [-mpmath.inf, b - 2 * d - 40, b - d / 2 - 10, b])
+
+
 def matern_handed_mp(nu: int, count: int, x: float, with_derivative: bool = False) -> list:
     """psi+_{m,nu}(|x|), times (-1)^nu where x < 0, for m < count, in the
     current mpmath precision: c_nu m!/(m+nu+1)! (2|x|)^(nu+1) L_m^(nu+1)(2|x|)

@@ -534,8 +534,10 @@ class TestFullRange:
 
 
 # chunk boundaries of the point loop: empty, one point, either side of one
-# chunk, and a short third chunk
-_CHUNK_SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+# chunk, and a short third chunk, with ids that name the boundary
+_CHUNK_SIZES = [pytest.param(n, id=name) for name, n in (
+    ("0", 0), ("1", 1), ("chunk-1", CHUNK - 1), ("chunk", CHUNK), ("chunk+1", CHUNK + 1),
+    ("2chunk+3", 2 * CHUNK + 3))]
 
 
 def _points(n, seed=3):

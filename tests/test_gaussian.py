@@ -331,10 +331,18 @@ class TestMehler:
         assert worst < 5e-14
 
     @pytest.mark.parametrize("rho, terms", [(0.0, 1), (1e-300, 1), (1.0 / 3.0, 35), (-0.9, 374),
-                                            (0.9999, 500)])
+                                            (0.9238870965477306, 500)])
     def test_term_count_from_the_tail_bound(self, rho, terms):
-        # least M with k^2 |rho|^M / (1 - |rho|) <= 1e-16, k = 1.086435, at most 500
+        # least M with k^2 |rho|^M / (1 - |rho|) <= 1e-16, k = 1.086435; the
+        # last case is the largest rho whose M is within the 500-term limit
         assert mehler_check(rho, 0.4, -1.2).metadata["terms"] == terms
+
+    @pytest.mark.parametrize("rho", [0.9238870965477307, -0.99, 0.9999])
+    def test_rho_past_the_term_limit_raises(self, rho):
+        # 500 terms would leave a tail the check could fail from:
+        # mehler_check(0.99, 0.4, -1.2) read 2.3e-4 when cut there
+        with pytest.raises(ValueError, match=f"rho={rho}: .* past the 500-term limit"):
+            mehler_check(rho, 0.4, -1.2)
 
     def test_reports_term_count(self):
         rep = mehler_check(1.0 / 3.0, 1.0, 1.0)

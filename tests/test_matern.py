@@ -502,7 +502,8 @@ def test_null_rows_match_binomial_sum_of_laguerre_functions(nu):
 _FAR = np.array([s * v for v in (1e3, 1e6, 1e12, 1e200) for s in (1.0, -1.0)])
 
 
-@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3],
+                         ids=["chunk-1", "chunk", "chunk+1", "2chunk+3"])
 @pytest.mark.parametrize("nu", [0, 1, 2, 6])
 def test_off_side_handed_columns_stay_zero_far_from_the_origin(nu, size):
     n = 32

@@ -150,8 +150,9 @@ _ROW_INPUTS = {
     "neg_zero": -0.0,
     "pos_zero": 0.0,
     "array_2d": np.linspace(-3.0, 6.0, 12).reshape(3, 4),
-    **{f"n={n}": np.linspace(-3.0, 6.0, n)
-       for n in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)},
+    **{f"n={name}": np.linspace(-3.0, 6.0, n)
+       for name, n in (("0", 0), ("1", 1), ("chunk-1", CHUNK - 1), ("chunk", CHUNK),
+                       ("chunk+1", CHUNK + 1), ("2chunk+3", 2 * CHUNK + 3))},
 }
 
 

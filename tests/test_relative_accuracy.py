@@ -175,9 +175,10 @@ _MATERN_X = _both_sides(np.concatenate([[1e-6, 1e-4], np.geomspace(1e-3, 2.0, 25
 _RATIONAL_X = _both_sides(np.concatenate([_NEAR, _MODERATE, [10.0, 1e4, 1e8]]))
 
 # measured maxima, each with its bar: hermite_fn 3.7e-14; gaussian_psi
-# 4.9e-13; kappa = 0.3, 1.3: 2.4e-13, 7.0e-12 (1 - kappa^2/A cancels, and its
-# rounding enters p^{-m/2} m/2 times); mercer alpha = 0.3, 3: 3.0e-14,
-# 6.1e-14; mercer_weight 5.3e-15, 4.4e-14; laguerre_fn 1.0e-13; laguerre_fn_ft
+# 4.9e-13; kappa = 0.3, 1.3: 2.4e-13, 1.9e-12 (the rounding of S enters
+# p^{-m/2} m/2 times; 7.0e-12 at 1.3 with S formed as 1 - kappa^2/A, which
+# cancels); mercer alpha = 0.3, 3: 3.0e-14, 6.1e-14; mercer_weight 5.3e-15,
+# 4.4e-14; laguerre_fn 1.0e-13; laguerre_fn_ft
 # 1.1e-14; cauchy_psi_complex 6.0e-15; alpha, beta 1.4e-14, 2.1e-14; matern
 # null at nu = 0, 2, 6, 10, 30: 7.7e-17, 1.7e-16, 1.9e-15, 4.5e-14, 2.1e-8
 # (the last null row near the origin: the recurrence on L^(-nu-1) cancels by
@@ -200,7 +201,7 @@ _CONTRACTS = {
     **{f"gaussian_psi_scaled/kappa={kappa}": _hermite_contract(
         lambda m, x, kappa=kappa: kb.gaussian_psi_scaled(m, kappa, x),
         lambda kappa=kappa: _scaled_params(kappa), bar)
-       for kappa, bar in ((0.3, 1e-12), (1.3, 3e-11))},
+       for kappa, bar in ((0.3, 1e-12), (1.3, 8e-12))},
     **{f"mercer_eigenfunction/alpha={alpha}": _hermite_contract(
         lambda m, x, alpha=alpha: kb.mercer_eigenfunction(kb.MercerParams.from_alpha(alpha), m, x),
         lambda alpha=alpha: _mercer_params(alpha), bar)

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,8 +18,21 @@ from kernelbasis.verify import (
     run_suite,
     truncation_sweep,
 )
+from oracles import matern_convolution_mp
 
 CHECK_LIST = Path(__file__).with_name("verify_checks.txt")
+
+# (nu, m, t) against 40-digit mpmath: plus (m >= 0), null (-nu-1 <= m <= -1)
+# and minus (m <= -nu-2) indices, t on both sides of 0, near the origin and
+# in the bulk of the function (|t| near nu)
+_DEFINING_INTEGRAL_CASES = [
+    (6, 4, 2.5), (6, 4, -1.5), (6, -4, 1.2), (6, -8, -2.0), (6, -12, 0.8),
+    (15, 9, 3.0), (15, -1, -0.5), (15, -17, -1.0),
+    (40, 12, 60.0), (40, -30, -1.0), (40, -42, -40.0),
+    (100, 20, 140.0), (100, 20, -1.0), (100, -1, 95.0), (100, -102, -110.0),
+]
+# absolute: the worst case above measures 2.4e-14 (nu = 100), a factor 4 below
+_DEFINING_INTEGRAL_BAR = 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +88,9 @@ class TestConvolutionOracle:
         for m in (0, 3, 7):
             bid = MaternBasisId("plus", m)
             for t in (0.4, 1.3, 3.7):
+                # measured 1.7e-16
                 assert convolution_oracle("matern", m, t, nu=2) == pytest.approx(
-                    matern_psi(o, bid, t), abs=1e-9
+                    matern_psi(o, bid, t), rel=0, abs=2e-15
                 )
 
     def test_matern_zero_left_of_origin(self):
@@ -86,16 +101,64 @@ class TestConvolutionOracle:
         for m, uni in ((0, -2), (1, -1)):
             bid = MaternBasisId("null", m)
             for t in (-2.0, -0.3, 0.9, 2.4):
+                # measured 2.2e-16
                 assert convolution_oracle("matern", uni, t, nu=1) == pytest.approx(
-                    matern_psi(o, bid, t), abs=1e-8
+                    matern_psi(o, bid, t), rel=0, abs=2e-15
                 )
 
     def test_gaussian_matches_closed_form(self):
         for m in (0, 4, 10):
             for t in (-2.0, 0.0, 1.7):
+                # measured 1.1e-15
                 assert convolution_oracle("gaussian", m, t) == pytest.approx(
-                    gaussian_psi(m, t), abs=1e-10
+                    gaussian_psi(m, t), rel=0, abs=1e-14
                 )
+
+    def test_matern_matches_the_defining_integral_at_40_digits(self):
+        errors = {}
+        for nu, m, t in _DEFINING_INTEGRAL_CASES:
+            with mpmath.workdps(40):
+                reference = float(matern_convolution_mp(nu, m, t))
+            errors[nu, m, t] = abs(convolution_oracle("matern", m, t, nu=nu) - reference)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= _DEFINING_INTEGRAL_BAR, f"(nu, m, t) = {worst}: {errors[worst]:.3g}"
+
+    def test_matern_order_200_is_a_value(self):
+        # nu! does not fit a float past nu = 170; the null member m = nu
+        # (index -1) has its bulk near t = nu, where it is about -0.28
+        with mpmath.workdps(40):
+            reference = float(matern_convolution_mp(200, -1, 199.0))
+        assert abs(reference) > 0.1
+        assert abs(convolution_oracle("matern", -1, 199.0, nu=200) - reference) <= (
+            _DEFINING_INTEGRAL_BAR)
+
+    def test_matern_is_finite_or_raises_value_error(self):
+        # never RuntimeError, OverflowError, NaN or inf, at any order up to
+        # the largest one whose rule fits MAX_NODES
+        for nu in (0, 200, 511):
+            for m in (0, 7, 300, -1, -nu - 1, -nu - 2, -300):
+                for t in (0.0, 5e-324, 0.5, -0.5, 700.0, -700.0, 1e300, -1e300):
+                    try:
+                        value = convolution_oracle("matern", m, t, nu=nu)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (nu, m, t, value)
+
+    @pytest.mark.parametrize("nu, m", [(512, 0), (300, -300), (0, 512)])
+    def test_matern_rule_beyond_max_nodes_raises_value_error(self, nu, m):
+        with pytest.raises(ValueError, match="node count must be in"):
+            convolution_oracle("matern", m, 1.0, nu=nu)
+
+    @pytest.mark.parametrize("m", [2.5, -2.5])
+    def test_matern_index_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match=r"\|m\| must be a nonnegative integer"):
+            convolution_oracle("matern", m, 1.0, nu=2)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("m", [3, -1, -5])
+    def test_matern_needs_a_finite_t(self, m, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            convolution_oracle("matern", m, t, nu=2)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
