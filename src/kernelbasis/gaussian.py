@@ -28,7 +28,7 @@ column; every other caller uses the basis rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -70,38 +70,26 @@ class GaussianScale:
 @dataclass(frozen=True)
 class MercerParams:
     """Weight parameter alpha with the induced beta = (1 + 2/alpha^2)^{1/4}
-    and delta_sq = alpha^2 (beta^2 - 1)/2."""
+    and delta_sq = alpha^2 (beta^2 - 1)/2, set from alpha; ValueError naming
+    alpha where alpha is not positive, or alpha^2 or 2/alpha^2 is not finite
+    (alpha outside about 1e-154..1.3e154).  delta^2 is formed as
+    1/(1 + sqrt(1 + 2/alpha^2)), which has no cancellation: the direct form
+    loses 1e-9 (relative) at alpha = 1e4 and rounds to 0 from ~1e8."""
 
     alpha: float
-    beta: float
-    delta_sq: float
+    beta: float = field(init=False)
+    delta_sq: float = field(init=False)
 
     def __post_init__(self):
-        beta_ref, delta_ref = _beta_delta_sq(self.alpha)
-        if abs(self.beta - beta_ref) > 1e-14 * beta_ref:
-            raise ValueError(f"beta={self.beta} inconsistent with alpha={self.alpha}")
-        if abs(self.delta_sq - delta_ref) > 1e-14 * max(delta_ref, 1e-300):
-            raise ValueError(f"delta_sq={self.delta_sq} inconsistent with alpha={self.alpha}")
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "MercerParams":
-        beta, delta_sq = _beta_delta_sq(alpha)
-        return cls(alpha=alpha, beta=beta, delta_sq=delta_sq)
-
-
-def _beta_delta_sq(alpha: float) -> tuple[float, float]:
-    """beta and delta^2 of alpha; ValueError naming alpha where alpha is not
-    positive, or alpha^2 or 2/alpha^2 is not finite (alpha outside about
-    1e-154..1.3e154).  delta^2 = alpha^2 (beta^2 - 1)/2 is formed as
-    1/(1 + sqrt(1 + 2/alpha^2)), which has no cancellation: the direct
-    form loses 1e-9 (relative) at alpha = 1e4 and rounds to 0 from ~1e8."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    sq = float(alpha) * float(alpha)
-    if not 0 < sq < math.inf or not 2.0 / sq < math.inf:
-        raise ValueError(f"alpha={alpha} is out of range: alpha^2 and 2/alpha^2 must be finite")
-    r = 1.0 + 2.0 / alpha**2
-    return r**0.25, 1.0 / (1.0 + math.sqrt(r))
+        alpha = self.alpha
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        sq = float(alpha) * float(alpha)
+        if not 0 < sq < math.inf or not 2.0 / sq < math.inf:
+            raise ValueError(f"alpha={alpha} is out of range: alpha^2 and 2/alpha^2 must be finite")
+        r = 1.0 + 2.0 / alpha**2
+        object.__setattr__(self, "beta", r**0.25)
+        object.__setattr__(self, "delta_sq", 1.0 / (1.0 + math.sqrt(r)))
 
 
 def gaussian_kernel(scale: GaussianScale, t, u):
@@ -236,8 +224,8 @@ def gaussian_truncation_error(n: int) -> float:
     return 3.0 ** (-n) / math.sqrt(2.0)
 
 
-def mehler_check(rho: float, x: float, y: float, tolerance: float = 1e-10) -> VerificationReport:
-    """Compare the bilinear Hermite generating series against its closed form.
+def mehler_check(rho: float, x: float, y: float) -> VerificationReport:
+    """Check the bilinear Hermite generating series against its closed form to 1e-10.
 
     Series: sum_m (rho/2)^m / m! H_m(x) H_m(y) e^{-(x^2+y^2)/2} = sqrt(pi)
     sum_m rho^m h_m(x) h_m(y), with h_m the Hermite functions, the rows of
@@ -258,4 +246,4 @@ def mehler_check(rho: float, x: float, y: float, tolerance: float = 1e-10) -> Ve
         (4.0 * x * y * rho - (1.0 + rho * rho) * (x * x + y * y)) / (2.0 * (1.0 - rho * rho))
     )
     return VerificationReport(f"gaussian/mehler/rho={rho:g}/x={x:g}/y={y:g}", total, closed,
-                              tolerance, dict(terms=terms, rho=rho, x=x, y=y))
+                              1e-10, dict(terms=terms, rho=rho, x=x, y=y))

@@ -148,13 +148,12 @@ IDENTITIES = {
 }
 
 
-def check_identity(which: str, params: tuple, omega_grid,
-                   tolerance: float = 1e-12) -> VerificationReport:
+def check_identity(which: str, params: tuple, omega_grid) -> VerificationReport:
     """Evaluate both sides of a named Fourier-domain identity on a grid.
 
     ``which`` is one of ``conjugate_symmetry`` (params ``(m,)``), ``shift``
     (``(m, k)``), ``multiplication`` (``(m, k)``) or ``binomial``
-    (``(nu,)``).  Returns the maximum absolute deviation as a report.
+    (``(nu,)``).  Returns the maximum absolute deviation, checked to 1e-12.
     """
     if which not in IDENTITIES:
         raise ValueError(f"unknown identity {which!r}; expected one of {sorted(IDENTITIES)}")
@@ -163,5 +162,5 @@ def check_identity(which: str, params: tuple, omega_grid,
         raise ValueError("omega_grid must be nonempty and finite")
     dev = float(np.max(IDENTITIES[which](tuple(params), w)))
     name = f"identities/{which}/params={tuple(int(p) for p in params)}"
-    return VerificationReport(name, dev, 0.0, tolerance, dict(
+    return VerificationReport(name, dev, 0.0, 1e-12, dict(
         grid_size=int(w.size), omega_min=float(w.min()), omega_max=float(w.max())))

@@ -108,47 +108,47 @@ class MaternTruncation:
         return self.order.nu + 1 + 2 * self.n
 
 
+def _ratio(num: int, den: int) -> tuple[float, int]:
+    """(frac, exp) with num/den = frac 2^exp for positive integers: the exact
+    quotient with the bit lengths split off, so frac is one correctly
+    rounded float in (1/2, 2) and never under- or overflows."""
+    e = num.bit_length() - den.bit_length()
+    return (num / (den << e) if e >= 0 else (num << -e) / den), e
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """log(num/den) from :func:`_ratio`; exp * ln 2 takes ln 2 split in two,
+    whose high part times an integer is exact, so the log is within an ulp."""
+    frac, e = _ratio(num, den)
+    return math.log(frac) + e * _LN2_LO + e * _LN2_HI
+
+
 @functools.cache
 def _c_sq(nu: int) -> tuple[float, int]:
-    """(frac, exp) with c_nu^2 = (nu!)^2/(2 nu)! = frac 2^exp: the product of
-    the factors k/(nu+k), k = 1..nu, with the exponent split off after each,
-    so it never underflows.  Against 50-digit mpmath it is 3.7e-16 off at
-    nu = 300 and 2.3e-15 at nu = 1000 (relative), where the lgamma difference
-    2 lgamma(nu+1) - lgamma(2 nu+1) is 1.6e-13 and 1.3e-13 off."""
-    frac, exp = 1.0, 0
-    for k in range(1, nu + 1):
-        frac, e = math.frexp(frac * (k / (nu + k)))
-        exp += e
-    return frac, exp
+    """c_nu^2 = (nu!)^2/(2 nu)! = 1/C(2 nu, nu) as (frac, exp) of :func:`_ratio`."""
+    return _ratio(1, math.comb(2 * nu, nu))
 
 
 @functools.cache
 def _log_c(nu: int, p: int = 0) -> float:
-    """log(c_nu / p!) from :func:`_c_sq` over (p!)^2, a factor j^2 at a time
-    with the exponent split off, as there.  exp * ln 2 takes ln 2 split in
-    two, whose high part times an integer is exact, so log c_nu is within
-    half an ulp."""
-    frac, exp = _c_sq(nu)
-    for j in range(2, p + 1):
-        frac, e = math.frexp(frac / (j * j))
-        exp += e
-    return 0.5 * (math.log(frac) + exp * _LN2_LO + exp * _LN2_HI)
+    """log(c_nu / p!), half the log of 1/(C(2 nu, nu) (p!)^2)."""
+    return 0.5 * _log_ratio(1, math.comb(2 * nu, nu) * math.factorial(p) ** 2)
+
+
+def _psi_norm_sq(nu: int, m: int) -> tuple[float, int]:
+    """c_nu^2 m!/(m+nu+1)!, the squared norm of psi+_{m,nu}, as (frac, exp)
+    of :func:`_ratio`."""
+    return _ratio(1, math.comb(2 * nu, nu) * math.prod(range(m + 1, m + nu + 2)))
 
 
 @functools.cache
 def _kernel_log_coef(nu: int) -> tuple[float, ...]:
     """log of the coefficients (nu+k)! nu!/(k! (nu-k)! (2 nu)!), k = 0..nu, of
-    :func:`matern_kernel`, cached per nu.  Each is a ratio of exact integers,
-    (nu+k)!/(k! (nu-k)!) over (2 nu)!/nu!, with its bit length split off so
-    that the quotient is one correctly rounded float in (1/2, 2); its log
-    takes the split ln 2 of :func:`_log_c`.  Against 50-digit mpmath the
-    logs are within an ulp; the lgamma differences were up to 3.6e-12 off at
-    nu = 1000."""
-    den, num, logs = math.prod(range(nu + 1, 2 * nu + 1)), 1, []
+    :func:`matern_kernel`, cached per nu: :func:`_log_ratio` of the exact
+    integers (nu+k)!/(k! (nu-k)!), updated from k - 1, over (2 nu)!/nu!."""
+    den, num, logs = math.perm(2 * nu, nu), 1, []
     for k in range(nu + 1):
-        e = num.bit_length() - den.bit_length()
-        frac = num / (den << e) if e >= 0 else (num << -e) / den
-        logs.append(math.log(frac) + e * _LN2_LO + e * _LN2_HI)
+        logs.append(_log_ratio(num, den))
         num = num * (nu + k + 1) * (nu - k) // (k + 1)
     return tuple(logs)
 
@@ -264,15 +264,9 @@ def matern_feature_map(tr: MaternTruncation, t) -> np.ndarray:
 
 def matern_psi_norm_sq(order: MaternOrder, m: int) -> float:
     """Exact squared norm of psi+_{m,nu} (= psi-) in the weighted L2 space:
-    (nu!)^2/(2 nu)! * m!/(m+nu+1)!, the factors 1/(m+j), j = 1..nu+1, taken
-    on :func:`_c_sq` with the exponent split off after each, as there."""
+    (nu!)^2/(2 nu)! * m!/(m+nu+1)!, correctly rounded where it is normal."""
     check_int(m, "m")
-    nu = order.nu
-    frac, exp = _c_sq(nu)
-    for j in range(1, nu + 2):
-        frac, e = math.frexp(frac / (m + j))
-        exp += e
-    return math.ldexp(frac, exp)
+    return math.ldexp(*_psi_norm_sq(order.nu, m))
 
 
 def matern_truncation_error_bound(order: MaternOrder, n: int) -> float:
@@ -329,16 +323,12 @@ def _tail_sum(nu: int, n: int) -> float:
 def matern_exact_hs_error(order: MaternOrder, n: int) -> float:
     """Exact weighted Hilbert--Schmidt truncation error,
     sqrt(2) (nu!)^2/(2 nu)! sqrt(sum_{m>=n} (m!/(m+nu+1)!)^2).  The tail is
-    summed relative to its first term, and n!/(n+nu+1)! and (nu!)^2/(2 nu)!
-    (:func:`_c_sq`) applied as factors below 1, so the result is flushed to 0
-    only where it underflows itself."""
+    summed relative to its first term, and the prefactor (nu!)^2/(2 nu)!
+    n!/(n+nu+1)! (:func:`_psi_norm_sq`) applied with its exponent split off,
+    so the result is flushed to 0 only where it underflows itself."""
     check_int(n, "n", 1)
-    nu = order.nu
-    err = math.sqrt(2.0 * _tail_sum(nu, n))
-    for j in range(1, nu + 2):
-        err /= n + j
-    frac, exp = _c_sq(nu)
-    return math.ldexp(err * frac, exp)
+    frac, exp = _psi_norm_sq(order.nu, n)
+    return math.ldexp(math.sqrt(2.0 * _tail_sum(order.nu, n)) * frac, exp)
 
 
 def matern_psi_bound(order: MaternOrder) -> float:

@@ -21,10 +21,9 @@ independent reference, not a building block.
 
 The explicit binomial sums cancel catastrophically past degree ~20 and
 appear only in the test suite, as exact-rational oracles.  Factorial-type
-prefactors elsewhere in the package are products of their factors or
-ratios of exact integers, with the exponent split off (``matern._c_sq``,
-``matern._kernel_log_coef``), never quotients of separately evaluated
-factorials.
+prefactors elsewhere in the package are quotients of exact integers with
+the exponent split off (``matern._ratio``), never quotients of separately
+evaluated factorials.
 """
 
 from __future__ import annotations

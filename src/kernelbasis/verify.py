@@ -7,7 +7,7 @@ check rows ``(name, computed, reference, tolerance, metadata)``, and
 :func:`run_suite` alone turns rows into :class:`VerificationReport`, so a
 new check is one more row.  Gram matrices and the suites evaluate the
 package's own basis blocks, once per grid; the convolution oracle alone
-keeps the raw polynomial evaluators, because it is the independent check.
+keeps the raw polynomial recurrences, because it is the independent check.
 All randomness is drawn from a fixed seed so reports are bit-reproducible
 on one platform.
 """
@@ -25,7 +25,7 @@ from . import matern as _m
 from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
 from .laguerre import check_identity, laguerre_fn_ft
-from .orthopoly import hermite_normalized, laguerre
+from .orthopoly import _laguerre_coef, _recur_scaled, hermite_normalized
 from .quadrature import (
     NEGATIVE_HALF_LINE,
     POSITIVE_HALF_LINE,
@@ -67,7 +67,7 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
     or ``gaussian`` (m >= 0).  Each integrand is a polynomial times a rule's
     weight, so a rule of the right size integrates it exactly; ValueError is
     raised where that rule would need more than MAX_NODES nodes.  Shares only
-    the raw polynomial evaluators with the closed-form basis code, so
+    the raw three-term recurrences with the closed-form basis code, so
     agreement is an independent check.
     """
     if family == "matern":
@@ -85,7 +85,7 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
                 return 0.0
             x, w = _legendre_panel((nu + m) // 2 + 1, 0.0, 1.0)
             log_f = np.log(w) + nu * np.log1p(-x) + (nu + 1) * math.log(t) - t
-            lag = laguerre(m, 2.0 * t * x)
+            degree, arg, sign = m, 2.0 * t * x, 1.0
         else:
             # phi_m = -sqrt 2 L_mm(-2 tau) e^{tau} on tau < 0, mm = -m - 1; over
             # tau = b - s/2, b = min(t, 0), the integrand is e^{2b-t}/2 e^{-s}
@@ -93,8 +93,10 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
             mm, b = -m - 1, min(t, 0.0)
             rule = gauss_laguerre_rule((nu + mm) // 2 + 1)
             log_f = np.log(rule.weights) + nu * np.log(t - b + 0.5 * rule.nodes) + 2.0 * b - t
-            lag = -0.5 * laguerre(mm, rule.nodes - 2.0 * b)
-        return float(np.exp(log_f + log_k) @ lag)
+            degree, arg, sign = mm, rule.nodes - 2.0 * b, -0.5
+        # e^{log_f + log_k} L_degree(arg), with an exponent per node, so the raw L does not overflow
+        lag = _recur_scaled(np.empty((degree + 1, arg.size)), arg, _laguerre_coef(0), log_f + log_k)
+        return sign * float(np.sum(lag[-1]))
     if family == "gaussian":
         check_int(m, "m")
         # complete the square: the integral becomes Gauss--Hermite in
@@ -137,7 +139,7 @@ def _psi_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
 
 
 def _mercer_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
-    params = mercer if mercer is not None else _g.MercerParams.from_alpha(_g.MERCER_ALPHA_DEFAULT)
+    params = mercer if mercer is not None else _g.MercerParams(_g.MERCER_ALPHA_DEFAULT)
     t = s / (params.alpha * params.beta)
     strip = math.pi**-0.25 / math.sqrt(params.beta) * np.exp(params.delta_sq * t * t)
     return _g._hermite_rows(count, *_g._mercer_form(params), t) * strip
@@ -211,10 +213,10 @@ def _report(row) -> VerificationReport:
 
 
 def truncation_sweep(family: str, n_list, sample_pairs, nu: int | None = None,
-                     lam: float = 1.0, pointwise_tol: float = 1e-6) -> list[VerificationReport]:
-    """Truncation-error reports over increasing n: the max pointwise error
-    at the final n against ``pointwise_tol`` (its metadata holds the error
-    at every n), and an error-decay check between the first and last n.
+                     pointwise_tol: float = 1e-6) -> list[VerificationReport]:
+    """Truncation-error reports over increasing n, lam = 1: the max pointwise
+    error at the final n against ``pointwise_tol`` (its metadata holds the
+    error at every n), and an error-decay check between the first and last n.
     """
     n_list = list(n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -224,13 +226,13 @@ def truncation_sweep(family: str, n_list, sample_pairs, nu: int | None = None,
         raise ValueError("sample_pairs must hold at least one (t, u) pair")
     ts = np.array([p[0] for p in pairs])
     us = np.array([p[1] for p in pairs])
-    kvals = FeatureMapSpec(family, lam, n_list[0], nu).kernel(ts, us)
+    kvals = FeatureMapSpec(family, n=n_list[0], nu=nu).kernel(ts, us)
     tag = f"{family}" + (f"/nu={nu}" if family == "matern" else "")
 
     def rows():
         errors = {}
         for n in n_list:
-            trunc = FeatureMapSpec(family, lam, n, nu).truncated_kernel(ts, us)
+            trunc = FeatureMapSpec(family, n=n, nu=nu).truncated_kernel(ts, us)
             errors[n] = float(np.max(np.abs(kvals - trunc)))
         n_last, n_first = n_list[-1], n_list[0]
         yield (f"{tag}/pointwise/n={n_last}", errors[n_last], None, pointwise_tol,
@@ -423,13 +425,13 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     G = gram_matrix("mercer", range(13), hr)
     yield "gaussian/mercer_orthonormal", np.abs(G - np.eye(13)), None, 1e-10, {}
     # sqrt(mu_m) theta_m == psi_m at alpha = sqrt(2/3)
-    params = _g.MercerParams.from_alpha(_g.MERCER_ALPHA_DEFAULT)
+    params = _g.MercerParams(_g.MERCER_ALPHA_DEFAULT)
     sqrt_mu = np.sqrt([_g.mercer_eigenvalue(params, m) for m in range(16)])
     lhs = sqrt_mu[:, None] * _g._hermite_rows(16, *_g._mercer_form(params), grid)
     yield ("gaussian/mercer_relation", np.abs(lhs - _g._psi_block(16, grid)),
            None, ALGEBRAIC_TOL, {})
     # eigenvalues sum to their geometric closed form
-    s = params.alpha**2 + params.delta_sq + 0.5
+    s = _g._mercer_s(params)
     closed = math.sqrt(params.alpha**2 / s) / (1.0 - 0.5 / s)
     partial = sum(_g.mercer_eigenvalue(params, m) for m in range(80))
     yield "gaussian/eigenvalue_sum", partial, closed, 1e-12, {}

@@ -233,7 +233,7 @@ def test_criterion_10_mehler_consistency():
 
 
 def test_criterion_11_mercer_relation():
-    params = MercerParams.from_alpha(ALPHA)
+    params = MercerParams(ALPHA)
     grid = np.linspace(-4.0, 4.0, 41)
     worst = 0.0
     for m in range(16):

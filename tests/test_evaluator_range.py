@@ -38,9 +38,9 @@ _EVALUATORS = {
         abs(i), 0.05 + 1.35 * u, t),
     "hermite_fn": lambda i, nu, u, t: kb.hermite_fn(abs(i), t),
     "mercer_eigenfunction": lambda i, nu, u, t: kb.mercer_eigenfunction(
-        kb.MercerParams.from_alpha(0.1 * 100.0**u), abs(i), t),
+        kb.MercerParams(0.1 * 100.0**u), abs(i), t),
     "mercer_weight": lambda i, nu, u, t: kernelbasis.gaussian.mercer_weight(
-        kb.MercerParams.from_alpha(0.1 * 100.0**u), t),
+        kb.MercerParams(0.1 * 100.0**u), t),
 }
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308,
@@ -171,7 +171,7 @@ _OVERFLOWS = {
         kb.MaternOrder(2, _BIG), kb.MaternBasisId("minus", 1), -_BIG),
     "gaussian_psi": lambda: kb.gaussian_psi(3, _BIG, kb.GaussianScale(_BIG)),
     "mercer_weight": lambda: kernelbasis.gaussian.mercer_weight(
-        kb.MercerParams.from_alpha(1.0), _BIG),
+        kb.MercerParams(1.0), _BIG),
     "matern_feature_map": lambda: kb.matern_feature_map(
         kb.MaternTruncation(kb.MaternOrder(2, _BIG), 3), [_BIG, -_BIG]),
     "matern_kernel/lam": lambda: kb.matern_kernel(kb.MaternOrder(2, _BIG), _BIG, 0.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -140,40 +141,54 @@ class TestScaledVariant:
 
 class TestMercer:
     def test_derived_parameters(self):
-        p = MercerParams.from_alpha(ALPHA)
+        p = MercerParams(ALPHA)
         assert p.beta == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0)
         assert p.delta_sq == pytest.approx(1.0 / 3.0, rel=1e-14, abs=0)
 
-    def test_inconsistent_parameters_rejected(self):
-        with pytest.raises(ValueError):
+    def test_derived_parameters_are_not_arguments(self):
+        # beta and delta_sq follow from alpha, so they cannot be passed
+        with pytest.raises(TypeError):
             MercerParams(alpha=1.0, beta=2.0, delta_sq=0.1)
+        with pytest.raises(TypeError):
+            MercerParams(1.0, beta=2 ** 0.25)
+
+    def test_replace_recomputes_derived_parameters(self):
+        p = dataclasses.replace(MercerParams(ALPHA), alpha=2.0)
+        assert (p.beta, p.delta_sq) == (MercerParams(2.0).beta, MercerParams(2.0).delta_sq)
+        assert p.beta == 1.5 ** 0.25
+
+    def test_derived_parameters_bit_for_bit(self):
+        # the formulas the fields had when they were passed in: beta =
+        # (1 + 2/alpha^2)^{1/4} and delta^2 = 1/(1 + sqrt(1 + 2/alpha^2))
+        for alpha in np.logspace(-150, 150, 601):
+            alpha = float(alpha)
+            p, r = MercerParams(alpha), 1.0 + 2.0 / alpha**2
+            assert (p.beta, p.delta_sq) == (r**0.25, 1.0 / (1.0 + math.sqrt(r))), alpha
 
     @pytest.mark.parametrize("alpha", [1e200, 1e-155, math.inf, 0.0, -1.0, math.nan])
     def test_alpha_out_of_range_rejected_at_construction(self, alpha):
         # alpha^2 or 2/alpha^2 is not finite, or alpha is not positive
         with pytest.raises(ValueError, match="alpha"):
-            MercerParams.from_alpha(alpha)
-        with pytest.raises(ValueError, match="alpha"):
-            MercerParams(alpha=alpha, beta=1.0, delta_sq=0.5)
+            MercerParams(alpha)
 
     def test_alpha_range_edges_are_accepted(self):
         for alpha in (1e-150, 1e150):
-            assert math.isfinite(MercerParams.from_alpha(alpha).beta)
+            assert math.isfinite(MercerParams(alpha).beta)
 
     def test_distinguished_eigenvalues(self):
-        p = MercerParams.from_alpha(ALPHA)
+        p = MercerParams(ALPHA)
         for m in range(12):
             assert mercer_eigenvalue(p, m) == pytest.approx(
                 2.0 / 3.0 ** (m + 1), rel=1e-14, abs=0
             )
 
     def test_eigenvalues_strictly_decreasing(self):
-        p = MercerParams.from_alpha(1.3)
+        p = MercerParams(1.3)
         vals = [mercer_eigenvalue(p, m) for m in range(20)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_eigenvalue_sum_geometric(self):
-        p = MercerParams.from_alpha(ALPHA)
+        p = MercerParams(ALPHA)
         s = p.alpha**2 + p.delta_sq + 0.5
         closed = math.sqrt(p.alpha**2 / s) / (1.0 - 0.5 / s)
         assert sum(mercer_eigenvalue(p, m) for m in range(100)) == pytest.approx(
@@ -181,7 +196,7 @@ class TestMercer:
         )
 
     def test_eigenfunction_at_origin(self):
-        p = MercerParams.from_alpha(ALPHA)
+        p = MercerParams(ALPHA)
         assert mercer_eigenfunction(p, 0, 0.0) == pytest.approx(
             math.sqrt(p.beta), rel=1e-15, abs=0
         )
@@ -192,27 +207,27 @@ class TestMercer:
         with mpmath.workdps(40):
             a = mpmath.mpf(alpha)
             ref = a**2 * (mpmath.sqrt(1 + 2 / a**2) - 1) / 2
-            assert abs(MercerParams.from_alpha(alpha).delta_sq - ref) <= 1e-15 * ref
+            assert abs(MercerParams(alpha).delta_sq - ref) <= 1e-15 * ref
 
     def test_delta_sq_is_one_third_at_the_distinguished_alpha(self):
-        assert MercerParams.from_alpha(ALPHA).delta_sq == 1.0 / 3.0
+        assert MercerParams(ALPHA).delta_sq == 1.0 / 3.0
 
     def test_wide_alpha_eigenfunction_decays(self):
         # the weight e^{-t^2/2} (delta^2 ~ 1/2) underflows, so theta is 0 however large H_40 is
-        p = MercerParams.from_alpha(1e9)
+        p = MercerParams(1e9)
         assert mercer_eigenfunction(p, 40, 1e3) == 0.0
         assert mercer_eigenfunction(p, 40, 1e6) == 0.0
 
     def test_eigenfunction_beyond_float64_raises(self):
         # theta_40 at t = 1 is far beyond 1e308
         with pytest.raises(ValueError, match="m=40"):
-            mercer_eigenfunction(MercerParams.from_alpha(1e9), 40, 1.0)
+            mercer_eigenfunction(MercerParams(1e9), 40, 1.0)
 
     def test_wide_alpha_matches_definition(self):
         # alpha = 1e8, where delta^2 = alpha^2 (beta^2 - 1)/2 in floats rounds to 0
         from kernelbasis.orthopoly import hermite_normalized
 
-        p = MercerParams.from_alpha(1e8)
+        p = MercerParams(1e8)
         t = np.linspace(-3e-8, 3e-8, 7)
         for m in (0, 1, 4):
             direct = (math.sqrt(p.beta) * np.exp(-p.delta_sq * t * t)
@@ -220,7 +235,7 @@ class TestMercer:
             np.testing.assert_allclose(mercer_eigenfunction(p, m, t), direct, rtol=1e-13, atol=1e-15)
 
     def test_sqrt_mu_theta_equals_psi(self):
-        p = MercerParams.from_alpha(ALPHA)
+        p = MercerParams(ALPHA)
         t = np.linspace(-4, 4, 33)
         for m in range(16):
             lhs = math.sqrt(mercer_eigenvalue(p, m)) * mercer_eigenfunction(p, m, t)
@@ -228,7 +243,7 @@ class TestMercer:
 
     def test_orthonormal_under_gaussian_weight(self):
         # exact substitution s = alpha beta t absorbs the full exponential
-        p = MercerParams.from_alpha(ALPHA)
+        p = MercerParams(ALPHA)
         rule = gauss_hermite_rule(96)
         ab = p.alpha * p.beta
         tpts = rule.nodes / ab
@@ -238,7 +253,7 @@ class TestMercer:
         np.testing.assert_allclose(gram, np.eye(13), atol=1e-8)
 
     def test_weight_normalised(self):
-        p = MercerParams.from_alpha(ALPHA)
+        p = MercerParams(ALPHA)
         rule = gauss_hermite_rule(64)
         total = float(rule.weights @ (mercer_weight(p, rule.nodes / p.alpha) * np.exp(rule.nodes**2)))
         assert total / p.alpha == pytest.approx(1.0, rel=1e-12)
@@ -361,7 +376,7 @@ def test_psi_is_block_row(m, t):
     assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
 
 
-_MERCER = MercerParams.from_alpha(1.1)
+_MERCER = MercerParams(1.1)
 
 
 @pytest.mark.parametrize("evaluator, form", [

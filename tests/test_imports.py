@@ -45,7 +45,7 @@ kb.laguerre_fn_ft(3, x)
 kb.gaussian_psi(3, x)
 kb.gaussian_psi_scaled(3, 0.5, x)
 kb.hermite_fn(3, x)
-kb.mercer_eigenfunction(kb.MercerParams.from_alpha(1.0), 3, x)
+kb.mercer_eigenfunction(kb.MercerParams(1.0), 3, x)
 with contextlib.redirect_stdout(io.StringIO()):
     for what in ("basis", "truncated"):
         assert cli.main(["eval", "--family", "matern", "--nu", "1", "--what", what,

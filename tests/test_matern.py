@@ -25,6 +25,7 @@ from kernelbasis.matern import (
     _handed_rows,
     _kernel_log_coef,
     _log_c,
+    _psi_norm_sq,
 )
 from kernelbasis._lowrank import CHUNK, chunks
 from kernelbasis.featuremap import FeatureMapSpec, features
@@ -309,8 +310,8 @@ class TestNormsAndErrors:
 
     @pytest.mark.parametrize("nu", [3, 30, 100, 300, 1000])
     def test_norm_sq_against_mpmath(self, nu):
-        # the factors 1/(m+j) on c_nu^2: measured <= 5.6e-16 relative (the
-        # lgamma difference: up to 2.0e-11 at nu = 30, m = 1e4).  From nu = 300
+        # an exact-integer quotient (the factors 1/(m+j) on c_nu^2 were up to
+        # 5.6e-16 off, the lgamma difference 2.0e-11 at nu = 30, m = 1e4).  From nu = 300
         # on, and at nu = 100, m = 1e4, the norms lie below the smallest
         # float, and 0 is their rounding
         with mpmath.workdps(50):
@@ -320,12 +321,36 @@ class TestNormsAndErrors:
                 assert matern_psi_norm_sq(MaternOrder(nu), m) == pytest.approx(
                     float(ref), rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("nu", [0, 1, 6, 30, 300, 1000])
+    def test_exact_ratios_correctly_rounded(self, nu):
+        # c_nu^2 = (nu!)^2/(2 nu)!, the norms (and the Hilbert--Schmidt
+        # prefactor) c_nu^2 m!/(m+nu+1)! and log(c_nu/p!) are exact-integer
+        # quotients, so each is correctly rounded: its (frac, exp) always, its
+        # float wherever that is normal (0 or subnormal below), its log within
+        # an ulp
+        eps, tiny = 2.0**-53, np.finfo(float).tiny
+        with mpmath.workdps(50):
+            c_sq = mpmath.factorial(nu) ** 2 / mpmath.factorial(2 * nu)
+            assert abs(mpmath.ldexp(*_c_sq(nu)) / c_sq - 1) <= eps
+            for m in (0, 7, 10**6):
+                ref = c_sq / mpmath.rf(m + 1, nu + 1)
+                assert abs(mpmath.ldexp(*_psi_norm_sq(nu, m)) / ref - 1) <= eps
+                value = matern_psi_norm_sq(MaternOrder(nu), m)
+                if ref >= tiny:
+                    assert abs(value / ref - 1) <= eps
+                else:
+                    assert value <= tiny
+            for p in (0, 7, nu + 1):
+                ref = mpmath.log(c_sq) / 2 - mpmath.loggamma(p + 1)
+                assert abs(_log_c(nu, p) - ref) <= math.ulp(float(ref))
+
     @pytest.mark.parametrize("nu, rtol", [(3, 1e-15), (30, 1e-15), (300, 1e-15), (1000, 3e-15)])
     def test_constant_against_mpmath(self, nu, rtol):
-        # c_nu^2 = (nu!)^2/(2 nu)! to rtol (measured 5.6e-17, 1.9e-16, 3.7e-16,
-        # 2.3e-15), log c_nu correctly rounded (0.20-0.41 ulp; the lgamma
-        # difference was up to 3 ulp, 8e-14 at nu = 300) and the bound
-        # 2^nu c_nu built from them (measured <= 1.2e-15)
+        # c_nu^2 = (nu!)^2/(2 nu)! to rtol (correctly rounded; the factor
+        # products were 5.6e-17, 1.9e-16, 3.7e-16 and 2.3e-15 off), log c_nu
+        # correctly rounded (0.20-0.41 ulp; the lgamma difference was up to
+        # 3 ulp, 8e-14 at nu = 300) and the bound 2^nu c_nu built from them
+        # (measured <= 1.2e-15)
         with mpmath.workdps(50):
             log_c = mpmath.loggamma(nu + 1) - mpmath.loggamma(2 * nu + 1) / 2
             frac, exp = _c_sq(nu)

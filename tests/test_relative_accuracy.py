@@ -93,7 +93,7 @@ def _mercer_params(alpha: float):
 
 
 def _mercer_weight_contract(alpha: float, bar):
-    params = kb.MercerParams.from_alpha(alpha)
+    params = kb.MercerParams(alpha)
 
     def reference(ms, t):
         f = alpha / mpmath.sqrt(mpmath.pi) * mpmath.exp(-(alpha * mpmath.mpf(t)) ** 2)
@@ -203,7 +203,7 @@ _CONTRACTS = {
         lambda kappa=kappa: _scaled_params(kappa), bar)
        for kappa, bar in ((0.3, 1e-12), (1.3, 8e-12))},
     **{f"mercer_eigenfunction/alpha={alpha}": _hermite_contract(
-        lambda m, x, alpha=alpha: kb.mercer_eigenfunction(kb.MercerParams.from_alpha(alpha), m, x),
+        lambda m, x, alpha=alpha: kb.mercer_eigenfunction(kb.MercerParams(alpha), m, x),
         lambda alpha=alpha: _mercer_params(alpha), bar)
        for alpha, bar in ((0.3, 2e-13), (3.0, 3e-13))},
     **{f"mercer_weight/alpha={alpha}": _mercer_weight_contract(alpha, bar)

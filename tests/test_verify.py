@@ -9,7 +9,8 @@ import pytest
 import kernelbasis.cauchy as cauchy_mod
 from kernelbasis.featuremap import FeatureMapSpec
 from kernelbasis.gaussian import MercerParams, gaussian_psi, hermite_fn, mercer_eigenfunction
-from kernelbasis.matern import MaternBasisId, MaternOrder, matern_psi, matern_psi_norm_sq
+from kernelbasis.matern import (MaternBasisId, MaternOrder, matern_psi, matern_psi_norm_sq,
+                               matern_psi_unified)
 from kernelbasis.quadrature import gauss_hermite_rule, gauss_laguerre_rule
 from kernelbasis.report import VerificationReport
 from kernelbasis.verify import (
@@ -132,6 +133,15 @@ class TestConvolutionOracle:
         assert abs(convolution_oracle("matern", -1, 199.0, nu=200) - reference) <= (
             _DEFINING_INTEGRAL_BAR)
 
+    @pytest.mark.parametrize("m, t", [(-301, -480.0), (-451, -340.0)])
+    def test_matern_far_left_large_index_is_a_value(self, m, t):
+        # the raw L_mm(s - 2t) of the m < 0 branch overflows float64 here, so
+        # the value needs the exponent the oracle carries per node; measured
+        # 4.0e-16 and 4.3e-16 from the closed form (values -0.0623, 0.0250)
+        reference = matern_psi_unified(MaternOrder(0), m, t)
+        assert abs(reference) > 0.02
+        assert abs(convolution_oracle("matern", m, t, nu=0) - reference) <= 2e-15
+
     def test_matern_is_finite_or_raises_value_error(self):
         # never RuntimeError, OverflowError, NaN or inf, at any order up to
         # the largest one whose rule fits MAX_NODES
@@ -197,7 +207,7 @@ class TestGramMatrix:
 
     def test_mercer_with_custom_alpha(self):
         rule = gauss_hermite_rule(96)
-        G = gram_matrix("mercer", range(8), rule, mercer=MercerParams.from_alpha(1.1))
+        G = gram_matrix("mercer", range(8), rule, mercer=MercerParams(1.1))
         np.testing.assert_allclose(G, np.eye(8), atol=1e-8)
 
     def test_unknown_family(self):
@@ -219,7 +229,7 @@ class TestGramMatrix:
         # one scalar evaluator per index, times the strip that reduces the
         # weighted integrand to the rule's base weight
         idx = [5, 0, 3]
-        nu, params = 2, MercerParams.from_alpha(1.1)
+        nu, params = 2, MercerParams(1.1)
         if family.startswith("matern"):
             rule = gauss_laguerre_rule(96, nu + 1.0)
             if family == "matern_minus":
