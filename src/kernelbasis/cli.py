@@ -114,7 +114,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(args.suite, tol=args.tol, quad_nodes=args.quad_nodes, seed=args.seed)
+    reports = run_suite(args.suite, args.seed)
     lines = [json.dumps(r.to_dict(), sort_keys=False) for r in reports]
     if args.report:
         with open(args.report, "w") as fh:
@@ -191,9 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
-    p_verify.add_argument("--tol", type=float, default=None, help="override all tolerances")
     p_verify.add_argument("--report", default=None, help="write json-lines report here")
-    p_verify.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=128)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -53,7 +53,7 @@ class FeatureMapSpec:
         check_lam(self.lam)
         check_int(self.n, "n", 1)
         if self.family == "matern":
-            check_int(self.nu, "nu")
+            _matern.MaternOrder(self.nu)  # the one check of nu
         elif self.nu is not None:
             raise ValueError("nu is only meaningful for the matern family")
 

@@ -39,35 +39,27 @@ def _weighted_rows(count: int, coef, log_c: float, x: np.ndarray, out=None,
     ``_laguerre_coef(eta)`` and power 0 they are c L_k^(eta)(2|x|) e^{-|x|}.
 
     The recurrence runs on the weighted rows, so no weight pass follows.
-    The seed is c s^power, formed in log space for power > 0, times
-    e^{-|x|}, whose exponent is exact, so its rounding does not grow with
-    |x|.  Where the seed underflows (far from the origin, and near it for
-    power > 0), or for power > 0 e^{-|x|} does, the rows are redone by the
-    exponent-tracked recurrence, so no row is flushed to 0 that is not 0.
+    The seed is c s^power, formed in log space, times e^{-|x|}, whose
+    exponent is exact, so its rounding does not grow with |x|.  Where the
+    seed underflows (far from the origin, and near it for power > 0) or
+    e^{-|x|} does, the rows are redone by the exponent-tracked recurrence,
+    so no row is flushed to 0 that is not 0.
     Past |x| = 1e300 every row is 0, and |x| is clamped there.
     """
     rows = np.empty((count, x.size)) if out is None else out
     ax = np.minimum(np.abs(x), _X_MAX)
     s = 2.0 * ax
     seed = rows[0]
-    if power:
-        with np.errstate(all="ignore"):  # log 0 = -inf; the slow path takes inf * 0
-            log_poly = power * np.log(s) + log_c
-            np.multiply(np.exp(log_poly), np.exp(-ax), out=seed)
-        low = np.flatnonzero((log_poly - ax < _LOG_TINY) | (ax > -_LOG_TINY))
-        log_low = log_poly[low] - ax[low]
-        seed *= sign
-    else:
-        np.negative(ax, out=seed)
-        np.exp(seed, out=seed)  # e^{-|x|}, whose exponent is exact
-        seed *= sign * math.exp(log_c)
-        low = np.flatnonzero(ax > log_c - _LOG_TINY)
-        log_low = log_c - ax[low]
+    with np.errstate(all="ignore"):  # log 0 = -inf; the slow path takes inf * 0
+        log_poly = power * np.log(s) + log_c if power else log_c
+        np.multiply(sign * np.exp(log_poly), np.exp(-ax), out=seed)
+    log_seed = log_poly - ax
+    low = np.flatnonzero((log_seed < _LOG_TINY) | (ax > -_LOG_TINY))
     if odd:
         np.negative(seed, out=seed, where=x < 0)
     _recur(rows, s, coef)
     if low.size:
-        low_rows = _recur_scaled(np.empty((count, low.size)), s[low], coef, log_low)
+        low_rows = _recur_scaled(np.empty((count, low.size)), s[low], coef, log_seed[low])
         low_rows *= sign
         if odd:
             np.negative(low_rows, out=low_rows, where=x[low] < 0)

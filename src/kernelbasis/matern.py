@@ -36,10 +36,11 @@ import numpy as np
 from ._lowrank import (block_row, check_int, check_lam, check_not_nan, pair_values, rank_product,
                        scaled, stack_rows)
 from .laguerre import _weighted_rows
-from .orthopoly import _LN2_HI, _LN2_LO, _laguerre_coef
-from .quadrature import _legendre_rule
+from .orthopoly import _LN2_HI, _LN2_LO, _check_degree, _laguerre_coef
+from .quadrature import _legendre_panel
 
 __all__ = [
+    "MAX_NU",
     "MaternOrder",
     "MaternBasisId",
     "MaternTruncation",
@@ -55,17 +56,20 @@ __all__ = [
 ]
 
 BASIS_CLASSES = ("plus", "minus", "null")
+MAX_NU = 1000  # the largest order served: the kernel is checked against mpmath up to it
 
 
 @dataclass(frozen=True)
 class MaternOrder:
-    """Smoothness nu + 1/2 (nu a nonnegative integer) and length-scale lam > 0."""
+    """Smoothness nu + 1/2 (nu an integer in [0, MAX_NU]) and length-scale lam > 0."""
 
     nu: int
     lam: float = 1.0
 
     def __post_init__(self):
         check_int(self.nu, "nu")
+        if self.nu > MAX_NU:
+            raise ValueError(f"nu={self.nu} exceeds the order cap {MAX_NU}")
         check_lam(self.lam)
 
 
@@ -217,11 +221,12 @@ def _handed_rows(nu: int, count: int, x: np.ndarray, out: np.ndarray | None = No
 def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
     """Evaluate one Matern--Laguerre basis function at lam * t: row m of the
     null block of :func:`_basis_block`, or the last of m + 1
-    :func:`_handed_rows` kept to its side of the origin."""
+    :func:`_handed_rows` kept to its side of the origin, m <= MAX_DEGREE."""
     basis_id.validate_for(order)
     lam, nu, kind, m = order.lam, order.nu, basis_id.kind, basis_id.m
     if kind == "null":
         return block_row(lambda p: _basis_block(nu, 0, scaled(lam, p)), m, t)
+    _check_degree(m)
 
     def handed_row(p: np.ndarray) -> np.ndarray:
         x = scaled(lam, p)
@@ -302,9 +307,7 @@ def _tail_sum(nu: int, n: int) -> float:
     N = n + 512
     head = float(np.sum(_tail_term(nu, np.arange(n, N, dtype=float), n)))
     # m = N + N y/(1-y) keeps the decaying integrand free of boundary layers
-    y, w = _legendre_rule(64)
-    y = 0.5 * (y + 1.0)
-    w = 0.5 * w
+    y, w = _legendre_panel(64, 0.0, 1.0)
     integral = float(np.sum(w * _tail_term(nu, N + N * y / (1.0 - y), n) * N / (1.0 - y) ** 2))
     # log-derivatives of f at N for the Euler--Maclaurin corrections
     j = np.arange(1, nu + 2, dtype=float)

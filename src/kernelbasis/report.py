@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["VerificationReport"]
 
@@ -36,9 +36,6 @@ class VerificationReport:
     def scalar_check(cls, name: str, computed: float, reference: float,
                      tolerance: float, **metadata) -> "VerificationReport":
         return cls(name, computed, reference, tolerance, metadata)
-
-    def with_tolerance(self, tolerance: float) -> "VerificationReport":
-        return replace(self, tolerance=tolerance)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -52,6 +52,7 @@ DEFAULT_SEED = 0x5EED
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 21)
 ALGEBRAIC_TOL = 1e-12
 QUADRATURE_TOL = 1e-8
+_QUAD_NODES = 128  # of every Gauss rule behind a Gram or tensor-quadrature check
 # large orders of the Matern checks that need no quadrature rule
 _LARGE_NUS = (30, 100, 300)
 
@@ -253,7 +254,7 @@ def _sample_pairs(count: int, lo: float, hi: float, seed: int) -> list[tuple[flo
     return [(float(a), float(b)) for a, b in pts]
 
 
-def suite_identities(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
+def suite_identities(seed: int) -> Iterator:
     grid = np.linspace(-20.0, 20.0, 50)
     ks = range(-6, 7)
     for m in range(-6, 7):
@@ -283,28 +284,28 @@ def _null_annihilation_residuals(nu: int, t: float) -> np.ndarray:
     return np.abs(math.exp(-t) * (vals @ coeffs) / h**k)
 
 
-def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
+def suite_matern(seed: int) -> Iterator:
     grid = DEFAULT_GRID
     # Gram matrices: diagonal = exact norms, off-diagonal = 0
     idx = list(range(13))
     for kind, nus in (("plus", range(5)), ("minus", (0, 2, 4))):
         for nu in nus:
-            rule = gauss_laguerre_rule(quad_nodes, nu + 1.0)
+            rule = gauss_laguerre_rule(_QUAD_NODES, nu + 1.0)
             G = gram_matrix(f"matern_{kind}", idx, rule if kind == "plus" else rule.reflected(),
                             nu=nu)
             expected = np.diag([_m.matern_psi_norm_sq(_m.MaternOrder(nu), m) for m in idx])
             yield (f"matern/gram_{kind}/nu={nu}", np.abs(G - expected), None, QUADRATURE_TOL,
-                   dict(nodes=quad_nodes, m_max=idx[-1]))
-    # the same diagonals relative to the norms, m < 64, on a fixed 128-node
-    # rule: an absolute check cannot see an error of the rows near the
-    # origin, where the norms are small (measured 1.5e-13, 8.0e-13, 8.8e-9)
+                   dict(nodes=_QUAD_NODES, m_max=idx[-1]))
+    # the same diagonals relative to the norms, m < 64: an absolute check
+    # cannot see an error of the rows near the origin, where the norms are
+    # small (measured 1.5e-13, 8.0e-13, 8.8e-9)
     for nu, tol in ((6, 5e-13), (10, 3e-12), (30, 3e-8)):
-        rule = gauss_laguerre_rule(128, nu + 1.0)
+        rule = gauss_laguerre_rule(_QUAD_NODES, nu + 1.0)
         norms = np.array([_m.matern_psi_norm_sq(_m.MaternOrder(nu), m) for m in range(64)])
         for kind, r in (("plus", rule), ("minus", rule.reflected())):
             G = gram_matrix(f"matern_{kind}", range(64), r, nu=nu)
             yield (f"matern/gram_{kind}_rel/nu={nu}", np.abs(np.diag(G) / norms - 1.0), None, tol,
-                   dict(nodes=128, m_max=63))
+                   dict(nodes=_QUAD_NODES, m_max=63))
     # null-space symmetry psi0_{nu-m}(t) = (-1)^nu psi0_m(-t)
     for nu in range(7):
         block = _m._basis_block(nu, 0, np.concatenate([grid, -grid]))
@@ -367,7 +368,7 @@ def suite_matern(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     yield "matern/feature_factorization/nu=1", np.abs(F @ F.T - direct), None, 1e-13, {}
 
 
-def suite_cauchy(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
+def suite_cauchy(seed: int) -> Iterator:
     grid = DEFAULT_GRID
     psi = _c.cauchy_psi_complex
     # real basis from the recurrence block vs sqrt(2) Re/Im of psi_m
@@ -411,9 +412,9 @@ def suite_cauchy(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
             for m in range(31)], None, ALGEBRAIC_TOL, {})
 
 
-def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
+def suite_gaussian(seed: int) -> Iterator:
     grid = DEFAULT_GRID
-    hr = gauss_hermite_rule(quad_nodes)
+    hr = gauss_hermite_rule(_QUAD_NODES)
     # Hermite functions are orthonormal under the unit weight
     G = gram_matrix("hermite_fn", range(16), hr)
     yield "gaussian/hermite_fn_orthonormal", np.abs(G - np.eye(16)), None, 1e-10, {}
@@ -435,7 +436,7 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     closed = math.sqrt(params.alpha**2 / s) / (1.0 - 0.5 / s)
     partial = sum(_g.mercer_eigenvalue(params, m) for m in range(80))
     yield "gaussian/eigenvalue_sum", partial, closed, 1e-12, {}
-    # exact Hilbert--Schmidt error vs 128-node tensor quadrature
+    # exact Hilbert--Schmidt error vs tensor quadrature on the Hermite rule
     t_nodes = hr.nodes / _g.MERCER_ALPHA_DEFAULT
     w2 = np.outer(hr.weights, hr.weights) / math.pi
     T, U = np.meshgrid(t_nodes, t_nodes, indexing="ij")
@@ -445,7 +446,7 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
         r_n = _g.gaussian_truncated(scale, n, T, U)
         quad = math.sqrt(float(np.sum(w2 * (r_full - r_n) ** 2)))
         exact = _g.gaussian_truncation_error(n)
-        yield f"gaussian/hs_quadrature/n={n}", quad, exact, 1e-6 * exact, dict(nodes=quad_nodes)
+        yield f"gaussian/hs_quadrature/n={n}", quad, exact, 1e-6 * exact, dict(nodes=_QUAD_NODES)
     # Mehler series vs closed form on a 5x5 grid at rho = 1/3
     mgrid = np.linspace(-2.0, 2.0, 5)
     yield ("gaussian/mehler_grid",
@@ -505,7 +506,7 @@ def suite_gaussian(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
     yield "gaussian/krr_gram_identity", dev, None, 1e-14, {}
 
 
-def suite_oracle(quad_nodes: int = 128, seed: int = DEFAULT_SEED) -> Iterator:
+def suite_oracle(seed: int) -> Iterator:
     grid = [float(t) for t in DEFAULT_GRID]
 
     def deviations(nu: int, kind: str, ms, shift: int) -> list[float]:
@@ -542,19 +543,14 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def run_suite(name: str, tol: float | None = None, quad_nodes: int = 128,
-              seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """Run one named suite (or ``all``), sorted by check name.
 
-    Every report is built here, from the suites' rows, by :func:`_report`.
-    ``tol`` overrides every report's tolerance (the pass flags are
-    recomputed); ``quad_nodes`` sets the rule sizes of quadrature-backed
-    checks.
+    Every report is built here, from the suites' rows, by :func:`_report`;
+    ``seed`` draws the random inputs of the checks that take them.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     suites = _SUITES.values() if name == "all" else [_SUITES[name]]
-    reports = [_report(row) for suite in suites for row in suite(quad_nodes=quad_nodes, seed=seed)]
-    if tol is not None:
-        reports = [r.with_tolerance(tol) for r in reports]
+    reports = [_report(row) for suite in suites for row in suite(seed)]
     return sorted(reports, key=lambda r: r.check_name)

@@ -179,6 +179,12 @@ class TestEval:
         assert code == 2 and out == ""
         assert "positive and finite" in err
 
+    def test_order_past_the_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--family", "matern", "--nu", "1001",
+                                 "--what", "kernel", "--grid", "0:1:2")
+        assert code == 2 and out == ""
+        assert err == "usage error: nu=1001 exceeds the order cap 1000\n"
+
     def test_bad_grid_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--family", "gaussian", "--what", "kernel", "--grid", "oops"])
@@ -210,17 +216,11 @@ class TestVerify:
 
     def test_verify_all_passes_with_many_checks(self, capsys, tmp_path):
         report = tmp_path / "all.jsonl"
-        code, out, _ = run_cli(
-            capsys, "verify", "all", "--quad-nodes", "96", "--report", str(report)
-        )
+        code, out, _ = run_cli(capsys, "verify", "all", "--report", str(report))
         assert code == 0
         lines = report.read_text().strip().split("\n")
         assert len(lines) >= 60
         assert all(json.loads(line)["passed"] for line in lines)
-
-    def test_loose_tolerance_trivially_passes(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "gaussian", "--tol", "1e-3")
-        assert code == 0
 
     def test_nonfinite_result_reported_as_fail(self, capsys, monkeypatch):
         import kernelbasis.cli as cli_mod
@@ -243,12 +243,24 @@ class TestVerify:
             main(["verify", "everything"])
         assert exc.value.code == 2
 
-    def test_failing_check_gives_exit_one(self, capsys):
-        # an absurdly tight tolerance forces quadrature-backed checks to fail
-        code, out, err = run_cli(capsys, "verify", "oracle", "--tol", "1e-300")
+    def test_failing_check_gives_exit_one(self, capsys, monkeypatch):
+        import kernelbasis.cli as cli_mod
+        from kernelbasis.report import VerificationReport
+
+        reports = [VerificationReport("demo/off", 1.0, 1.5, 1e-8)]
+        monkeypatch.setattr(cli_mod, "run_suite", lambda *args, **kwargs: reports)
+        code, out, err = run_cli(capsys, "verify", "oracle")
         assert code == 1
-        assert "failed:" in err
-        assert "FAIL" in out
+        assert "failed: demo/off" in err
+        assert "FAIL demo/off" in out
+
+    @pytest.mark.parametrize("argv", [["gaussian", "--tol", "1e-3"],
+                                      ["all", "--quad-nodes", "96"]], ids=["tol", "quad-nodes"])
+    def test_harness_knobs_are_usage_errors(self, argv):
+        # the harness runs one configuration, so no flag can loosen or resize it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
 
 
 class TestDemoKRR:

@@ -56,6 +56,8 @@ class TestSpec:
             FeatureMapSpec("spline", n=3)
         with pytest.raises(ValueError):
             FeatureMapSpec("gaussian", n=0)
+        with pytest.raises(ValueError, match="order cap 1000"):
+            FeatureMapSpec("matern", n=3, nu=1001)
 
     @pytest.mark.parametrize("lam", [np.inf, np.nan])
     def test_nonfinite_lam_rejected(self, lam):

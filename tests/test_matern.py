@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from kernelbasis.matern import (
+    MAX_NU,
     MaternBasisId,
     MaternOrder,
     MaternTruncation,
@@ -125,6 +126,8 @@ class TestKernel:
             MaternOrder(-1)
         with pytest.raises(ValueError):
             MaternOrder(1, lam=0.0)
+        with pytest.raises(ValueError, match="nu=1001 exceeds the order cap 1000"):
+            MaternOrder(MAX_NU + 1)
 
 
 class TestBasisFunctions:
@@ -184,6 +187,23 @@ class TestBasisFunctions:
             matern_psi(o, MaternBasisId("null", 2), 0.0)
         with pytest.raises(ValueError):
             MaternBasisId("weird", 0)
+
+    @pytest.mark.parametrize("kind, t", [("plus", 0.5), ("minus", -0.5)])
+    def test_handed_index_past_the_degree_cap_raises(self, kind, t):
+        # checked before any row is allocated, through either entry point
+        o = MaternOrder(2)
+        with pytest.raises(ValueError, match="m=513 exceeds the degree cap 512"):
+            matern_psi(o, MaternBasisId(kind, 513), t)
+        with pytest.raises(ValueError, match="m=513 exceeds the degree cap 512"):
+            matern_psi_unified(o, 513 if kind == "plus" else -o.nu - 2 - 513, t)
+
+    @pytest.mark.parametrize("kind", ["plus", "minus"])
+    def test_handed_index_at_the_degree_cap(self, kind):
+        nu, x = 2, np.array([-700.0, -3.0, -0.5, 0.0, 0.5, 3.0, 700.0])
+        side = x < 0 if kind == "minus" else x >= 0
+        ref = np.where(side, _handed_rows(nu, 513, x)[-1], 0.0)
+        got = matern_psi(MaternOrder(nu), MaternBasisId(kind, 512), x)
+        assert np.array_equal(got, ref) and np.count_nonzero(got) == 3
 
     def test_unified_index_covers_all_classes(self):
         o = MaternOrder(1)

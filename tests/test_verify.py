@@ -38,8 +38,8 @@ _DEFINING_INTEGRAL_BAR = 1e-13
 
 @pytest.fixture(scope="module")
 def all_reports():
-    # one run of every suite, shared by the tests that read all of it
-    return run_suite("all", quad_nodes=64)
+    # one run of every suite as shipped, shared by the tests that read all of it
+    return run_suite("all")
 
 
 class TestReport:
@@ -65,11 +65,6 @@ class TestReport:
         rep = VerificationReport("x", computed, reference, 1e-8)
         assert not rep.passed
         assert not np.isfinite(rep.abs_error)
-
-    def test_tolerance_override(self):
-        rep = VerificationReport("x", 1.0, 1.5, 1e-8)
-        assert not rep.passed
-        assert rep.with_tolerance(1.0).passed
 
     def test_scalar_check_is_the_constructor_with_keyword_metadata(self):
         assert (VerificationReport.scalar_check("x", 1.0, 2.0, 1e-8, grid=5)
@@ -321,11 +316,6 @@ class TestSuites:
         assert [(r.check_name, r.computed) for r in a] == [
             (r.check_name, r.computed) for r in b
         ]
-
-    def test_tolerance_override_loosens(self):
-        reps = run_suite("identities", tol=1e-3)
-        assert all(r.tolerance == 1e-3 for r in reps)
-        assert all(r.passed for r in reps)
 
     def test_oracle_suite_passes(self):
         reps = run_suite("oracle")
