@@ -65,12 +65,11 @@ def chunk_blocks(block, x: np.ndarray, buf: np.ndarray):
         yield s, block(p, flat[: dim * stride].reshape(dim, stride)[:, : p.size])
 
 
-def stack_rows(block, x: np.ndarray, dim: int, buf: np.ndarray | None = None) -> np.ndarray:
+def stack_rows(block, x: np.ndarray, dim: int) -> np.ndarray:
     """C-ordered (N, dim) array whose row i is column i of ``block`` (as in
-    chunk_blocks) at the points x (N,).  ``buf`` is the block buffer; by
-    default one is made for this call."""
+    chunk_blocks) at the points x (N,), built in a block buffer of its own."""
     out = np.empty((x.size, dim))
-    for s, b in chunk_blocks(block, x, chunk_buffer(dim, x.size) if buf is None else buf):
+    for s, b in chunk_blocks(block, x, chunk_buffer(dim, x.size)):
         out[s] = b.T
     return out
 

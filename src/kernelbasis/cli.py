@@ -50,15 +50,12 @@ def _emit(columns: dict, fmt: str, out_path: str | None) -> None:
     """Write equal-length columns as csv or json lines; numbers are written
     with 17 significant digits, strings as they are."""
     names = list(columns)
-    rows = len(next(iter(columns.values())))
-    lines = [",".join(names)] if fmt == "csv" else []
-    for i in range(rows):
-        row = [columns[c][i] for c in names]
-        if fmt == "csv":
-            lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row))
-        else:
-            lines.append(json.dumps(
-                {c: v if isinstance(v, str) else float(v) for c, v in zip(names, row)}))
+    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+    if fmt == "csv":
+        lines = [",".join(names)] + [
+            ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows]
+    else:
+        lines = [json.dumps(dict(zip(names, row))) for row in rows]
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:

@@ -145,7 +145,7 @@ def _fit(spec: FeatureMapSpec, x: np.ndarray, y: np.ndarray, ridge: float, buf: 
             gram += b @ b.T
             rhs += b @ y[s]
         return block, np.linalg.solve(gram, rhs)
-    F = stack_rows(block, x, spec.dim, buf)
+    F = stack_rows(block, x, spec.dim)
     gram = F @ F.T
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > COND_LIMIT:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ._lowrank import check_not_nan
-from .orthopoly import _LOG_TINY, _laguerre_coef, _last_row, _recur, _recur_scaled
+from .orthopoly import _LOG_TINY, _laguerre_coef, _last_row, _recur, _recur_scaled, _split_ln2
 from .report import VerificationReport
 
 __all__ = ["laguerre_fn", "laguerre_fn_ft", "check_identity", "IDENTITIES"]
@@ -43,7 +43,8 @@ def _weighted_rows(count: int, coef, log_c: float, x: np.ndarray, out=None,
     exponent is exact, so its rounding does not grow with |x|.  Where the
     seed underflows (far from the origin, and near it for power > 0) or
     e^{-|x|} does, the rows are redone by the exponent-tracked recurrence,
-    so no row is flushed to 0 that is not 0.
+    so no row is flushed to 0 that is not 0; there -|x| = k ln 2 + r with k
+    an exact integer, and only r joins the log of c s^power.
     Past |x| = 1e300 every row is 0, and |x| is clamped there.
     """
     rows = np.empty((count, x.size)) if out is None else out
@@ -59,7 +60,9 @@ def _weighted_rows(count: int, coef, log_c: float, x: np.ndarray, out=None,
         np.negative(seed, out=seed, where=x < 0)
     _recur(rows, s, coef)
     if low.size:
-        low_rows = _recur_scaled(np.empty((count, low.size)), s[low], coef, log_seed[low])
+        k, r = _split_ln2(-ax[low])
+        log_rest = np.broadcast_to(log_poly, x.shape)[low] + r
+        low_rows = _recur_scaled(np.empty((count, low.size)), s[low], coef, log_rest, k)
         low_rows *= sign
         if odd:
             np.negative(low_rows, out=low_rows, where=x[low] < 0)

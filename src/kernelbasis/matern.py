@@ -89,13 +89,6 @@ class MaternBasisId:
             raise ValueError(f"kind must be one of {BASIS_CLASSES}, got {self.kind!r}")
         check_int(self.m, "m")
 
-    def validate_for(self, order: MaternOrder) -> None:
-        if self.kind == "null" and self.m > order.nu:
-            raise ValueError(
-                f"null-class index m={self.m} exceeds nu={order.nu}; "
-                f"the null class has exactly nu+1 members"
-            )
-
 
 @dataclass(frozen=True)
 class MaternTruncation:
@@ -222,9 +215,11 @@ def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
     """Evaluate one Matern--Laguerre basis function at lam * t: row m of the
     null block of :func:`_basis_block`, or the last of m + 1
     :func:`_handed_rows` kept to its side of the origin, m <= MAX_DEGREE."""
-    basis_id.validate_for(order)
     lam, nu, kind, m = order.lam, order.nu, basis_id.kind, basis_id.m
     if kind == "null":
+        if m > nu:
+            raise ValueError(f"null-class index m={m} exceeds nu={nu}; "
+                             "the null class has exactly nu+1 members")
         return block_row(lambda p: _basis_block(nu, 0, scaled(lam, p)), m, t)
     _check_degree(m)
 

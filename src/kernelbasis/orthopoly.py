@@ -81,26 +81,36 @@ def _recur(rows, x: np.ndarray, coef):
     return rows
 
 
-def _recur_scaled(rows, x: np.ndarray, coef, log_seed: np.ndarray):
-    """:func:`_recur` from the seed exp(log_seed), for seeds that underflow.
+def _split_ln2(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, r) with y = k ln 2 + r, |r| <= ln 2 / 2 and k an int64 array, for y
+    clamped to [-2^40, 2^40].  k _LN2_HI is exact for |y| < 1.45e6, so r is
+    within an ulp there; past it e^y under- or overflows any row it seeds."""
+    y = np.clip(y, -(2.0**40), 2.0**40)
+    k = np.rint(y / math.log(2.0))
+    return k.astype(np.int64), (y - k * _LN2_HI) - k * _LN2_LO
 
-    Each point carries its two current rows divided by a power of two 2^j
-    that keeps the larger of them in [1/2, 1), so the scaling is exact, and
-    row k is written as value * exp(log_seed + j ln 2), with ln 2 split in
-    two so that j ln 2 adds no rounding.  A row underflows only where its
-    own value does.  Several numpy calls per row on few points: a slow
-    path for the points that need it.
+
+def _recur_scaled(rows, x: np.ndarray, coef, log_seed: np.ndarray, exp2=0):
+    """:func:`_recur` from the seed exp(log_seed) 2^exp2, for seeds that underflow.
+
+    The log seed is split as k ln 2 + r, so the seed costs one rounding,
+    exp(r).  Each point carries its two current rows divided by a power of
+    two 2^j that keeps the larger of them in [1/2, 1), so the scaling is
+    exact, and row k is ldexp(value, j), rounded once where it underflows
+    and only where its own value does.  Several numpy calls per row on few
+    points: a slow path for the points that need it.
     """
-    cur, prev, nxt, tmp = np.ones(x.shape), np.zeros(x.shape), np.empty(x.shape), np.empty(x.shape)
-    j = np.zeros(x.shape)
-    np.exp(log_seed, out=rows[0])
+    prev, nxt, tmp = np.zeros(x.shape), np.empty(x.shape), np.empty(x.shape)
+    j, r = _split_ln2(log_seed)
+    j, cur = j + exp2, np.exp(r)
+    np.ldexp(cur, j, out=rows[0])
     for k in range(len(rows) - 1):
         _step(nxt, cur, prev if k else None, x, *coef(k), tmp)
         shift = np.frexp(np.maximum(np.abs(nxt), np.abs(cur)))[1]
         np.ldexp(nxt, -shift, out=nxt)
         np.ldexp(cur, -shift, out=cur)
         j += shift
-        np.multiply(nxt, np.exp(log_seed + j * _LN2_HI + j * _LN2_LO), out=rows[k + 1])
+        np.ldexp(nxt, j, out=rows[k + 1])
         prev, cur, nxt = cur, nxt, prev
     return rows
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,31 +32,21 @@ __all__ = [
 
 MAX_NODES = 256
 
-REAL_LINE = "real_line"
-POSITIVE_HALF_LINE = "positive_half_line"
-NEGATIVE_HALF_LINE = "negative_half_line"
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a fixed quadrature rule.
-
-    ``domain`` is one of ``real_line``, ``positive_half_line``,
-    ``negative_half_line``; ``base_weight`` names the weight the rule
-    integrates against.
-    """
+    """Nodes and weights of a fixed quadrature rule: equal-length read-only
+    1-d arrays, nodes strictly increasing, weights positive.  The side of
+    the origin the rule lives on is read from its first and last nodes."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str
-    base_weight: str
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        if nodes.ndim != 1 or weights.ndim != 1 or not 0 < nodes.size == weights.size:
+            raise ValueError("nodes and weights must be nonempty 1-d arrays of equal length")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if np.any(weights <= 0):
@@ -66,24 +56,11 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def __len__(self) -> int:
-        return self.nodes.size
-
     def reflected(self) -> "QuadratureRule":
-        """Mirror the rule about the origin (half-line rules only)."""
-        if self.domain == POSITIVE_HALF_LINE:
-            dom = NEGATIVE_HALF_LINE
-        elif self.domain == NEGATIVE_HALF_LINE:
-            dom = POSITIVE_HALF_LINE
-        else:
-            raise ValueError("only half-line rules can be reflected")
-        return QuadratureRule(
-            nodes=-self.nodes[::-1],
-            weights=self.weights[::-1].copy(),
-            domain=dom,
-            base_weight=self.base_weight,
-            metadata=dict(self.metadata),
-        )
+        """Mirror the rule about the origin (rules on one side of it only)."""
+        if self.nodes[0] < 0.0 < self.nodes[-1]:
+            raise ValueError("only half-line rules can be reflected: the nodes straddle 0")
+        return QuadratureRule(-self.nodes[::-1], self.weights[::-1].copy())
 
 
 def _check_node_count(n: int) -> None:
@@ -129,13 +106,7 @@ def gauss_laguerre_rule(n: int, eta: float = 0.0) -> QuadratureRule:
     # past ~190 nodes the outermost weights (~e^{-950}) underflow float64;
     # they would contribute exactly zero, so keep the representable part
     keep = weights > 0.0
-    return QuadratureRule(
-        nodes=nodes[keep],
-        weights=weights[keep],
-        domain=POSITIVE_HALF_LINE,
-        base_weight=f"gauss_laguerre(eta={eta:g})",
-        metadata={"n": n, "eta": float(eta), "kept": int(keep.sum())},
-    )
+    return QuadratureRule(nodes[keep], weights[keep])
 
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:
@@ -145,14 +116,7 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     a_k = 0, b_k = sqrt(k/2).
     """
     _check_node_count(n)
-    nodes, weights = _golub_welsch(n, None)
-    return QuadratureRule(
-        nodes=nodes,
-        weights=weights,
-        domain=REAL_LINE,
-        base_weight="gauss_hermite",
-        metadata={"n": n},
-    )
+    return QuadratureRule(*_golub_welsch(n, None))
 
 
 @functools.cache

@@ -26,15 +26,7 @@ from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
 from .laguerre import check_identity, laguerre_fn_ft
 from .orthopoly import _laguerre_coef, _recur_scaled, hermite_normalized
-from .quadrature import (
-    NEGATIVE_HALF_LINE,
-    POSITIVE_HALF_LINE,
-    REAL_LINE,
-    QuadratureRule,
-    gauss_hermite_rule,
-    gauss_laguerre_rule,
-    _legendre_panel,
-)
+from .quadrature import QuadratureRule, _legendre_panel, gauss_hermite_rule, gauss_laguerre_rule
 from .report import VerificationReport
 
 __all__ = [
@@ -146,16 +138,17 @@ def _mercer_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
     return _g._hermite_rows(count, *_g._mercer_form(params), t) * strip
 
 
-# family -> (domain of its rule, message when the rule has another, rows
-# m = 0..count-1 at the rule's nodes times the strip that reduces the
-# weighted integrand to the rule's base weight)
+# family -> (side of its rule's nodes: 1 all > 0, -1 all < 0, 0 the first
+# <= 0 <= the last; rows m = 0..count-1 at the rule's nodes times the strip
+# that reduces the weighted integrand to the rule's base weight)
 _GRAM = {
-    "matern_plus": (POSITIVE_HALF_LINE, "psi+ lives on the positive half line", _matern_rows),
-    "matern_minus": (NEGATIVE_HALF_LINE, "psi- lives on the negative half line", _matern_rows),
-    "hermite_fn": (REAL_LINE, "Hermite functions need a real-line rule", _hermite_fn_rows),
-    "gaussian_psi": (REAL_LINE, "gaussian basis needs a real-line rule", _psi_rows),
-    "mercer": (REAL_LINE, "mercer basis needs a real-line rule", _mercer_rows),
+    "matern_plus": (1, _matern_rows),
+    "matern_minus": (-1, _matern_rows),
+    "hermite_fn": (0, _hermite_fn_rows),
+    "gaussian_psi": (0, _psi_rows),
+    "mercer": (0, _mercer_rows),
 }
+_SIDES = ("real-line", "positive half line", "negative half line")  # by side 0, 1, -1
 GRAM_FAMILIES = tuple(_GRAM)
 
 
@@ -168,7 +161,8 @@ def gram_matrix(family: str, indices, rule: QuadratureRule,
     documented change of variables for each family (s = 2t for the Matern
     classes, s proportional to t for the Gaussian ones).  The family's
     block is evaluated once at the rule's nodes, and the rows ``indices``
-    (nonnegative, in any order) are taken from it.
+    (nonnegative, in any order) are taken from it.  The rule's first and
+    last nodes must lie on the family's side of 0 (``_GRAM``).
     """
     if family not in _GRAM:
         raise ValueError(f"unknown gram family {family!r}; expected one of {GRAM_FAMILIES}")
@@ -177,9 +171,10 @@ def gram_matrix(family: str, indices, rule: QuadratureRule,
         raise ValueError("indices must be nonempty")
     for k, i in enumerate(idx):
         check_int(i, f"indices[{k}]")
-    domain, message, rows = _GRAM[family]
-    if rule.domain != domain:
-        raise ValueError(f"{message}, rule has {rule.domain}")
+    side, rows = _GRAM[family]
+    lo, hi = rule.nodes[0], rule.nodes[-1]
+    if (1 if lo > 0 else -1 if hi < 0 else 0) != side:
+        raise ValueError(f"{family} needs a {_SIDES[side]} rule, got nodes in [{lo:.3g}, {hi:.3g}]")
     B = rows(max(idx) + 1, rule.nodes, nu, mercer)[idx]
     return (B * rule.weights) @ B.T
 

@@ -20,7 +20,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from kernelbasis.quadrature import REAL_LINE, QuadratureRule, _check_node_count, _legendre_panel
+from kernelbasis.quadrature import QuadratureRule, _check_node_count, _legendre_panel
 
 
 def laguerre_sum(m: int, eta: int, t: Fraction) -> Fraction:
@@ -105,13 +105,7 @@ def uniform_truncated_rule(n: int, R: float) -> QuadratureRule:
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
     order = np.argsort(nodes)
-    return QuadratureRule(
-        nodes=nodes[order],
-        weights=weights[order],
-        domain=REAL_LINE,
-        base_weight=f"uniform_truncated(R={R:g})",
-        metadata={"n": n, "R": float(R)},
-    )
+    return QuadratureRule(nodes[order], weights[order])
 
 
 def integrate(rule: QuadratureRule, f: Callable) -> float:

@@ -104,7 +104,7 @@ def _mercer_weight_contract(alpha: float, bar):
 
 
 def _laguerre_fn_reference(ms, t):
-    rows = laguerre_form_mp(64, 0, 0, abs(t))
+    rows = laguerre_form_mp(max(max(ms), -min(ms) - 1) + 1, 0, 0, abs(t))
     out = []
     for m in ms:
         j, sign, side = (m, 1, t >= 0) if m >= 0 else (-m - 1, -1, t < 0)
@@ -173,6 +173,10 @@ def _matern_feature_map(nu: int, n: int = 64):
 _MATERN_X = _both_sides(np.concatenate([[1e-6, 1e-4], np.geomspace(1e-3, 2.0, 25),
                                         [5.0, 20.0, 60.0, 200.0, 700.0]]))
 _RATIONAL_X = _both_sides(np.concatenate([_NEAR, _MODERATE, [10.0, 1e4, 1e8]]))
+# around and past |x| ~ 708.4, where e^{-|x|} underflows and the
+# exponent-tracked path takes over, on both sides of the origin
+_EDGE_MS = [m for j in (0, 1, 5, 40, 300) for m in (j, -j - 1)]
+_EDGE_X = np.array([708.3, 708.45, 708.6, 708.8, 720.0, 800.0, 1500.0, -708.5, -900.0])
 
 # measured maxima, each with its bar: hermite_fn 3.7e-14; gaussian_psi
 # 4.9e-13; kappa = 0.3, 1.3: 2.4e-13, 1.9e-12 (the rounding of S enters
@@ -210,6 +214,8 @@ _CONTRACTS = {
        for alpha, bar in ((0.3, 3e-14), (3.0, 2e-13))},
     "laguerre_fn": (_each(kb.laguerre_fn), _laguerre_fn_reference, _SIGNED_MS,
                     _both_sides(np.concatenate([_NEAR, _MODERATE, _far(700.0)])), 5e-13),
+    "laguerre_fn/past_underflow_edge": (_each(kb.laguerre_fn), _laguerre_fn_reference, _EDGE_MS,
+                                        _EDGE_X, 2e-14),
     "laguerre_fn_ft": (_each(kb.laguerre_fn_ft),
                        lambda ms, w: [laguerre_fn_ft_mp(m, w) for m in ms],
                        _SIGNED_MS, _RATIONAL_X, 5e-14),

@@ -5,6 +5,7 @@ it is finite."""
 import csv
 import math
 import pathlib
+import re
 import runpy
 import sys
 
@@ -59,3 +60,18 @@ def test_truncation_study_tabulates_every_family(monkeypatch, capsys):
     for row in rows:
         filled = {"matern": [3, 4, 5], "cauchy": [5], "gaussian": [3, 5]}[row[0]]
         assert all(row[i] != "" for i in filled), row
+
+
+def test_output_hashes_are_one_repeatable_digest_per_workload(monkeypatch, capsys):
+    # the script pins the BLAS threads and puts the checkout on sys.path;
+    # both are put back after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    runs = []
+    for _ in range(2):
+        run_script(monkeypatch, "output_hashes.py", "--seeds", "7")
+        runs.append(capsys.readouterr().out.splitlines())
+    assert [re.fullmatch(r"[0-9a-f]{64}  (\w+) seed=7", line)[1] for line in runs[0]] == [
+        "features", "grid", "krr"]
+    assert runs[1] == runs[0]

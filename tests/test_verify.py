@@ -183,13 +183,30 @@ class TestGramMatrix:
         expected = np.diag([matern_psi_norm_sq(o, m) for m in range(9)])
         np.testing.assert_allclose(G, expected, atol=1e-8)
 
-    def test_domain_mismatch_rejected(self):
-        rule = gauss_hermite_rule(32)
-        with pytest.raises(ValueError, match="half line"):
-            gram_matrix("matern_plus", range(3), rule, nu=0)
-        lrule = gauss_laguerre_rule(32, 1.0)
-        with pytest.raises(ValueError, match="real-line"):
-            gram_matrix("gaussian_psi", range(3), lrule)
+    @pytest.mark.parametrize("family, rule, match", [
+        ("matern_plus", gauss_hermite_rule(32), "half line"),
+        ("matern_minus", gauss_hermite_rule(32), "half line"),
+        ("matern_minus", gauss_laguerre_rule(32, 1.0), "half line"),
+        ("matern_plus", gauss_laguerre_rule(32, 1.0).reflected(), "half line"),
+        ("hermite_fn", gauss_laguerre_rule(32, 1.0), "real-line"),
+        ("gaussian_psi", gauss_laguerre_rule(32, 1.0), "real-line"),
+        ("mercer", gauss_laguerre_rule(32, 1.0), "real-line"),
+        ("mercer", gauss_laguerre_rule(32, 1.0).reflected(), "real-line"),
+    ])
+    def test_domain_mismatch_rejected(self, family, rule, match):
+        # the error names the family and the rule's node range
+        with pytest.raises(ValueError, match=match) as err:
+            gram_matrix(family, range(3), rule, nu=0)
+        assert family in str(err.value)
+        assert f"[{rule.nodes[0]:.3g}, {rule.nodes[-1]:.3g}]" in str(err.value)
+
+    def test_one_node_hermite_rule_serves_the_gaussian_families(self):
+        # its only node is 0, on both sides of the origin at once
+        rule = gauss_hermite_rule(1)
+        assert rule.nodes.tolist() == [0.0]
+        np.testing.assert_allclose(gram_matrix("hermite_fn", [0], rule), [[1.0]], rtol=1e-15)
+        gram_matrix("gaussian_psi", [0], rule)
+        gram_matrix("mercer", [0], rule)
 
     def test_minus_needs_reflected_rule(self):
         rule = gauss_laguerre_rule(64, 1.0)
