@@ -23,12 +23,14 @@ def check_lam(lam) -> None:
         raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
-def check_int(value, name: str, low: int = 0) -> None:
-    """Reject an index, order or level that is not an integer (numpy integers
-    count) or is below ``low`` (0 or 1)."""
+def check_int(value, name: str, low: int = 0, cap: int | None = None) -> None:
+    """Reject an index, order, level or node count that is not an integer (numpy
+    integers count), is below ``low`` (0 or 1) or is above ``cap`` (if given)."""
     if not isinstance(value, numbers.Integral) or value < low:
         kind = "nonnegative" if low == 0 else "positive"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    if cap is not None and value > cap:
+        raise ValueError(f"{name}={value} exceeds the cap {cap}")
 
 
 def chunks(n: int):

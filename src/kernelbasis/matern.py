@@ -36,7 +36,7 @@ import numpy as np
 from ._lowrank import (block_row, check_int, check_lam, check_not_nan, pair_values, rank_product,
                        scaled, stack_rows)
 from .laguerre import _weighted_rows
-from .orthopoly import _LN2_HI, _LN2_LO, _check_degree, _laguerre_coef
+from .orthopoly import _LN2_HI, _LN2_LO, _laguerre_coef, _last_row
 from .quadrature import _legendre_panel
 
 __all__ = [
@@ -67,9 +67,7 @@ class MaternOrder:
     lam: float = 1.0
 
     def __post_init__(self):
-        check_int(self.nu, "nu")
-        if self.nu > MAX_NU:
-            raise ValueError(f"nu={self.nu} exceeds the order cap {MAX_NU}")
+        check_int(self.nu, "nu", cap=MAX_NU)
         check_lam(self.lam)
 
 
@@ -213,22 +211,21 @@ def _handed_rows(nu: int, count: int, x: np.ndarray, out: np.ndarray | None = No
 
 def matern_psi(order: MaternOrder, basis_id: MaternBasisId, t):
     """Evaluate one Matern--Laguerre basis function at lam * t: row m of the
-    null block of :func:`_basis_block`, or the last of m + 1
-    :func:`_handed_rows` kept to its side of the origin, m <= MAX_DEGREE."""
+    null block of :func:`_basis_block`, or the last of m + 1 :func:`_handed_rows`
+    kept to its side of the origin, m <= MAX_DEGREE by ``orthopoly._last_row``."""
     lam, nu, kind, m = order.lam, order.nu, basis_id.kind, basis_id.m
     if kind == "null":
         if m > nu:
             raise ValueError(f"null-class index m={m} exceeds nu={nu}; "
                              "the null class has exactly nu+1 members")
         return block_row(lambda p: _basis_block(nu, 0, scaled(lam, p)), m, t)
-    _check_degree(m)
 
-    def handed_row(p: np.ndarray) -> np.ndarray:
+    def handed_row(count: int, p: np.ndarray) -> np.ndarray:
         x = scaled(lam, p)
         side = x < 0 if kind == "minus" else x >= 0
-        return np.where(side, _handed_rows(nu, m + 1, x)[-1:], 0.0)
+        return np.where(side, _handed_rows(nu, count, x)[-1:], 0.0)
 
-    return block_row(handed_row, 0, t)
+    return _last_row(handed_row, m, t)
 
 
 def matern_psi_unified(order: MaternOrder, m: int, t):

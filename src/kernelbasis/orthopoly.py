@@ -115,12 +115,6 @@ def _recur_scaled(rows, x: np.ndarray, coef, log_seed: np.ndarray, exp2=0):
     return rows
 
 
-def _check_degree(m: int, name: str = "m") -> None:
-    check_int(m, name)
-    if m > MAX_DEGREE:
-        raise ValueError(f"{name}={m} exceeds the degree cap {MAX_DEGREE}")
-
-
 def _check_finite(vals, m: int):
     """vals, or ValueError naming m where a value is not finite: there the
     true value overflows float64 (or t itself is not finite)."""
@@ -132,8 +126,9 @@ def _check_finite(vals, m: int):
 
 
 def _last_row(table, m: int, t, *args):
-    """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar t)."""
-    _check_degree(m)
+    """Row m of ``table(m + 1, *args, t)``, shaped like t (a float for scalar t),
+    m <= MAX_DEGREE: the degree check of every scalar evaluator built on a table."""
+    check_int(m, "m", cap=MAX_DEGREE)
     return block_row(lambda p: table(m + 1, *args, p), -1, t)
 
 
@@ -155,7 +150,7 @@ def hermite(m: int, t):
     m ~ 270, where it raises ValueError; use :func:`hermite_normalized` for
     large degrees.
     """
-    _check_degree(m)
+    check_int(m, "m", cap=MAX_DEGREE)
     x = check_not_nan(np.asarray(t, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):  # a value beyond float64 raises below
         p_prev, p = np.ones_like(x), 2.0 * x
@@ -250,8 +245,7 @@ def _table(count: int, t, coef) -> np.ndarray:
     """Rows 0..count-1 of the seed-1 recurrence with coefficients coef at the
     points t, flattened: (count, t.size); ValueError where t is NaN or a value
     lies beyond float64 (a non-finite row stays so, and the last row shows it)."""
-    check_int(count, "count", 1)
-    _check_degree(count - 1, "count-1")
+    check_int(count, "count", 1, MAX_DEGREE + 1)
     x = check_not_nan(np.asarray(t, dtype=float).ravel())
     rows = np.empty((count, x.size))
     rows[0] = 1.0

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lowrank import check_int
+
 __all__ = [
     "QuadratureRule",
     "gauss_laguerre_rule",
@@ -63,11 +65,6 @@ class QuadratureRule:
         return QuadratureRule(-self.nodes[::-1], self.weights[::-1].copy())
 
 
-def _check_node_count(n: int) -> None:
-    if not 1 <= n <= MAX_NODES:
-        raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
-
-
 @functools.cache
 def _golub_welsch(n: int, eta: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule from the eigensolve of its
@@ -99,7 +96,7 @@ def gauss_laguerre_rule(n: int, eta: float = 0.0) -> QuadratureRule:
     Exact for polynomials of degree <= 2n-1.  Jacobi coefficients:
     a_k = 2k + eta + 1, b_k = sqrt(k (k + eta)).
     """
-    _check_node_count(n)
+    check_int(n, "node count", 1, MAX_NODES)
     if not 0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     nodes, weights = _golub_welsch(n, eta)
@@ -115,7 +112,7 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     Exact for polynomials of degree <= 2n-1.  Jacobi coefficients:
     a_k = 0, b_k = sqrt(k/2).
     """
-    _check_node_count(n)
+    check_int(n, "node count", 1, MAX_NODES)
     return QuadratureRule(*_golub_welsch(n, None))
 
 
@@ -131,6 +128,6 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _legendre_panel(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss--Legendre nodes and weights on [a, b]."""
-    _check_node_count(n)
+    check_int(n, "node count", 1, MAX_NODES)
     x, w = _legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w

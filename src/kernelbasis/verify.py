@@ -25,7 +25,7 @@ from . import matern as _m
 from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
 from .laguerre import check_identity, laguerre_fn_ft
-from .orthopoly import _laguerre_coef, _recur_scaled, hermite_normalized
+from .orthopoly import MAX_DEGREE, _laguerre_coef, _recur_scaled, hermite_normalized
 from .quadrature import QuadratureRule, _legendre_panel, gauss_hermite_rule, gauss_laguerre_rule
 from .report import VerificationReport
 
@@ -110,7 +110,7 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
 # ---------------------------------------------------------------------------
 # weighted Gram matrices
 
-def _matern_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
+def _matern_rows(count: int, s: np.ndarray, nu) -> np.ndarray:
     # t = s/2 lies on the rule's half line, so the handed rows there are psi+
     # (s > 0) or psi-_{m,nu} (s < 0); the strip removes |s|^{nu+1} e^{-|s|}
     if nu is None:
@@ -120,19 +120,19 @@ def _matern_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
     return _m._handed_rows(nu, count, 0.5 * s) * (np.exp(0.5 * a) * a ** (-(nu + 1.0)))
 
 
-def _hermite_fn_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
+def _hermite_fn_rows(count: int, s: np.ndarray, nu) -> np.ndarray:
     return _g._hermite_rows(count, *_g._HERMITE_FN, s) * np.exp(0.5 * s * s)
 
 
-def _psi_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
+def _psi_rows(count: int, s: np.ndarray, nu) -> np.ndarray:
     # t = sqrt(3) s / 2 turns psi_m psi_k w_alpha dt, alpha = sqrt(2/3), into
     # (psi_m strip)(psi_k strip) e^{-s^2} ds
     const = math.sqrt(_g.MERCER_ALPHA_DEFAULT * math.sqrt(3.0) / (2.0 * math.sqrt(math.pi)))
     return _g._psi_block(count, math.sqrt(3.0) * s / 2.0) * (const * np.exp(0.25 * s * s))
 
 
-def _mercer_rows(count: int, s: np.ndarray, nu, mercer) -> np.ndarray:
-    params = mercer if mercer is not None else _g.MercerParams(_g.MERCER_ALPHA_DEFAULT)
+def _mercer_rows(count: int, s: np.ndarray, nu) -> np.ndarray:
+    params = _g.MercerParams(_g.MERCER_ALPHA_DEFAULT)
     t = s / (params.alpha * params.beta)
     strip = math.pi**-0.25 / math.sqrt(params.beta) * np.exp(params.delta_sq * t * t)
     return _g._hermite_rows(count, *_g._mercer_form(params), t) * strip
@@ -152,17 +152,17 @@ _SIDES = ("real-line", "positive half line", "negative half line")  # by side 0,
 GRAM_FAMILIES = tuple(_GRAM)
 
 
-def gram_matrix(family: str, indices, rule: QuadratureRule,
-                nu: int | None = None,
-                mercer: "_g.MercerParams | None" = None) -> np.ndarray:
+def gram_matrix(family: str, indices, rule: QuadratureRule, nu: int | None = None) -> np.ndarray:
     """Pairwise weighted inner products of basis functions under a rule.
 
     The weighted integrand is reduced to the rule's base weight by the
     documented change of variables for each family (s = 2t for the Matern
-    classes, s proportional to t for the Gaussian ones).  The family's
-    block is evaluated once at the rule's nodes, and the rows ``indices``
-    (nonnegative, in any order) are taken from it.  The rule's first and
-    last nodes must lie on the family's side of 0 (``_GRAM``).
+    classes, s proportional to t for the Gaussian ones, the Mercer ones at
+    MERCER_ALPHA_DEFAULT).  The family's block is evaluated once at the
+    rule's nodes, and the rows ``indices`` (in any order, each at most
+    MAX_DEGREE, past which no rule of MAX_NODES nodes is exact) are taken
+    from it.  The rule's first and last nodes must lie on the family's side
+    of 0 (``_GRAM``).
     """
     if family not in _GRAM:
         raise ValueError(f"unknown gram family {family!r}; expected one of {GRAM_FAMILIES}")
@@ -170,12 +170,12 @@ def gram_matrix(family: str, indices, rule: QuadratureRule,
     if not idx:
         raise ValueError("indices must be nonempty")
     for k, i in enumerate(idx):
-        check_int(i, f"indices[{k}]")
+        check_int(i, f"indices[{k}]", cap=MAX_DEGREE)
     side, rows = _GRAM[family]
     lo, hi = rule.nodes[0], rule.nodes[-1]
     if (1 if lo > 0 else -1 if hi < 0 else 0) != side:
         raise ValueError(f"{family} needs a {_SIDES[side]} rule, got nodes in [{lo:.3g}, {hi:.3g}]")
-    B = rows(max(idx) + 1, rule.nodes, nu, mercer)[idx]
+    B = rows(max(idx) + 1, rule.nodes, nu)[idx]
     return (B * rule.weights) @ B.T
 
 

@@ -20,7 +20,8 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from kernelbasis.quadrature import QuadratureRule, _check_node_count, _legendre_panel
+from kernelbasis._lowrank import check_int
+from kernelbasis.quadrature import MAX_NODES, QuadratureRule, _legendre_panel
 
 
 def laguerre_sum(m: int, eta: int, t: Fraction) -> Fraction:
@@ -80,7 +81,7 @@ def uniform_truncated_rule(n: int, R: float) -> QuadratureRule:
     rational integrands (e.g. 1/(1+w^2) out to R ~ 1e8) are resolved with a
     modest node budget; each panel carries a 16-point Gauss--Legendre rule.
     """
-    _check_node_count(n)
+    check_int(n, "node count", 1, MAX_NODES)
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     if n < 4:

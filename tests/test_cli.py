@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "--family", "matern", "--nu", "1001",
                                  "--what", "kernel", "--grid", "0:1:2")
         assert code == 2 and out == ""
-        assert err == "usage error: nu=1001 exceeds the order cap 1000\n"
+        assert err == "usage error: nu=1001 exceeds the cap 1000\n"
 
     def test_bad_grid_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -194,6 +195,30 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--family", "gaussian"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid", "0:1:0", "grid count must be >= 1"),
+        ("--m", "5..2", "--m must be an int or lo..hi, got '5..2'"),
+        ("--m", "x", "--m must be an int or lo..hi, got 'x'"),
+    ])
+    def test_bad_grid_count_or_index_range_is_usage_error(self, capsys, flag, value, message):
+        argv = ["eval", "--family", "gaussian", "--what", "basis", "--grid", "0:1:2", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_closed_stdout_ends_quietly(self, monkeypatch):
+        # a reader that stops early (as `| head` does) is not an error
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def close(self):
+                raise OSError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["eval", "--family", "gaussian", "--what", "kernel", "--grid", "0:1:3"]) == 0
 
 
 class TestVerify:

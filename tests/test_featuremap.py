@@ -56,7 +56,7 @@ class TestSpec:
             FeatureMapSpec("spline", n=3)
         with pytest.raises(ValueError):
             FeatureMapSpec("gaussian", n=0)
-        with pytest.raises(ValueError, match="order cap 1000"):
+        with pytest.raises(ValueError, match="nu=1001 exceeds the cap 1000"):
             FeatureMapSpec("matern", n=3, nu=1001)
 
     @pytest.mark.parametrize("lam", [np.inf, np.nan])

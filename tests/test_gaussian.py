@@ -241,9 +241,10 @@ class TestMercer:
             lhs = math.sqrt(mercer_eigenvalue(p, m)) * mercer_eigenfunction(p, m, t)
             np.testing.assert_allclose(lhs, gaussian_psi(m, t), atol=1e-12)
 
-    def test_orthonormal_under_gaussian_weight(self):
+    @pytest.mark.parametrize("alpha", [ALPHA, 1.1])
+    def test_orthonormal_under_gaussian_weight(self, alpha):
         # exact substitution s = alpha beta t absorbs the full exponential
-        p = MercerParams(ALPHA)
+        p = MercerParams(alpha)
         rule = gauss_hermite_rule(96)
         ab = p.alpha * p.beta
         tpts = rule.nodes / ab

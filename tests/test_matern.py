@@ -126,7 +126,7 @@ class TestKernel:
             MaternOrder(-1)
         with pytest.raises(ValueError):
             MaternOrder(1, lam=0.0)
-        with pytest.raises(ValueError, match="nu=1001 exceeds the order cap 1000"):
+        with pytest.raises(ValueError, match="nu=1001 exceeds the cap 1000"):
             MaternOrder(MAX_NU + 1)
 
 
@@ -192,9 +192,9 @@ class TestBasisFunctions:
     def test_handed_index_past_the_degree_cap_raises(self, kind, t):
         # checked before any row is allocated, through either entry point
         o = MaternOrder(2)
-        with pytest.raises(ValueError, match="m=513 exceeds the degree cap 512"):
+        with pytest.raises(ValueError, match="m=513 exceeds the cap 512"):
             matern_psi(o, MaternBasisId(kind, 513), t)
-        with pytest.raises(ValueError, match="m=513 exceeds the degree cap 512"):
+        with pytest.raises(ValueError, match="m=513 exceeds the cap 512"):
             matern_psi_unified(o, 513 if kind == "plus" else -o.nu - 2 - 513, t)
 
     @pytest.mark.parametrize("kind", ["plus", "minus"])

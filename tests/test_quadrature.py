@@ -108,6 +108,22 @@ class TestUniformTruncated:
         assert val == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("build", [gauss_laguerre_rule, gauss_hermite_rule,
+                                   lambda n: _legendre_panel(n, 0.0, 1.0)],
+                         ids=["laguerre", "hermite", "legendre_panel"])
+@pytest.mark.parametrize("n, match", [
+    (2.5, "node count must be a positive integer, got 2.5"),
+    (3.0, "node count must be a positive integer, got 3.0"),
+    (257, "node count=257 exceeds the cap 256"),
+])
+def test_node_count_is_an_integer_within_the_cap(build, n, match):
+    # a float node count is refused even where it is integral, as every
+    # other integer argument of the package is; numpy integers pass
+    build(np.int64(3))
+    with pytest.raises(ValueError, match=match):
+        build(n)
+
+
 class TestRuleInvariants:
     def test_rejects_decreasing_nodes(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -10,7 +10,8 @@ origin at nu = 2..30, while every absolute test passed).
 
 Points run from 1e-6 out to where the evaluator's seed (its row 0 weight)
 underflows, on both sides of the origin unless the function is even or odd
-by construction; degrees m < 64, and up to 511 for the Hermite families.  A
+by construction; degrees m < 64, up to 511 for the Hermite families and
+up to the degree cap 512 for the handed Matern rows at nu = 100..1000.  A
 true value below 1e-290 is not compared, as a subnormal or underflowed
 float has no relative accuracy; a value that is exactly 0 must come out
 exactly 0.  Each bar is 4x the largest error measured before it was pinned,
@@ -137,12 +138,12 @@ def _matern_reference(nu: int):
     return reference
 
 
-def _matern_psi(nu: int, classes: str):
+def _matern_psi(nu: int, classes: str, ms=_MS):
     order = kb.MaternOrder(nu)
     if classes == "null":
         ids = [("null", m) for m in sorted({0, 1, nu // 2, nu - 1, nu}) if 0 <= m <= nu]
     else:
-        ids = [(kind, m) for kind in ("minus", "plus") for m in _MS]
+        ids = [(kind, m) for kind in ("minus", "plus") for m in ms]
     return (_each(lambda bid, x: kb.matern_psi(order, kb.MaternBasisId(*bid), x)),
             _matern_reference(nu), ids)
 
@@ -178,6 +179,16 @@ _RATIONAL_X = _both_sides(np.concatenate([_NEAR, _MODERATE, [10.0, 1e4, 1e8]]))
 _EDGE_MS = [m for j in (0, 1, 5, 40, 300) for m in (j, -j - 1)]
 _EDGE_X = np.array([708.3, 708.45, 708.6, 708.8, 720.0, 800.0, 1500.0, -708.5, -900.0])
 
+# the handed rows at large nu up to the degree cap, with points out to
+# 1.5 nu, where the rows peak: on _MATERN_X alone only 16 values at
+# nu = 1000 lie above _SMALLEST
+_CAP_MS = [*_MS, 511, 512]
+
+
+def _cap_x(nu: int) -> np.ndarray:
+    return np.concatenate([_MATERN_X, _both_sides(nu * np.array([0.25, 0.5, 1.0, 1.5]))])
+
+
 # measured maxima, each with its bar: hermite_fn 3.7e-14; gaussian_psi
 # 4.9e-13; kappa = 0.3, 1.3: 2.4e-13, 1.9e-12 (the rounding of S enters
 # p^{-m/2} m/2 times; 7.0e-12 at 1.3 with S formed as 1 - kappa^2/A, which
@@ -188,7 +199,10 @@ _EDGE_X = np.array([708.3, 708.45, 708.6, 708.8, 720.0, 800.0, 1500.0, -708.5, -
 # (the last null row near the origin: the recurrence on L^(-nu-1) cancels by
 # about C(nu, nu/2) there); handed at nu = 0, 6: 1.5e-13, 7.1e-12; unified
 # (nu = 3) 7.9e-13; feature map, every handed m < 64, at nu = 2, 6, 10, 30:
-# 4.4e-11, 7.1e-12, 1.2e-12, 3.7e-14, each at a point of the replaced test
+# 4.4e-11, 7.1e-12, 1.2e-12, 3.7e-14, each at a point of the replaced test;
+# handed at nu = 100, 300, 1000 (_CAP_MS, _cap_x): 2.0e-13, 2.4e-12, 1.1e-12
+# over 336, 128 and 70 values (the 40-digit references agree with 60-digit
+# ones to 3e-37)
 _NULL_BARS = {0: 1e-15, 2: 1e-15, 6: 8e-15, 10: 2e-13, 30: 9e-8}
 # the bars of the replaced test; every handed row of these orders is a
 # matern_feature_map row below
@@ -228,6 +242,8 @@ _CONTRACTS = {
        for nu, bar in _NULL_BARS.items()},
     **{f"matern_psi/handed/nu={nu}": (*_matern_psi(nu, "handed"), _MATERN_X, bar)
        for nu, bar in ((0, 7e-13), (6, _HANDED_BARS[6]))},
+    **{f"matern_psi/handed/nu={nu}": (*_matern_psi(nu, "handed", _CAP_MS), _cap_x(nu), bar)
+       for nu, bar in ((100, 9e-13), (300, 1e-11), (1000, 5e-12))},
     "matern_psi_unified": (*_matern_unified(3), _MATERN_X, 4e-12),
     **{f"matern_feature_map/nu={nu}": (*_matern_feature_map(nu), _MATERN_X, bar)
        for nu, bar in _HANDED_BARS.items()},

@@ -8,12 +8,14 @@ import pytest
 
 import kernelbasis.cauchy as cauchy_mod
 from kernelbasis.featuremap import FeatureMapSpec
-from kernelbasis.gaussian import MercerParams, gaussian_psi, hermite_fn, mercer_eigenfunction
+from kernelbasis.gaussian import (MERCER_ALPHA_DEFAULT, MercerParams, gaussian_psi, hermite_fn,
+                                  mercer_eigenfunction)
 from kernelbasis.matern import (MaternBasisId, MaternOrder, matern_psi, matern_psi_norm_sq,
                                matern_psi_unified)
 from kernelbasis.quadrature import gauss_hermite_rule, gauss_laguerre_rule
 from kernelbasis.report import VerificationReport
 from kernelbasis.verify import (
+    GRAM_FAMILIES,
     convolution_oracle,
     gram_matrix,
     run_suite,
@@ -151,7 +153,7 @@ class TestConvolutionOracle:
 
     @pytest.mark.parametrize("nu, m", [(512, 0), (300, -300), (0, 512)])
     def test_matern_rule_beyond_max_nodes_raises_value_error(self, nu, m):
-        with pytest.raises(ValueError, match="node count must be in"):
+        with pytest.raises(ValueError, match=r"node count=\d+ exceeds the cap 256"):
             convolution_oracle("matern", m, 1.0, nu=nu)
 
     @pytest.mark.parametrize("m", [2.5, -2.5])
@@ -217,31 +219,38 @@ class TestGramMatrix:
         expected = np.diag([matern_psi_norm_sq(o, m) for m in range(5)])
         np.testing.assert_allclose(G, expected, atol=1e-8)
 
-    def test_mercer_with_custom_alpha(self):
-        rule = gauss_hermite_rule(96)
-        G = gram_matrix("mercer", range(8), rule, mercer=MercerParams(1.1))
-        np.testing.assert_allclose(G, np.eye(8), atol=1e-8)
-
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             gram_matrix("fourier", range(3), gauss_hermite_rule(8))
+
+    def test_matern_family_needs_nu(self):
+        with pytest.raises(ValueError, match="matern gram needs nu"):
+            gram_matrix("matern_plus", range(3), gauss_laguerre_rule(8, 1.0))
 
     @pytest.mark.parametrize("indices, match", [([], "nonempty"), ([2, -1], "nonnegative")])
     def test_bad_indices_rejected(self, indices, match):
         with pytest.raises(ValueError, match=match):
             gram_matrix("hermite_fn", indices, gauss_hermite_rule(16))
 
+    @pytest.mark.parametrize("family", GRAM_FAMILIES)
+    def test_index_cap_is_the_degree_cap(self, family):
+        # index 512 builds its rows on a small rule; 513 is refused before any row is built
+        rule = gauss_laguerre_rule(4, 1.0) if family.startswith("matern") else gauss_hermite_rule(4)
+        rule = rule.reflected() if family == "matern_minus" else rule
+        assert gram_matrix(family, [0, 512], rule, nu=0).shape == (2, 2)
+        with pytest.raises(ValueError, match=r"indices\[1\]=513 exceeds the cap 512"):
+            gram_matrix(family, [0, 513], rule, nu=0)
+
     def test_non_integer_index_is_named(self):
         with pytest.raises(ValueError, match=r"indices\[1\] must be a nonnegative integer"):
             gram_matrix("gaussian_psi", [0, 1.5], gauss_hermite_rule(8))
 
-    @pytest.mark.parametrize("family", ["matern_plus", "matern_minus", "hermite_fn",
-                                        "gaussian_psi", "mercer"])
+    @pytest.mark.parametrize("family", GRAM_FAMILIES)
     def test_unordered_indices_match_per_index_reference(self, family):
         # one scalar evaluator per index, times the strip that reduces the
         # weighted integrand to the rule's base weight
         idx = [5, 0, 3]
-        nu, params = 2, MercerParams(1.1)
+        nu, params = 2, MercerParams(MERCER_ALPHA_DEFAULT)
         if family.startswith("matern"):
             rule = gauss_laguerre_rule(96, nu + 1.0)
             if family == "matern_minus":
@@ -265,9 +274,9 @@ class TestGramMatrix:
                 strip = math.pi**-0.25 / math.sqrt(params.beta) * np.exp(params.delta_sq * tpts**2)
                 rows = [mercer_eigenfunction(params, m, tpts) * strip for m in idx]
         B = np.vstack(rows)
-        G = gram_matrix(family, idx, rule, nu=nu, mercer=params)
+        G = gram_matrix(family, idx, rule, nu=nu)
         np.testing.assert_allclose(G, (B * rule.weights) @ B.T, rtol=1e-13, atol=1e-15)
-        full = gram_matrix(family, range(6), rule, nu=nu, mercer=params)
+        full = gram_matrix(family, range(6), rule, nu=nu)
         np.testing.assert_allclose(G, full[np.ix_(idx, idx)], rtol=1e-13, atol=1e-15)
 
 
