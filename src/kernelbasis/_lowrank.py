@@ -25,8 +25,8 @@ def check_lam(lam) -> None:
 
 def check_int(value, name: str, low: int = 0, cap: int | None = None) -> None:
     """Reject an index, order, level or node count that is not an integer (numpy
-    integers count), is below ``low`` (0 or 1) or is above ``cap`` (if given)."""
-    if not isinstance(value, numbers.Integral) or value < low:
+    integers count, a bool does not), is below ``low`` (0 or 1) or above ``cap``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
         kind = "nonnegative" if low == 0 else "positive"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     if cap is not None and value > cap:

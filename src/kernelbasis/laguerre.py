@@ -35,8 +35,8 @@ def _weighted_rows(count: int, coef, log_c: float, x: np.ndarray, out=None,
     """Rows k = 0..count-1 of the recurrence ``coef`` of :func:`_step` on
     s = 2|x| from the seed row c s^power e^{-|x|}, c = sign e^log_c, at
     points x (N,), negated where x < 0 if ``odd``, written into ``out`` (a
-    (count, N) array or a list of row views) when it is given.  With
-    ``_laguerre_coef(eta)`` and power 0 they are c L_k^(eta)(2|x|) e^{-|x|}.
+    (count, N) array) when it is given.  With ``_laguerre_coef(eta)`` and
+    power 0 they are c L_k^(eta)(2|x|) e^{-|x|}.
 
     The recurrence runs on the weighted rows, so no weight pass follows.
     The seed is c s^power, formed in log space, times e^{-|x|}, whose

@@ -74,7 +74,7 @@ def _step(nxt, cur, prev, x, a: float, c: float, d: float, tmp) -> None:
 
 def _recur(rows, x: np.ndarray, coef):
     """Fill rows[1:] from the seed rows[0] in place, with coef(k) = (a_k, c_k, d_k)
-    of :func:`_step`; rows is a (count, N) array or a list of row views."""
+    of :func:`_step`; rows is a (count, N) array."""
     tmp = np.empty(x.shape)
     for k in range(len(rows) - 1):
         _step(rows[k + 1], rows[k], rows[k - 1] if k else None, x, *coef(k), tmp)

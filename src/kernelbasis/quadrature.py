@@ -1,10 +1,9 @@
 """Gaussian quadrature rules for the weighted integrals behind every cross-check.
 
 Rules are built by Golub--Welsch: nodes are eigenvalues of the symmetric
-tridiagonal Jacobi matrix of the weight's orthogonal polynomials, weights
-come from the first eigenvector components.  The eigenproblem is solved
-with ``scipy.linalg.eigh_tridiagonal``, which is imported when the first
-rule is built, so importing this module loads no scipy.
+tridiagonal Jacobi matrix of the weight's orthogonal polynomials, and each
+weight is the Christoffel number mass / sum_k q_k(x_i)^2, the q_k being the
+orthonormal polynomials run by the same matrix's three-term recurrence.
 
 Convention: a rule integrates ``f`` against its base weight,
 
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lowrank import check_int
+from .orthopoly import _recur
 
 __all__ = [
     "QuadratureRule",
@@ -67,13 +67,11 @@ class QuadratureRule:
 
 @functools.cache
 def _golub_welsch(n: int, eta: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss rule from the eigensolve of its
-    Jacobi matrix: Gauss--Laguerre for weight t^eta e^{-t}, or Gauss--Hermite
-    for eta None.  Built once per (n, eta) and returned read-only, since every
-    rule of that size shares them.  LAPACK's stev keeps the tiny outer
-    weights accurate."""
-    from scipy.linalg import eigh_tridiagonal
-
+    """Nodes and weights of the n-point Gauss rule of the Jacobi matrix (diag,
+    off): Gauss--Laguerre for weight t^eta e^{-t}, or Gauss--Hermite for eta
+    None.  Nodes are its eigenvalues, and each weight mass / sum_k q_k(x_i)^2
+    sums positive terms, so it is accurate relative to itself.  Built once per
+    (n, eta) and returned read-only, since every rule of that size shares them."""
     k = np.arange(n, dtype=float)
     if eta is None:
         diag, off, mass = np.zeros(n), np.sqrt(k[1:] / 2.0), math.sqrt(math.pi)
@@ -83,8 +81,11 @@ def _golub_welsch(n: int, eta: float | None) -> tuple[np.ndarray, np.ndarray]:
             mass = math.gamma(eta + 1.0)
         except OverflowError:
             raise ValueError(f"eta = {eta} is too large: Gamma(eta + 1) overflows") from None
-    nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
-    weights = mass * vecs[0] ** 2
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    q = np.ones((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _recur(q, nodes, lambda j: (diag[j], off[j - 1], 1.0 / off[j]))
+        weights = mass / np.sum(q * q, axis=0)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -100,8 +101,8 @@ def gauss_laguerre_rule(n: int, eta: float = 0.0) -> QuadratureRule:
     if not 0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     nodes, weights = _golub_welsch(n, eta)
-    # past ~190 nodes the outermost weights (~e^{-950}) underflow float64;
-    # they would contribute exactly zero, so keep the representable part
+    # past ~190 nodes the outermost weights (~e^{-950}) underflow, their sum of
+    # q_k^2 overflowing to a 0 or NaN weight; keep the representable part
     keep = weights > 0.0
     return QuadratureRule(nodes[keep], weights[keep])
 

@@ -291,10 +291,10 @@ def suite_matern(seed: int) -> Iterator:
             expected = np.diag([_m.matern_psi_norm_sq(_m.MaternOrder(nu), m) for m in idx])
             yield (f"matern/gram_{kind}/nu={nu}", np.abs(G - expected), None, QUADRATURE_TOL,
                    dict(nodes=_QUAD_NODES, m_max=idx[-1]))
-    # the same diagonals relative to the norms, m < 64: an absolute check
-    # cannot see an error of the rows near the origin, where the norms are
-    # small (measured 1.5e-13, 8.0e-13, 8.8e-9)
-    for nu, tol in ((6, 5e-13), (10, 3e-12), (30, 3e-8)):
+    # the same diagonals relative to the norms (m < 64), which an absolute check
+    # misses where the norms and the rule's outer weights are small: measured
+    # 6.0e-15, 7.1e-15, 2.8e-14, 4.0e-14; at nu >= 150 the norms underflow
+    for nu, tol in ((6, 5e-13), (10, 3e-12), (30, 3e-8), (100, 2e-13)):
         rule = gauss_laguerre_rule(_QUAD_NODES, nu + 1.0)
         norms = np.array([_m.matern_psi_norm_sq(_m.MaternOrder(nu), m) for m in range(64)])
         for kind, r in (("plus", rule), ("minus", rule.reflected())):
@@ -344,13 +344,12 @@ def suite_matern(seed: int) -> Iterator:
             bound = _m.matern_truncation_error_bound(order, n)
             yield (f"matern/nu={nu}/hs_ratio/n={n}", exact / bound, 0.5, 0.5,
                    dict(exact=exact, bound=bound))
-    # trigamma closed form for the nu = 0 tail, against scipy's as the reference
-    from scipy.special import polygamma
-
+    # the nu = 0 tail is the trigamma psi'(n+1) = pi^2/6 - sum_{k<=n} 1/k^2
     order0 = _m.MaternOrder(0)
     for n in (1, 7, 64):
+        trigamma = math.pi**2 / 6.0 - math.fsum(1.0 / k**2 for k in range(1, n + 1))
         yield (f"matern/hs_trigamma/n={n}", _m.matern_exact_hs_error(order0, n),
-               math.sqrt(2.0 * float(polygamma(1, n + 1))), 1e-14, {})
+               math.sqrt(2.0 * trigamma), 1e-14, {})
     # pointwise convergence of the truncated kernel (slow for small nu)
     for nu, tol in ((0, 5e-2), (1, 5e-3), (3, 1e-6)):
         yield from truncation_sweep("matern", [1, 2, 4, 8, 16, 32, 64, 128, 256],

@@ -239,6 +239,40 @@ def matern_null_mp(nu: int, x: float) -> list:
     return rows
 
 
+def gauss_rule_mp(n: int, eta, guess) -> tuple[list, list]:
+    """Nodes and weights of the n-point Gauss--Laguerre rule for t^eta e^{-t}
+    (Gauss--Hermite for eta None) in the current mpmath precision: the float
+    nodes ``guess`` Newton-polished as zeros of L_n^(eta) or H_n, and the
+    closed-form weights Gamma(n+eta+1) / (n! x L_n'(x)^2) and
+    2^(n+1) n! sqrt(pi) / H_n'(x)^2, from the unnormalised recurrences alone."""
+    def poly(x):
+        prev, cur = 0, mpmath.mpf(1)
+        for k in range(n):
+            if eta is None:
+                prev, cur = cur, 2 * x * cur - 2 * k * prev
+            else:
+                prev, cur = cur, ((2 * k + 1 + eta - x) * cur - (k + eta) * prev) / (k + 1)
+        # H_n' = 2n H_{n-1} and x L_n' = n L_n - (n + eta) L_{n-1}
+        return cur, 2 * n * prev if eta is None else (n * cur - (n + eta) * prev) / x
+
+    nodes, weights = [], []
+    for x in map(mpmath.mpf, guess):
+        for _ in range(20):
+            p, dp = poly(x)
+            x -= p / dp
+            # quadratic convergence: the step after this one is below eps
+            if abs(p / dp) <= abs(x) * mpmath.eps**0.75:
+                break
+        else:
+            raise ArithmeticError(f"Newton did not converge from node {x}")
+        dp = poly(x)[1]
+        nodes.append(x)
+        weights.append(2 ** (n + 1) * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi) / dp**2
+                       if eta is None else
+                       mpmath.gamma(n + eta + 1) / (mpmath.factorial(n) * x * dp**2))
+    return nodes, weights
+
+
 def cauchy_psi_mp(m: int, x: float) -> tuple:
     """(psi_m(x), x psi_m'(x)) of the complex Cauchy basis in the current
     mpmath precision: -(1/sqrt 2) (ix)^k / (ix -+ 1)^(k+1), k = m for m >= 0

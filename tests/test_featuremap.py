@@ -21,6 +21,7 @@ from kernelbasis.gaussian import (
     gaussian_kernel,
     gaussian_psi,
     gaussian_truncated,
+    hermite_fn,
 )
 from kernelbasis.laguerre import laguerre_fn
 from kernelbasis.matern import (
@@ -31,6 +32,7 @@ from kernelbasis.matern import (
     matern_psi_bound,
     matern_truncated,
 )
+from kernelbasis.quadrature import gauss_hermite_rule
 from oracles import rank_product_gather
 
 
@@ -103,6 +105,21 @@ def test_integer_parameters_are_checked_at_construction(entry, value):
     with pytest.raises(ValueError, match="integer"):
         _INTEGER_ENTRY_POINTS[entry](value)
     _INTEGER_ENTRY_POINTS[entry](np.int64(2))  # numpy integers pass
+
+
+# a bool is an int to isinstance, but True is no order, level or node count
+_BOOL_REFUSERS = {
+    "MaternOrder": lambda: MaternOrder(True),
+    "FeatureMapSpec_n": lambda: FeatureMapSpec("gaussian", n=True),
+    "hermite_fn": lambda: hermite_fn(True, 0.5),
+    "gauss_hermite_rule": lambda: gauss_hermite_rule(True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BOOL_REFUSERS))
+def test_a_bool_is_refused_as_an_integer(entry):
+    with pytest.raises(ValueError, match=r"must be a (nonnegative|positive) integer, got True"):
+        _BOOL_REFUSERS[entry]()
 
 
 class TestFeatures:

@@ -1,18 +1,24 @@
-"""The numeric core imports numpy and the standard library only: every public
-call outside the verification harness runs without loading scipy, which the
-harness's Gauss rules and its trigamma reference import when they run.  Each
-check runs in a fresh interpreter, since this test process has scipy loaded
-already."""
+"""The package imports numpy and the standard library only, and declares
+exactly that: no public call, the verification harness included, loads
+scipy, and the declared dependencies match the imports of the source.  The
+runtime check runs in a fresh interpreter, since this test process has scipy
+loaded already (the tests use it as an independent reference)."""
 
+import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 import kernelbasis
 
 SRC = pathlib.Path(kernelbasis.__file__).resolve().parent.parent
+ROOT = SRC.parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 _CALLS = """
 import contextlib, io, json, math, sys
@@ -28,9 +34,17 @@ for spec in (kb.FeatureMapSpec("matern", n=4, nu=2), kb.FeatureMapSpec("cauchy",
     kb.krr_fit_predict(spec, x[:3], np.sin(x[:3]), 0.0, [0.5])
 order = kb.MaternOrder(2)
 kb.matern_truncated(kb.MaternTruncation(order, 4), x, x[:, None])
+kb.matern_feature_map(kb.MaternTruncation(order, 4), x)
 kb.cauchy_truncated(1.0, 4, x, x[:, None])
 kb.gaussian_truncated(kb.GaussianScale(), 4, x, x[:, None])
 kb.matern_kernel(kb.MaternOrder(300), x, 0.5)
+kb.cauchy_kernel(1.0, x, 0.5)
+kb.gaussian_kernel(kb.GaussianScale(), x, 0.5)
+kb.cauchy_partial_sum_closed_form(4, 0.3, 0.5)
+kb.gaussian_truncation_error(4)
+kb.mehler_check(0.5, 0.3, 0.7)
+kb.mercer_eigenvalue(kb.MercerParams(1.0), 3)
+kb.check_identity("conjugate_symmetry", (2,), x)
 kb.matern_exact_hs_error(order, 8)
 kb.matern_truncation_error_bound(order, 8)
 kb.matern_psi_norm_sq(order, 3)
@@ -46,29 +60,67 @@ kb.gaussian_psi(3, x)
 kb.gaussian_psi_scaled(3, 0.5, x)
 kb.hermite_fn(3, x)
 kb.mercer_eigenfunction(kb.MercerParams(1.0), 3, x)
+kb.laguerre(3, x)
+kb.assoc_laguerre(3, 2, x)
+kb.hermite(3, x)
+kb.hermite_normalized(3, x)
+kb.gram_matrix("hermite_fn", range(4), kb.gauss_hermite_rule(256))
+kb.gram_matrix("matern_plus", range(4), kb.gauss_laguerre_rule(256, 3.0), nu=2)
+kb.convolution_oracle("matern", 1, 0.5, nu=2)
+kb.truncation_sweep("cauchy", [1, 4], [(0.3, 0.5)])
 with contextlib.redirect_stdout(io.StringIO()):
     for what in ("basis", "truncated"):
         assert cli.main(["eval", "--family", "matern", "--nu", "1", "--what", what,
                          "--grid", "-1:1:5"]) == 0
-before = sorted(m for m in sys.modules if m.startswith("scipy"))
-reports = kb.run_suite("matern")
+reports = kb.run_suite("all")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+# positive control: the same guard sees scipy once it is imported
+import scipy.linalg
 print(json.dumps({
-    "before": before,
-    "after": any(m.startswith("scipy") for m in sys.modules),
+    "loaded": loaded,
+    "control": "scipy.linalg" in sys.modules,
     "failed": [r.check_name for r in reports if not r.passed],
     "reports": len(reports),
 }))
 """
 
 
-def test_public_calls_load_no_scipy_until_the_harness_runs():
+def test_every_public_call_and_the_whole_harness_load_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", _CALLS], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["before"] == []
-    # the harness itself still loads scipy, so the guard above can see it
-    assert result["after"]
+    assert result["loaded"] == []
+    assert result["control"]
     assert result["reports"] > 0 and result["failed"] == []
+
+
+def _third_party_imports(files, local=()) -> set:
+    """Top-level modules imported anywhere in the files (function-level imports
+    included), less the standard library, the package and ``local`` modules."""
+    mods = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods.add(node.module.split(".")[0])
+    return mods - set(sys.stdlib_module_names) - {"kernelbasis", *local}
+
+
+def _names(requirements) -> set:
+    """Distribution names of requirement strings such as ``numpy>=1.24``."""
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+
+def test_declared_dependencies_match_the_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = _names(project["dependencies"])
+    assert _third_party_imports(sorted((SRC / "kernelbasis").glob("*.py"))) == runtime == {"numpy"}
+    local = {path.stem for path in TESTS.glob("*.py")}
+    tests = _third_party_imports(sorted(TESTS.glob("*.py")), local)
+    assert tests <= runtime | _names(project["optional-dependencies"]["test"])
+    assert "scipy" in tests  # the scan sees the tests' independent reference

@@ -1,18 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
 from kernelbasis import orthopoly
 from kernelbasis.quadrature import (
     QuadratureRule,
+    _golub_welsch,
     _legendre_panel,
     _legendre_rule,
     gauss_hermite_rule,
     gauss_laguerre_rule,
 )
-from oracles import integrate, uniform_truncated_rule
+from oracles import gauss_rule_mp, integrate, uniform_truncated_rule
 
 
 class TestGaussLaguerre:
@@ -219,25 +220,42 @@ def test_legendre_rule_is_built_once_and_read_only():
     assert float(weights @ nodes**3) == pytest.approx((3.0**4 - 1.0) / 4.0, rel=1e-14, abs=0)
 
 
-def _eigensolve(diag, off, mass):
-    # the Golub--Welsch step, solved afresh
-    nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
-    return nodes, mass * vecs[0] ** 2
-
-
 @pytest.mark.parametrize("n", [1, 2, 64, 200])
-def test_cached_rules_equal_a_fresh_eigensolve(n):
-    k = np.arange(n, dtype=float)
+def test_cached_rules_equal_a_fresh_build(n):
     for eta in (0.0, 1.5):
-        nodes, weights = _eigensolve(2.0 * k + eta + 1.0, np.sqrt(k[1:] * (k[1:] + eta)),
-                                     math.gamma(eta + 1.0))
+        nodes, weights = _golub_welsch.__wrapped__(n, eta)
         keep = weights > 0.0
         for rule in (gauss_laguerre_rule(n, eta), gauss_laguerre_rule(n, eta)):
             assert np.array_equal(rule.nodes, nodes[keep])
             assert np.array_equal(rule.weights, weights[keep])
-    nodes, weights = _eigensolve(np.zeros(n), np.sqrt(k[1:] / 2.0), math.sqrt(math.pi))
+    nodes, weights = _golub_welsch.__wrapped__(n, None)
     for rule in (gauss_hermite_rule(n), gauss_hermite_rule(n)):
         assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
+
+
+# (n, eta, node bar, weight bar) against 40-digit mpmath, eta None for
+# Hermite; each bar is 4x the measured relative error.  eta = 31 and 101 are
+# where weights taken from eigenvector components lose their tiny outer
+# weights (1.5e-10 at n = 64, 1.1e-1 at n = 128, relative)
+_RULE_BARS = [
+    (128, None, 1.4e-14, 3.1e-12),
+    (128, 0.0, 6.7e-13, 4.2e-12),
+    (128, 101.0, 6.2e-14, 5.6e-12),
+    (64, 1.5, 1.6e-13, 1.3e-12),
+    (64, 31.0, 2.8e-14, 1.6e-12),
+]
+
+
+@pytest.mark.parametrize("n, eta, node_bar, weight_bar", _RULE_BARS,
+                         ids=[f"n={n}-eta={eta}" for n, eta, *_ in _RULE_BARS])
+def test_rule_is_accurate_relative_to_each_node_and_weight(n, eta, node_bar, weight_bar):
+    rule = gauss_hermite_rule(n) if eta is None else gauss_laguerre_rule(n, eta)
+    assert rule.nodes.size == n
+    with mpmath.workdps(40):
+        nodes, weights = gauss_rule_mp(n, eta, rule.nodes)
+        node_err = max(abs(mpmath.mpf(x) / ref - 1) for x, ref in zip(rule.nodes, nodes))
+        weight_err = max(abs(mpmath.mpf(w) / ref - 1) for w, ref in zip(rule.weights, weights))
+    assert node_err <= node_bar and weight_err <= weight_bar
 
 
 def test_cached_rules_are_read_only_and_distinct():
