@@ -18,17 +18,19 @@ CHUNK = 4096
 
 
 def check_lam(lam) -> None:
-    """Reject a length-scale that is not positive and finite (inf, NaN, <= 0)."""
-    if not 0 < lam < np.inf:
+    """Reject a length-scale that is a bool or not positive and finite (inf, NaN, <= 0)."""
+    if isinstance(lam, bool) or not 0 < lam < np.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
-def check_int(value, name: str, low: int = 0, cap: int | None = None) -> None:
+def check_int(value, name: str, low: int | None = 0, cap: int | None = None) -> None:
     """Reject an index, order, level or node count that is not an integer (numpy
-    integers count, a bool does not), is below ``low`` (0 or 1) or above ``cap``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        kind = "nonnegative" if low == 0 else "positive"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    integers count, a bool does not), is below ``low`` (0 or 1; None for a
+    signed index, such as the m in Z of phi_m and psi_m) or above ``cap``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or low is not None and value < low):
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     if cap is not None and value > cap:
         raise ValueError(f"{name}={value} exceeds the cap {cap}")
 

@@ -56,16 +56,12 @@ def cauchy_psi_complex(m: int, t):
     Evaluated as -(1/sqrt 2) ratio^k / pole with |ratio| < 1, so large |m|
     cannot overflow.  At t = +-inf it is its limit 0; NaN t raises ValueError.
     """
+    check_int(m, "m", None)
     x = check_not_nan(np.asarray(t, dtype=float))
     inf = np.isinf(x)
     it = 1j * np.where(inf, 0.0, x)  # 1j * inf is nan+infj
-    if m >= 0:
-        pole = it - 1.0
-        vals = -_INV_SQRT2 * (it / pole) ** m / pole
-    else:
-        pole = it + 1.0
-        vals = -_INV_SQRT2 * (it / pole) ** (-m - 1) / pole
-    vals = np.where(inf, 0j, vals)
+    j, pole = (m, it - 1.0) if m >= 0 else (-m - 1, it + 1.0)
+    vals = np.where(inf, 0j, -_INV_SQRT2 * (it / pole) ** j / pole)
     return complex(vals) if x.ndim == 0 else vals
 
 

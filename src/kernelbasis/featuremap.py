@@ -36,11 +36,8 @@ class ConditioningError(RuntimeError):
 
 @dataclass(frozen=True)
 class FeatureMapSpec:
-    """Family, length-scale, truncation level and (for Matern) smoothness.
-
-    Feature dimension: nu+1+2n for Matern, 2n for Cauchy (alpha block then
-    beta block), n for Gaussian.
-    """
+    """Family, length-scale, truncation level and (for Matern) smoothness;
+    ``index_labels()`` names the feature columns, in order."""
 
     family: str
     lam: float = 1.0
@@ -57,25 +54,21 @@ class FeatureMapSpec:
         elif self.nu is not None:
             raise ValueError("nu is only meaningful for the matern family")
 
+    def _classes(self) -> list[tuple[str, int]]:
+        """(class name, column count) of each block of the layout, in order."""
+        if self.family == "matern":
+            return [("null", self.nu + 1), ("minus", self.n), ("plus", self.n)]
+        if self.family == "cauchy":
+            return [("alpha", self.n), ("beta", self.n)]
+        return [("psi", self.n)]
+
     @property
     def dim(self) -> int:
-        if self.family == "matern":
-            return self.nu + 1 + 2 * self.n
-        if self.family == "cauchy":
-            return 2 * self.n
-        return self.n
+        return sum(count for _, count in self._classes())
 
     def index_labels(self) -> list[str]:
         """Column labels documenting the feature ordering."""
-        if self.family == "matern":
-            return (
-                [f"null_{m}" for m in range(self.nu + 1)]
-                + [f"minus_{m}" for m in range(self.n)]
-                + [f"plus_{m}" for m in range(self.n)]
-            )
-        if self.family == "cauchy":
-            return [f"alpha_{m}" for m in range(self.n)] + [f"beta_{m}" for m in range(self.n)]
-        return [f"psi_{m}" for m in range(self.n)]
+        return [f"{name}_{m}" for name, count in self._classes() for m in range(count)]
 
     def _block(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Basis rows (dim, N) at already scaled points x of shape (N,),

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._lowrank import check_not_nan
+from ._lowrank import check_int, check_not_nan
 from .orthopoly import _LOG_TINY, _laguerre_coef, _last_row, _recur, _recur_scaled, _split_ln2
 from .report import VerificationReport
 
@@ -82,6 +82,7 @@ def _laguerre_rows(count: int, x: np.ndarray) -> np.ndarray:
 def laguerre_fn(m: int, t):
     """Laguerre function phi_m(t) for any integer index m: row j of
     :func:`_laguerre_rows`, signed and kept on its side of the origin."""
+    check_int(m, "m", None)
     j, sign = (m, 1.0) if m >= 0 else (-m - 1, -1.0)
 
     def signed_row(count: int, x: np.ndarray) -> np.ndarray:
@@ -100,6 +101,7 @@ def _ratio(omega: np.ndarray) -> np.ndarray:
 def laguerre_fn_ft(m: int, omega):
     """Fourier transform phi_hat_m(w) = sqrt(2) (iw-1)^m / (iw+1)^{m+1}: its
     limit 0 at w = +-inf, and ValueError where w is NaN."""
+    check_int(m, "m", None)
     w = check_not_nan(np.asarray(omega, dtype=float), "omega")
     inf = np.isinf(w)
     wf = np.where(inf, 0.0, w)  # 1j * inf is nan+infj
@@ -152,6 +154,8 @@ def check_identity(which: str, params: tuple, omega_grid) -> VerificationReport:
     """
     if which not in IDENTITIES:
         raise ValueError(f"unknown identity {which!r}; expected one of {sorted(IDENTITIES)}")
+    for p in params:
+        check_int(p, "params", None)
     w = np.asarray(omega_grid, dtype=float)
     if w.size == 0 or not np.all(np.isfinite(w)):
         raise ValueError("omega_grid must be nonempty and finite")

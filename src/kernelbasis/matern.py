@@ -234,6 +234,7 @@ def matern_psi_unified(order: MaternOrder, m: int, t):
     m >= 0 is the plus class, -nu-1 <= m <= -1 the null class (member
     m + nu + 1), and m <= -nu-2 the minus class (member -nu-2-m).
     """
+    check_int(m, "m", None)
     nu = order.nu
     if m >= 0:
         return matern_psi(order, MaternBasisId("plus", m), t)

@@ -70,8 +70,9 @@ def _golub_welsch(n: int, eta: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule of the Jacobi matrix (diag,
     off): Gauss--Laguerre for weight t^eta e^{-t}, or Gauss--Hermite for eta
     None.  Nodes are its eigenvalues, and each weight mass / sum_k q_k(x_i)^2
-    sums positive terms, so it is accurate relative to itself.  Built once per
-    (n, eta) and returned read-only, since every rule of that size shares them."""
+    sums positive terms, so it is accurate relative to itself.  Weights that
+    underflow to 0 or NaN (past ~190 Laguerre, ~370 Hermite nodes) are dropped
+    with their nodes.  Built once per (n, eta), returned read-only: rules share them."""
     k = np.arange(n, dtype=float)
     if eta is None:
         diag, off, mass = np.zeros(n), np.sqrt(k[1:] / 2.0), math.sqrt(math.pi)
@@ -86,6 +87,8 @@ def _golub_welsch(n: int, eta: float | None) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         _recur(q, nodes, lambda j: (diag[j], off[j - 1], 1.0 / off[j]))
         weights = mass / np.sum(q * q, axis=0)
+    keep = weights > 0.0
+    nodes, weights = nodes[keep], weights[keep]
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -100,11 +103,7 @@ def gauss_laguerre_rule(n: int, eta: float = 0.0) -> QuadratureRule:
     check_int(n, "node count", 1, MAX_NODES)
     if not 0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    nodes, weights = _golub_welsch(n, eta)
-    # past ~190 nodes the outermost weights (~e^{-950}) underflow, their sum of
-    # q_k^2 overflowing to a 0 or NaN weight; keep the representable part
-    keep = weights > 0.0
-    return QuadratureRule(nodes[keep], weights[keep])
+    return QuadratureRule(*_golub_welsch(n, eta))
 
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:

@@ -56,18 +56,18 @@ _LARGE_NUS = (30, 100, 300)
 def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> float:
     """Evaluate the defining convolution int h(t - tau) phi_m(tau) dtau by one Gauss rule.
 
-    ``family`` is ``matern`` (requires ``nu``; any integer index m, finite t)
-    or ``gaussian`` (m >= 0).  Each integrand is a polynomial times a rule's
-    weight, so a rule of the right size integrates it exactly; ValueError is
-    raised where that rule would need more than MAX_NODES nodes.  Shares only
-    the raw three-term recurrences with the closed-form basis code, so
-    agreement is an independent check.
+    ``family`` is ``matern`` (requires ``nu``; any integer index m) or
+    ``gaussian`` (m >= 0), at a finite t.  Each integrand is a polynomial
+    times a rule's weight, so a rule of the right size integrates it exactly;
+    ValueError is raised where it would need more than MAX_NODES nodes.
+    Shares only the raw three-term recurrences with the closed-form basis
+    code, so agreement is an independent check.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if family == "matern":
         check_int(nu, "nu")
-        check_int(abs(m), "|m|")
-        if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t!r}")
+        check_int(m, "m", None)
         # h(r) = 2^{nu+1/2} r^nu e^{-r} / sqrt((2 nu)!) on r > 0; the positive
         # factors are summed in log space (log_k: h's constant, phi_m's sqrt 2)
         log_k = (nu + 1.0) * math.log(2.0) - 0.5 * math.lgamma(2 * nu + 1)
@@ -93,17 +93,11 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
     if family == "gaussian":
         check_int(m, "m")
         # complete the square: the integral becomes Gauss--Hermite in
-        # s = sqrt(3/2) (tau - 2t/3)
-        rule = gauss_hermite_rule(max(64, m // 2 + 8))
+        # s = sqrt(3/2) (tau - 2t/3), of a polynomial of degree m
+        rule = gauss_hermite_rule(m // 2 + 1)
         tau = math.sqrt(2.0 / 3.0) * rule.nodes + 2.0 * t / 3.0
         acc = float(rule.weights @ hermite_normalized(m, tau))
-        return (
-            2.0**0.25
-            * math.pi**-0.5
-            * math.sqrt(2.0 / 3.0)
-            * math.exp(-t * t / 3.0)
-            * acc
-        )
+        return 2.0**0.25 * math.pi**-0.5 * math.sqrt(2.0 / 3.0) * math.exp(-t * t / 3.0) * acc
     raise ValueError(f"unknown family {family!r}; expected 'matern' or 'gaussian'")
 
 

@@ -119,10 +119,11 @@ class TestEval:
         *[(["--family", "cauchy", "--lambda", "2", "--class", kind], range(6),
            lambda m, t, kind=kind: cauchy_real_basis(kind, m, 2.0 * t))
           for kind in ("alpha", "beta")],
-        (["--family", "gaussian", "--lambda", "1.3"], range(6),
-         lambda m, t: gaussian_psi(m, t, GaussianScale(1.3))),
+        *[(["--family", "gaussian", "--lambda", "1.3", *klass], range(6),
+           lambda m, t: gaussian_psi(m, t, GaussianScale(1.3)))
+          for klass in ([], ["--class", "psi"])],
     ], ids=[f"matern_nu{nu}_{kind}" for nu in (0, 3) for kind in ("plus", "minus", "null")]
-        + ["cauchy_alpha", "cauchy_beta", "gaussian"])
+        + ["cauchy_alpha", "cauchy_beta", "gaussian", "gaussian_psi"])
     def test_basis_columns_equal_scalar_evaluators(self, capsys, argv, m_range, evaluator):
         grid = np.linspace(-3.0, 3.0, 41)
         code, out, _ = run_cli(capsys, "eval", *argv, "--what", "basis",
@@ -143,8 +144,9 @@ class TestEval:
         (["--family", "gaussian", "--class", "beta"], "beta_0"),
         (["--family", "gaussian", "--m=-2..1"], "psi_-2"),
         (["--family", "matern", "--nu", "1", "--m", "-1"], "plus_-1"),
+        (["--family", "cauchy", "--class", "foo"], "foo_0"),
     ], ids=["null_above_nu", "alpha_for_matern", "plus_for_cauchy", "class_for_gaussian",
-            "negative_gaussian_index", "negative_matern_index"])
+            "negative_gaussian_index", "negative_matern_index", "unknown_class"])
     def test_missing_basis_column_is_usage_error(self, capsys, argv, missing):
         code, out, err = run_cli(capsys, "eval", *argv, "--what", "basis", "--grid", "0:1:3")
         assert code == 2 and out == ""

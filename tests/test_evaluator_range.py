@@ -10,6 +10,7 @@ the tables here."""
 import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -228,14 +229,80 @@ def test_nan_point_of_a_polynomial_raises_naming_it(name):
             _POLYNOMIALS[name](m, np.array([0.5, math.nan, -1.0]))
 
 
-@pytest.mark.parametrize("module", ["cauchy", "gaussian", "laguerre", "matern", "orthopoly"])
+_SPEC = kb.FeatureMapSpec("gaussian", n=4)
+# call(t) for the functions whose contract is finite points only
+_FINITE_ONLY = {
+    "convolution_oracle/matern": lambda t: kb.convolution_oracle("matern", 1, t, nu=1),
+    "convolution_oracle/gaussian": lambda t: kb.convolution_oracle("gaussian", 1, t),
+    "features": lambda t: kb.features(_SPEC, [0.5, t]),
+    "krr_fit_predict/train_x": lambda t: kb.krr_fit_predict(
+        _SPEC, [0.5, t], [1.0, 2.0], 1e-3, [0.5]),
+    "krr_fit_predict/test_x": lambda t: kb.krr_fit_predict(
+        _SPEC, [0.5, 1.0], [1.0, 2.0], 1e-3, [0.5, t]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_ONLY))
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_finite_only_function_refuses_a_nonfinite_point(name, t):
+    with pytest.raises(ValueError, match="must be finite"):
+        _FINITE_ONLY[name](t)
+
+
+@pytest.mark.parametrize("module", ["cauchy", "featuremap", "gaussian", "laguerre", "matern",
+                                    "orthopoly", "verify"])
 def test_every_public_evaluator_of_points_is_in_a_range_table(module):
-    # a public function that takes points t, u or omega must be listed above
+    # a public function that takes points must be listed above
     tabled = {name.split("/")[0]
-              for table in (_EVALUATORS, _PAIR_EVALUATORS, _OVERFLOWS, _POLYNOMIALS)
+              for table in (_EVALUATORS, _PAIR_EVALUATORS, _OVERFLOWS, _POLYNOMIALS, _FINITE_ONLY)
               for name in table}
+    points = {"t", "u", "omega", "points", "train_x", "test_x"}
     mod = importlib.import_module(f"kernelbasis.{module}")
     untabled = [name for name in mod.__all__
                 if callable(getattr(mod, name)) and name not in tabled
-                and {"t", "u", "omega"} & set(inspect.signature(getattr(mod, name)).parameters)]
+                and points & set(inspect.signature(getattr(mod, name)).parameters)]
     assert not untabled, f"{module} evaluators in no range table: {untabled}"
+
+
+# call(m) for every public function of an index m, and whether m is signed (m in Z)
+_INDEXED = {
+    "MaternBasisId": (lambda m: kb.MaternBasisId("plus", m), False),
+    "assoc_laguerre": (lambda m: kb.assoc_laguerre(m, 1, 0.5), False),
+    "cauchy_psi_complex": (lambda m: kb.cauchy_psi_complex(m, 0.5), True),
+    "cauchy_real_basis": (lambda m: kb.cauchy_real_basis("beta", m, 0.5), False),
+    "convolution_oracle/matern": (lambda m: kb.convolution_oracle("matern", m, 0.5, nu=1), True),
+    "convolution_oracle/gaussian": (lambda m: kb.convolution_oracle("gaussian", m, 0.5), False),
+    "gaussian_psi": (lambda m: kb.gaussian_psi(m, 0.5), False),
+    "gaussian_psi_scaled": (lambda m: kb.gaussian_psi_scaled(m, 0.7, 0.5), False),
+    "hermite": (lambda m: kb.hermite(m, 0.5), False),
+    "hermite_fn": (lambda m: kb.hermite_fn(m, 0.5), False),
+    "hermite_normalized": (lambda m: kb.hermite_normalized(m, 0.5), False),
+    "laguerre": (lambda m: kb.laguerre(m, 0.5), False),
+    "laguerre_fn": (lambda m: kb.laguerre_fn(m, 0.5), True),
+    "laguerre_fn_ft": (lambda m: kb.laguerre_fn_ft(m, 0.5), True),
+    "matern_psi_norm_sq": (lambda m: kb.matern_psi_norm_sq(kb.MaternOrder(1), m), False),
+    "matern_psi_unified": (lambda m: kb.matern_psi_unified(kb.MaternOrder(1), m, 0.5), True),
+    "mercer_eigenfunction": (lambda m: kb.mercer_eigenfunction(kb.MercerParams(1.0), m, 0.5),
+                             False),
+    "mercer_eigenvalue": (lambda m: kb.mercer_eigenvalue(kb.MercerParams(1.0), m), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEXED))
+def test_index_must_be_an_integer(name):
+    call, signed = _INDEXED[name]
+    for m in (2, np.int64(3), *((-2, -5) if signed else ())):
+        call(m)
+    for m in (0.5, True, *((-2.5,) if signed else ())):
+        with pytest.raises(ValueError, match=f"m must be an? [a-z ]*integer, got {m}"):
+            call(m)
+
+
+def test_every_public_function_of_an_index_is_in_the_index_table():
+    found = set()
+    for info in pkgutil.iter_modules(kb.__path__):
+        mod = importlib.import_module(f"kernelbasis.{info.name}")
+        found |= {name for name in getattr(mod, "__all__", ())
+                  if callable(getattr(mod, name))
+                  and "m" in inspect.signature(getattr(mod, name)).parameters}
+    assert found == {name.split("/")[0] for name in _INDEXED}

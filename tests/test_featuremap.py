@@ -122,6 +122,22 @@ def test_a_bool_is_refused_as_an_integer(entry):
         _BOOL_REFUSERS[entry]()
 
 
+# nor is True a length-scale
+_BOOL_LENGTH_SCALES = {
+    "MaternOrder": lambda: MaternOrder(1, lam=True),
+    "GaussianScale": lambda: GaussianScale(True),
+    "FeatureMapSpec": lambda: FeatureMapSpec("cauchy", lam=True),
+    "cauchy_kernel": lambda: cauchy_kernel(True, 0.0, 1.0),
+    "cauchy_truncated": lambda: cauchy_truncated(True, 3, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BOOL_LENGTH_SCALES))
+def test_a_bool_is_refused_as_a_length_scale(entry):
+    with pytest.raises(ValueError, match="lam must be positive and finite, got True"):
+        _BOOL_LENGTH_SCALES[entry]()
+
+
 class TestFeatures:
     def test_single_gaussian_feature(self):
         spec = FeatureMapSpec("gaussian", lam=1.3, n=1)

@@ -129,6 +129,13 @@ class TestIdentities:
         with pytest.raises(ValueError, match="unknown identity"):
             check_identity("nope", (1,), [0.0, 1.0])
 
+    @pytest.mark.parametrize("which, params", [
+        ("shift", (0.5, 1)), ("shift", (0, True)), ("conjugate_symmetry", (True,)),
+        ("multiplication", (1, -2.5)), ("binomial", (1.5,))])
+    def test_params_must_be_integers(self, which, params):
+        with pytest.raises(ValueError, match="params must be an integer"):
+            check_identity(which, params, [0.0, 1.0])
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             check_identity("shift", (0, 1), [])

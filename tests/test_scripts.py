@@ -3,11 +3,14 @@ them: every CSV they write has its header and row count, and every value in
 it is finite."""
 
 import csv
+import json
 import math
 import pathlib
 import re
 import runpy
 import sys
+
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -75,3 +78,29 @@ def test_output_hashes_are_one_repeatable_digest_per_workload(monkeypatch, capsy
     assert [re.fullmatch(r"[0-9a-f]{64}  (\w+) seed=7", line)[1] for line in runs[0]] == [
         "features", "grid", "krr"]
     assert runs[1] == runs[0]
+
+
+def _write_report(path, rows):
+    path.write_text("".join(json.dumps(dict(check_name=name, computed=computed, tolerance=tol))
+                            + "\n" for name, computed, tol in rows))
+
+
+@pytest.mark.parametrize("change, code", [("moved", 0), ("removed", 1), ("tolerance", 1)])
+def test_verify_diff_lists_every_change(monkeypatch, capsys, tmp_path, change, code):
+    old = [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 0.0, 1e-6)]
+    new = {"moved": [("a", 1.0, 1e-12), ("b", 2.5, 1e-8), ("c", -0.0, 1e-6), ("d", 3.0, 1e-6)],
+           "removed": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8)],
+           "tolerance": [("a", 1.0, 1e-12), ("b", 2.0, 1e-7), ("c", 0.0, 1e-6)]}[change]
+    _write_report(tmp_path / "old.jsonl", old)
+    _write_report(tmp_path / "new.jsonl", new)
+    with pytest.raises(SystemExit) as exit_:
+        run_script(monkeypatch, "verify_diff.py", str(tmp_path / "old.jsonl"),
+                   str(tmp_path / "new.jsonl"))
+    assert exit_.value.code == code
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == {
+        "moved": ["moved b: 2.0 -> 2.5 (tol 1e-08)", "moved c: 0.0 -> -0.0 (tol 1e-06)",
+                  "added d"],
+        "removed": ["removed c"],
+        "tolerance": ["tolerance b: 1e-08 -> 1e-07"]}[change]
+    assert summary.endswith(f"of 3 -> {len(new)} checks")

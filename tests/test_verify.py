@@ -158,7 +158,7 @@ class TestConvolutionOracle:
 
     @pytest.mark.parametrize("m", [2.5, -2.5])
     def test_matern_index_must_be_an_integer(self, m):
-        with pytest.raises(ValueError, match=r"\|m\| must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=f"m must be an integer, got {m}"):
             convolution_oracle("matern", m, 1.0, nu=2)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
