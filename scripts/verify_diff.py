@@ -2,9 +2,11 @@
 """Compare two verification reports, as ``kernelbasis verify all --report`` writes them.
 
 Prints every check whose ``computed`` value moved (name, old -> new, the
-tolerance), every check added or removed, and every changed tolerance,
-then one summary line.  Values are compared bit for bit, by their repr.
-Exits 1 when a check is removed or a tolerance changes, else 0:
+tolerance), every check added or removed, every changed tolerance and
+every check that passed before and fails now (``failed NAME``), then one
+summary line.  Values are compared bit for bit, by their repr.  Exits 1
+when a check is removed, a tolerance changes or a passing check fails,
+else 0:
 
     kernelbasis verify all --report old.jsonl   # in the old checkout
     kernelbasis verify all --report new.jsonl   # in the new one
@@ -35,6 +37,7 @@ def main(argv=None) -> int:
     moved = [name for name in common if repr(old[name]["computed"]) != repr(new[name]["computed"])]
     retoleranced = [name for name in common
                     if repr(old[name]["tolerance"]) != repr(new[name]["tolerance"])]
+    failed = [name for name in common if old[name]["passed"] and not new[name]["passed"]]
     for name in moved:
         print(f"moved {name}: {old[name]['computed']!r} -> {new[name]['computed']!r} "
               f"(tol {new[name]['tolerance']!r})")
@@ -44,9 +47,12 @@ def main(argv=None) -> int:
         print(f"removed {name}")
     for name in retoleranced:
         print(f"tolerance {name}: {old[name]['tolerance']!r} -> {new[name]['tolerance']!r}")
+    for name in failed:
+        print(f"failed {name}")
     print(f"{len(moved)} moved, {len(added)} added, {len(removed)} removed, "
-          f"{len(retoleranced)} tolerances changed, of {len(old)} -> {len(new)} checks")
-    return 1 if removed or retoleranced else 0
+          f"{len(retoleranced)} tolerances changed, {len(failed)} newly failed, "
+          f"of {len(old)} -> {len(new)} checks")
+    return 1 if removed or retoleranced or failed else 0
 
 
 if __name__ == "__main__":

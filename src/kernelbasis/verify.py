@@ -6,10 +6,10 @@ plus named suites that bundle them into checks.  A suite is a table of
 check rows ``(name, computed, reference, tolerance, metadata)``, and
 :func:`run_suite` alone turns rows into :class:`VerificationReport`, so a
 new check is one more row.  Gram matrices and the suites evaluate the
-package's own basis blocks, once per grid; the convolution oracle alone
-keeps the raw polynomial recurrences, because it is the independent check.
-All randomness is drawn from a fixed seed so reports are bit-reproducible
-on one platform.
+package's own basis blocks, once per grid; the convolution oracle, the
+independent check, runs only the raw recurrences, both families through
+the exponent-tracked ``orthopoly._recur_scaled``.  All randomness is drawn
+from a fixed seed so reports are bit-reproducible on one platform.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import matern as _m
 from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
 from .laguerre import check_identity, laguerre_fn_ft
-from .orthopoly import MAX_DEGREE, _laguerre_coef, _recur_scaled, hermite_normalized
+from .orthopoly import MAX_DEGREE, _hermite_coef, _laguerre_coef, _recur_scaled
 from .quadrature import QuadratureRule, _legendre_panel, gauss_hermite_rule, gauss_laguerre_rule
 from .report import VerificationReport
 
@@ -59,18 +59,19 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
     ``family`` is ``matern`` (requires ``nu``; any integer index m) or
     ``gaussian`` (m >= 0), at a finite t.  Each integrand is a polynomial
     times a rule's weight, so a rule of the right size integrates it exactly;
-    ValueError is raised where it would need more than MAX_NODES nodes.
-    Shares only the raw three-term recurrences with the closed-form basis
-    code, so agreement is an independent check.
+    ValueError is raised where it would need more than MAX_NODES nodes.  Both
+    families sum it by ``_recur_scaled``, with an exponent per node, so a value
+    that underflows is 0.  Shares only the raw three-term recurrences with the
+    closed-form basis code, so agreement is an independent check.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    check_int(m, "m", None if family == "matern" else 0)
     if family == "matern":
         check_int(nu, "nu")
-        check_int(m, "m", None)
         # h(r) = 2^{nu+1/2} r^nu e^{-r} / sqrt((2 nu)!) on r > 0; the positive
         # factors are summed in log space (log_k: h's constant, phi_m's sqrt 2)
-        log_k = (nu + 1.0) * math.log(2.0) - 0.5 * math.lgamma(2 * nu + 1)
+        log_k, coef = (nu + 1.0) * math.log(2.0) - 0.5 * math.lgamma(2 * nu + 1), _laguerre_coef(0)
         if m >= 0:
             # phi_m = sqrt 2 L_m(2 tau) e^{-tau} on tau >= 0; over tau = t x the
             # integrand is e^{-t} t^{nu+1} times a polynomial of degree nu + m
@@ -87,18 +88,17 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
             rule = gauss_laguerre_rule((nu + mm) // 2 + 1)
             log_f = np.log(rule.weights) + nu * np.log(t - b + 0.5 * rule.nodes) + 2.0 * b - t
             degree, arg, sign = mm, rule.nodes - 2.0 * b, -0.5
-        # e^{log_f + log_k} L_degree(arg), with an exponent per node, so the raw L does not overflow
-        lag = _recur_scaled(np.empty((degree + 1, arg.size)), arg, _laguerre_coef(0), log_f + log_k)
-        return sign * float(np.sum(lag[-1]))
-    if family == "gaussian":
-        check_int(m, "m")
-        # complete the square: the integral becomes Gauss--Hermite in
-        # s = sqrt(3/2) (tau - 2t/3), of a polynomial of degree m
-        rule = gauss_hermite_rule(m // 2 + 1)
-        tau = math.sqrt(2.0 / 3.0) * rule.nodes + 2.0 * t / 3.0
-        acc = float(rule.weights @ hermite_normalized(m, tau))
-        return 2.0**0.25 * math.pi**-0.5 * math.sqrt(2.0 / 3.0) * math.exp(-t * t / 3.0) * acc
-    raise ValueError(f"unknown family {family!r}; expected 'matern' or 'gaussian'")
+    elif family == "gaussian":
+        # h(r) = (2/pi)^{1/4} e^{-r^2}: the integral is (8/(9 pi^2))^{1/4} e^{-t^2/3}
+        # times Gauss--Hermite in s = sqrt(3/2) (tau - 2t/3) of H_m(tau)/sqrt(2^m m!);
+        # 64 nodes cancel less than the exact m // 2 + 1 (measured in CHANGES.md)
+        rule, coef = gauss_hermite_rule(max(64, m // 2 + 1)), _hermite_coef()
+        log_f, log_k = np.log(rule.weights) - t * t / 3.0, 0.25 * math.log(8.0 / (9.0 * math.pi**2))
+        degree, arg, sign = m, math.sqrt(2.0 / 3.0) * rule.nodes + 2.0 * t / 3.0, 1.0
+    else:
+        raise ValueError(f"unknown family {family!r}; expected 'matern' or 'gaussian'")
+    rows = _recur_scaled(np.empty((degree + 1, arg.size)), arg, coef, log_f + log_k)
+    return sign * float(np.sum(rows[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -81,16 +81,20 @@ def test_output_hashes_are_one_repeatable_digest_per_workload(monkeypatch, capsy
 
 
 def _write_report(path, rows):
-    path.write_text("".join(json.dumps(dict(check_name=name, computed=computed, tolerance=tol))
+    # rows of deviation checks: each passes where |computed| <= tol
+    path.write_text("".join(json.dumps(dict(check_name=name, computed=computed, tolerance=tol,
+                                            passed=abs(computed) <= tol))
                             + "\n" for name, computed, tol in rows))
 
 
-@pytest.mark.parametrize("change, code", [("moved", 0), ("removed", 1), ("tolerance", 1)])
+@pytest.mark.parametrize("change, code",
+                         [("moved", 0), ("removed", 1), ("tolerance", 1), ("failed", 1)])
 def test_verify_diff_lists_every_change(monkeypatch, capsys, tmp_path, change, code):
     old = [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 0.0, 1e-6)]
     new = {"moved": [("a", 1.0, 1e-12), ("b", 2.5, 1e-8), ("c", -0.0, 1e-6), ("d", 3.0, 1e-6)],
            "removed": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8)],
-           "tolerance": [("a", 1.0, 1e-12), ("b", 2.0, 1e-7), ("c", 0.0, 1e-6)]}[change]
+           "tolerance": [("a", 1.0, 1e-12), ("b", 2.0, 1e-7), ("c", 0.0, 1e-6)],
+           "failed": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 2e-6, 1e-6)]}[change]
     _write_report(tmp_path / "old.jsonl", old)
     _write_report(tmp_path / "new.jsonl", new)
     with pytest.raises(SystemExit) as exit_:
@@ -102,5 +106,6 @@ def test_verify_diff_lists_every_change(monkeypatch, capsys, tmp_path, change, c
         "moved": ["moved b: 2.0 -> 2.5 (tol 1e-08)", "moved c: 0.0 -> -0.0 (tol 1e-06)",
                   "added d"],
         "removed": ["removed c"],
-        "tolerance": ["tolerance b: 1e-08 -> 1e-07"]}[change]
+        "tolerance": ["tolerance b: 1e-08 -> 1e-07"],
+        "failed": ["moved c: 0.0 -> 2e-06 (tol 1e-06)", "failed c"]}[change]
     assert summary.endswith(f"of 3 -> {len(new)} checks")

@@ -21,7 +21,7 @@ from kernelbasis.verify import (
     run_suite,
     truncation_sweep,
 )
-from oracles import matern_convolution_mp
+from oracles import gaussian_psi_mp, matern_convolution_mp
 
 CHECK_LIST = Path(__file__).with_name("verify_checks.txt")
 
@@ -36,6 +36,14 @@ _DEFINING_INTEGRAL_CASES = [
 ]
 # absolute: the worst case above measures 2.4e-14 (nu = 100), a factor 4 below
 _DEFINING_INTEGRAL_BAR = 1e-13
+# (m, t) of the Gaussian oracle against 40-digit mpmath: small and large
+# degrees, near the origin, in the bulk (|t| near sqrt(3m/2)) and far out
+_GAUSSIAN_INTEGRAL_CASES = [
+    (0, 0.0), (1, -0.7), (4, 2.5), (7, -3.1), (10, 5.0), (10, -1.3), (15, -8.0), (20, 12.0),
+    (30, -20.0), (45, 27.5), (60, 6.0), (60, -9.5), (60, -33.0), (60, 40.0), (3, -40.0),
+]
+# absolute: the worst case above measures 2.8e-15 (m = 60, t = 6), a factor 4 below
+_GAUSSIAN_INTEGRAL_BAR = 1.2e-14
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +115,7 @@ class TestConvolutionOracle:
     def test_gaussian_matches_closed_form(self):
         for m in (0, 4, 10):
             for t in (-2.0, 0.0, 1.7):
-                # measured 1.1e-15
+                # measured 2.9e-16
                 assert convolution_oracle("gaussian", m, t) == pytest.approx(
                     gaussian_psi(m, t), rel=0, abs=1e-14
                 )
@@ -120,6 +128,15 @@ class TestConvolutionOracle:
             errors[nu, m, t] = abs(convolution_oracle("matern", m, t, nu=nu) - reference)
         worst = max(errors, key=errors.get)
         assert errors[worst] <= _DEFINING_INTEGRAL_BAR, f"(nu, m, t) = {worst}: {errors[worst]:.3g}"
+
+    def test_gaussian_matches_the_defining_integral_at_40_digits(self):
+        errors = {}
+        for m, t in _GAUSSIAN_INTEGRAL_CASES:
+            with mpmath.workdps(40):
+                reference = float(gaussian_psi_mp(m + 1, t)[m])
+            errors[m, t] = abs(convolution_oracle("gaussian", m, t) - reference)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= _GAUSSIAN_INTEGRAL_BAR, f"(m, t) = {worst}: {errors[worst]:.3g}"
 
     def test_matern_order_200_is_a_value(self):
         # nu! does not fit a float past nu = 170; the null member m = nu
@@ -139,17 +156,26 @@ class TestConvolutionOracle:
         assert abs(reference) > 0.02
         assert abs(convolution_oracle("matern", m, t, nu=0) - reference) <= 2e-15
 
-    def test_matern_is_finite_or_raises_value_error(self):
-        # never RuntimeError, OverflowError, NaN or inf, at any order up to
-        # the largest one whose rule fits MAX_NODES
-        for nu in (0, 200, 511):
-            for m in (0, 7, 300, -1, -nu - 1, -nu - 2, -300):
-                for t in (0.0, 5e-324, 0.5, -0.5, 700.0, -700.0, 1e300, -1e300):
-                    try:
-                        value = convolution_oracle("matern", m, t, nu=nu)
-                    except ValueError:
-                        continue
-                    assert math.isfinite(value), (nu, m, t, value)
+    @pytest.mark.parametrize("family, cases", [
+        ("matern", [(nu, m) for nu in (0, 200, 511)
+                    for m in (0, 7, 300, -1, -nu - 1, -nu - 2, -300)]),
+        ("gaussian", [(None, m) for m in (0, 7, 300, 511)]),
+    ])
+    def test_is_finite_or_raises_value_error(self, family, cases):
+        # never RuntimeError, OverflowError, NaN or inf, at any order or degree
+        # up to the largest one whose rule fits MAX_NODES
+        for nu, m in cases:
+            for t in (0.0, 5e-324, 0.5, -0.5, 700.0, -700.0, 1e300, -1e300):
+                try:
+                    value = convolution_oracle(family, m, t, nu=nu)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (nu, m, t, value)
+
+    @pytest.mark.parametrize("m, t", [(3, 1e200), (3, -1e200), (10, 1e120), (10, -1e120)])
+    def test_gaussian_is_zero_where_it_underflows(self, m, t):
+        # e^{-t^2/3} is 0 here, while the raw H_m(tau) at tau ~ 2t/3 overflows
+        assert convolution_oracle("gaussian", m, t) == 0.0
 
     @pytest.mark.parametrize("nu, m", [(512, 0), (300, -300), (0, 512)])
     def test_matern_rule_beyond_max_nodes_raises_value_error(self, nu, m):
