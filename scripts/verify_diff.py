@@ -2,11 +2,13 @@
 """Compare two verification reports, as ``kernelbasis verify all --report`` writes them.
 
 Prints every check whose ``computed`` value moved (name, old -> new, the
-tolerance), every check added or removed, every changed tolerance and
-every check that passed before and fails now (``failed NAME``), then one
-summary line.  Values are compared bit for bit, by their repr.  Exits 1
-when a check is removed, a tolerance changes or a passing check fails,
-else 0:
+tolerance), every check whose ``abs_error`` drifted past a factor K either
+way, every check added or removed, every changed tolerance and every check
+that passed before and fails now (``failed NAME``), then one summary line.
+Values are compared bit for bit, by their repr; errors at or below FLOOR
+compare as FLOOR.  Exits 1 when a check is added or removed, a tolerance
+changes, a passing check fails or an error drifts, else 0.  Tier-1 runs it
+on a fresh report against ``tests/verify_baseline.jsonl``:
 
     kernelbasis verify all --report old.jsonl   # in the old checkout
     kernelbasis verify all --report new.jsonl   # in the new one
@@ -17,12 +19,29 @@ import argparse
 import json
 import sys
 
+# Measured with no code change (numpy's OpenBLAS 0.3.31, AVX-512 Xeon): under
+# four OpenBLAS core types 16 to 22 of the 186 rows moved, by at most 3.5x
+# (Prescott, gaussian/krr_gram_identity) or 1.35x with the floor below, and
+# one went 2.2e-16 -> 0.  A past refactor moved matern/gram_plus/nu=0
+# 4.9e-16 -> 2.3e-15, 4.7x.  The oracle rows read about 1e-15 under bars of
+# 1e-6, so a factor 10 passes all of these and catches a 1e5-fold loss there.
+K = 10.0
+# Four ulp of 1.0: 27 rows read exactly 0 and 110 at most this, where an error
+# is rounding noise, not accuracy.
+FLOOR = 2.0**-50
+
 
 def load(path: str) -> dict[str, dict]:
     """The report's rows by check name."""
     with open(path) as fh:
         rows = [json.loads(line) for line in fh if line.strip()]
     return {row["check_name"]: row for row in rows}
+
+
+def drifted(old: float, new: float) -> bool:
+    """Whether an error moved past a factor K, either way; errors up to FLOOR read as FLOOR."""
+    old, new = max(old, FLOOR), max(new, FLOOR)
+    return not (old <= K * new and new <= K * old)
 
 
 def main(argv=None) -> int:
@@ -35,12 +54,17 @@ def main(argv=None) -> int:
     added = [name for name in new if name not in old]
     common = [name for name in new if name in old]
     moved = [name for name in common if repr(old[name]["computed"]) != repr(new[name]["computed"])]
+    drift = [name for name in common
+             if drifted(old[name]["abs_error"], new[name]["abs_error"])]
     retoleranced = [name for name in common
                     if repr(old[name]["tolerance"]) != repr(new[name]["tolerance"])]
     failed = [name for name in common if old[name]["passed"] and not new[name]["passed"]]
     for name in moved:
         print(f"moved {name}: {old[name]['computed']!r} -> {new[name]['computed']!r} "
               f"(tol {new[name]['tolerance']!r})")
+    for name in drift:
+        print(f"drifted {name}: abs_error {old[name]['abs_error']!r} -> "
+              f"{new[name]['abs_error']!r}, past a factor {K:g}")
     for name in added:
         print(f"added {name}")
     for name in removed:
@@ -49,10 +73,10 @@ def main(argv=None) -> int:
         print(f"tolerance {name}: {old[name]['tolerance']!r} -> {new[name]['tolerance']!r}")
     for name in failed:
         print(f"failed {name}")
-    print(f"{len(moved)} moved, {len(added)} added, {len(removed)} removed, "
+    print(f"{len(moved)} moved, {len(drift)} drifted, {len(added)} added, {len(removed)} removed, "
           f"{len(retoleranced)} tolerances changed, {len(failed)} newly failed, "
           f"of {len(old)} -> {len(new)} checks")
-    return 1 if removed or retoleranced or failed else 0
+    return 1 if drift or added or removed or retoleranced or failed else 0
 
 
 if __name__ == "__main__":

@@ -121,12 +121,15 @@ def cauchy_partial_sum_closed_form(n: int, t: float, u: float) -> complex:
     limit is 1/(2 (1 + i(t - u))); exchanging t and u conjugates it.  Where
     |q| >= 1/2, 1 - q^n = -expm1(n log q), with r^2 = 1 - |q|^2 =
     (t^2 + u^2 + 1)/((t^2 + 1)(u^2 + 1)) in log|q|, so nothing cancels as q
-    nears 1.  NaN t or u raises.  Where t or u is infinite or t u overflows,
-    every term is below 1/(2|t u|) < 3e-309 in modulus, and the sum is 0.
+    nears 1.  A NaN or non-scalar t or u raises.  Where t or u is infinite or
+    t u overflows, every term is below 1/(2|t u|) < 3e-309 in modulus, and the
+    sum is 0.
     """
     check_int(n, "n", 1)
-    check_not_nan(np.asarray(t, dtype=float), "t")
-    check_not_nan(np.asarray(u, dtype=float), "u")
+    for name, value in (("t", t), ("u", u)):
+        value = check_not_nan(np.asarray(value, dtype=float), name)
+        if value.ndim:
+            raise ValueError(f"{name} must be a scalar, got shape {value.shape}")
     t, u = float(t), float(u)
     if not math.isfinite(t * u):
         return 0j

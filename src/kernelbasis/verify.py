@@ -26,7 +26,8 @@ from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
 from .laguerre import check_identity, laguerre_fn_ft
 from .orthopoly import MAX_DEGREE, _hermite_coef, _laguerre_coef, _recur_scaled
-from .quadrature import QuadratureRule, _legendre_panel, gauss_hermite_rule, gauss_laguerre_rule
+from .quadrature import (MAX_NODES, QuadratureRule, _legendre_panel, gauss_hermite_rule,
+                         gauss_laguerre_rule)
 from .report import VerificationReport
 
 __all__ = [
@@ -56,19 +57,34 @@ _LARGE_NUS = (30, 100, 300)
 def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> float:
     """Evaluate the defining convolution int h(t - tau) phi_m(tau) dtau by one Gauss rule.
 
-    ``family`` is ``matern`` (requires ``nu``; any integer index m) or
-    ``gaussian`` (m >= 0), at a finite t.  Each integrand is a polynomial
-    times a rule's weight, so a rule of the right size integrates it exactly;
-    ValueError is raised where it would need more than MAX_NODES nodes.  Both
-    families sum it by ``_recur_scaled``, with an exponent per node, so a value
-    that underflows is 0.  Shares only the raw three-term recurrences with the
+    ``family`` is ``matern`` (requires ``nu``, checked by ``MaternOrder``; any
+    integer index m) or ``gaussian`` (m >= 0, no ``nu``), at a finite t.  Each
+    integrand is a polynomial times a rule's weight, so a rule of the right
+    size integrates it exactly; ValueError, naming m and nu, is raised where it
+    would need more than MAX_NODES nodes.  Both families sum it by
+    ``_recur_scaled``, with an exponent per node, so a value that underflows
+    is 0.  The Gaussian value is accurate in absolute terms only: at larger m
+    the sum of O(1) terms cancels to a small psi_m (m = 60, t = 6: 2.8e-15 off
+    a value of -3.8e-11).  Shares only the raw three-term recurrences with the
     closed-form basis code, so agreement is an independent check.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    check_int(m, "m", None if family == "matern" else 0)
     if family == "matern":
-        check_int(nu, "nu")
+        _m.MaternOrder(nu)  # the one check of nu
+    elif family != "gaussian":
+        raise ValueError(f"unknown family {family!r}; expected 'matern' or 'gaussian'")
+    elif nu is not None:
+        raise ValueError("nu is only meaningful for the matern family")
+    check_int(m, "m", None if family == "matern" else 0)
+    # each integrand below is a weight times a polynomial of degree nu + degree
+    # (Gaussian: m), which a rule of `size` nodes integrates exactly
+    degree = m if m >= 0 else -m - 1
+    size = ((nu or 0) + degree) // 2 + 1
+    if size > MAX_NODES:
+        at = f"m={m}, nu={nu}" if family == "matern" else f"m={m}"
+        raise ValueError(f"{at} needs a rule of {size} nodes, past the cap {MAX_NODES}")
+    if family == "matern":
         # h(r) = 2^{nu+1/2} r^nu e^{-r} / sqrt((2 nu)!) on r > 0; the positive
         # factors are summed in log space (log_k: h's constant, phi_m's sqrt 2)
         log_k, coef = (nu + 1.0) * math.log(2.0) - 0.5 * math.lgamma(2 * nu + 1), _laguerre_coef(0)
@@ -77,26 +93,24 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
             # integrand is e^{-t} t^{nu+1} times a polynomial of degree nu + m
             if t <= 0:
                 return 0.0
-            x, w = _legendre_panel((nu + m) // 2 + 1, 0.0, 1.0)
+            x, w = _legendre_panel(size, 0.0, 1.0)
             log_f = np.log(w) + nu * np.log1p(-x) + (nu + 1) * math.log(t) - t
-            degree, arg, sign = m, 2.0 * t * x, 1.0
+            arg, sign = 2.0 * t * x, 1.0
         else:
             # phi_m = -sqrt 2 L_mm(-2 tau) e^{tau} on tau < 0, mm = -m - 1; over
             # tau = b - s/2, b = min(t, 0), the integrand is e^{2b-t}/2 e^{-s}
             # times a polynomial of degree nu + mm
-            mm, b = -m - 1, min(t, 0.0)
-            rule = gauss_laguerre_rule((nu + mm) // 2 + 1)
+            b = min(t, 0.0)
+            rule = gauss_laguerre_rule(size)
             log_f = np.log(rule.weights) + nu * np.log(t - b + 0.5 * rule.nodes) + 2.0 * b - t
-            degree, arg, sign = mm, rule.nodes - 2.0 * b, -0.5
-    elif family == "gaussian":
+            arg, sign = rule.nodes - 2.0 * b, -0.5
+    else:
         # h(r) = (2/pi)^{1/4} e^{-r^2}: the integral is (8/(9 pi^2))^{1/4} e^{-t^2/3}
         # times Gauss--Hermite in s = sqrt(3/2) (tau - 2t/3) of H_m(tau)/sqrt(2^m m!);
         # 64 nodes cancel less than the exact m // 2 + 1 (measured in CHANGES.md)
-        rule, coef = gauss_hermite_rule(max(64, m // 2 + 1)), _hermite_coef()
+        rule, coef = gauss_hermite_rule(max(64, size)), _hermite_coef()
         log_f, log_k = np.log(rule.weights) - t * t / 3.0, 0.25 * math.log(8.0 / (9.0 * math.pi**2))
-        degree, arg, sign = m, math.sqrt(2.0 / 3.0) * rule.nodes + 2.0 * t / 3.0, 1.0
-    else:
-        raise ValueError(f"unknown family {family!r}; expected 'matern' or 'gaussian'")
+        arg, sign = math.sqrt(2.0 / 3.0) * rule.nodes + 2.0 * t / 3.0, 1.0
     rows = _recur_scaled(np.empty((degree + 1, arg.size)), arg, coef, log_f + log_k)
     return sign * float(np.sum(rows[-1]))
 
@@ -156,10 +170,13 @@ def gram_matrix(family: str, indices, rule: QuadratureRule, nu: int | None = Non
     rule's nodes, and the rows ``indices`` (in any order, each at most
     MAX_DEGREE, past which no rule of MAX_NODES nodes is exact) are taken
     from it.  The rule's first and last nodes must lie on the family's side
-    of 0 (``_GRAM``).
+    of 0 (``_GRAM``).  ``nu`` is the Matern order, checked by ``MaternOrder``,
+    and is refused for the other families.
     """
     if family not in _GRAM:
         raise ValueError(f"unknown gram family {family!r}; expected one of {GRAM_FAMILIES}")
+    if nu is not None and not family.startswith("matern"):
+        raise ValueError(f"nu is only meaningful for the matern families, not {family}")
     idx = list(indices)
     if not idx:
         raise ValueError("indices must be nonempty")

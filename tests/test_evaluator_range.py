@@ -151,6 +151,13 @@ def test_nan_in_a_pair_raises_naming_it(name):
             _PAIR_EVALUATORS[name](0.25, nan3)
 
 
+@pytest.mark.parametrize("t, u, name", [(np.array([0.1, 0.2]), 0.3, "t"), (0.1, [0.2, 0.3], "u")])
+def test_closed_form_partial_sum_refuses_an_array_naming_it(t, u, name):
+    # the geometric closed form is a scalar function of one pair
+    with pytest.raises(ValueError, match=rf"{name} must be a scalar, got shape \(2,\)"):
+        kb.cauchy_partial_sum_closed_form(3, t, u)
+
+
 @pytest.mark.parametrize("name", _CLOSED_FORM)
 @pytest.mark.parametrize("inf", [math.inf, -math.inf])
 def test_kernel_has_no_limit_at_a_same_sign_infinite_pair(name, inf):

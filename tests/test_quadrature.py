@@ -134,6 +134,16 @@ class TestRuleInvariants:
         with pytest.raises(ValueError, match="positive"):
             QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("nodes, weights", [
+        ([math.nan], [1.0]), ([0.0, math.nan], [1.0, 1.0]), ([0.0, 1.0], [math.inf, 1.0]),
+        ([0.0, 1.0], [math.nan, 1.0]), ([-math.inf, 0.0], [1.0, 1.0]),
+    ])
+    def test_rejects_nonfinite_nodes_and_weights(self, nodes, weights):
+        # a NaN fails no comparison with its neighbours and an inf weight is
+        # positive, so these pass the order and sign checks
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadratureRule(np.array(nodes), np.array(weights))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             QuadratureRule(np.array([0.0, 1.0]), np.array([1.0]))

@@ -82,19 +82,30 @@ def test_output_hashes_are_one_repeatable_digest_per_workload(monkeypatch, capsy
 
 def _write_report(path, rows):
     # rows of deviation checks: each passes where |computed| <= tol
-    path.write_text("".join(json.dumps(dict(check_name=name, computed=computed, tolerance=tol,
+    path.write_text("".join(json.dumps(dict(check_name=name, computed=computed,
+                                            abs_error=abs(computed), tolerance=tol,
                                             passed=abs(computed) <= tol))
                             + "\n" for name, computed, tol in rows))
 
 
-@pytest.mark.parametrize("change, code",
-                         [("moved", 0), ("removed", 1), ("tolerance", 1), ("failed", 1)])
+# one ulp of 1.0; verify_diff reads errors up to its FLOOR of four ulp as the floor
+_ULP = 2.0**-52
+
+
+@pytest.mark.parametrize("change, code", [
+    ("moved", 0), ("floor", 0), ("added", 1), ("removed", 1), ("tolerance", 1), ("failed", 1),
+    ("drift_up", 1), ("drift_down", 1),
+])
 def test_verify_diff_lists_every_change(monkeypatch, capsys, tmp_path, change, code):
     old = [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 0.0, 1e-6)]
-    new = {"moved": [("a", 1.0, 1e-12), ("b", 2.5, 1e-8), ("c", -0.0, 1e-6), ("d", 3.0, 1e-6)],
+    new = {"moved": [("a", 1.0, 1e-12), ("b", 19.0, 1e-8), ("c", -0.0, 1e-6)],
+           "floor": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 3 * _ULP, 1e-6)],
+           "added": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 0.0, 1e-6), ("d", 3.0, 1e-6)],
            "removed": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8)],
            "tolerance": [("a", 1.0, 1e-12), ("b", 2.0, 1e-7), ("c", 0.0, 1e-6)],
-           "failed": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 2e-6, 1e-6)]}[change]
+           "failed": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 2e-6, 1e-6)],
+           "drift_up": [("a", 1.0, 1e-12), ("b", 2.0, 1e-8), ("c", 1e-14, 1e-6)],
+           "drift_down": [("a", 1.0, 1e-12), ("b", 0.1, 1e-8), ("c", 0.0, 1e-6)]}[change]
     _write_report(tmp_path / "old.jsonl", old)
     _write_report(tmp_path / "new.jsonl", new)
     with pytest.raises(SystemExit) as exit_:
@@ -103,9 +114,15 @@ def test_verify_diff_lists_every_change(monkeypatch, capsys, tmp_path, change, c
     assert exit_.value.code == code
     *lines, summary = capsys.readouterr().out.splitlines()
     assert lines == {
-        "moved": ["moved b: 2.0 -> 2.5 (tol 1e-08)", "moved c: 0.0 -> -0.0 (tol 1e-06)",
-                  "added d"],
+        "moved": ["moved b: 2.0 -> 19.0 (tol 1e-08)", "moved c: 0.0 -> -0.0 (tol 1e-06)"],
+        "floor": [f"moved c: 0.0 -> {3 * _ULP!r} (tol 1e-06)"],
+        "added": ["added d"],
         "removed": ["removed c"],
         "tolerance": ["tolerance b: 1e-08 -> 1e-07"],
-        "failed": ["moved c: 0.0 -> 2e-06 (tol 1e-06)", "failed c"]}[change]
+        "failed": ["moved c: 0.0 -> 2e-06 (tol 1e-06)",
+                   "drifted c: abs_error 0.0 -> 2e-06, past a factor 10", "failed c"],
+        "drift_up": ["moved c: 0.0 -> 1e-14 (tol 1e-06)",
+                     "drifted c: abs_error 0.0 -> 1e-14, past a factor 10"],
+        "drift_down": ["moved b: 2.0 -> 0.1 (tol 1e-08)",
+                       "drifted b: abs_error 2.0 -> 0.1, past a factor 10"]}[change]
     assert summary.endswith(f"of 3 -> {len(new)} checks")

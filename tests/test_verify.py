@@ -1,5 +1,6 @@
 import json
 import math
+import runpy
 from pathlib import Path
 
 import mpmath
@@ -23,7 +24,8 @@ from kernelbasis.verify import (
 )
 from oracles import gaussian_psi_mp, matern_convolution_mp
 
-CHECK_LIST = Path(__file__).with_name("verify_checks.txt")
+BASELINE = Path(__file__).with_name("verify_baseline.jsonl")
+VERIFY_DIFF = Path(__file__).resolve().parent.parent / "scripts" / "verify_diff.py"
 
 # (nu, m, t) against 40-digit mpmath: plus (m >= 0), null (-nu-1 <= m <= -1)
 # and minus (m <= -nu-2) indices, t on both sides of 0, near the origin and
@@ -177,10 +179,23 @@ class TestConvolutionOracle:
         # e^{-t^2/3} is 0 here, while the raw H_m(tau) at tau ~ 2t/3 overflows
         assert convolution_oracle("gaussian", m, t) == 0.0
 
-    @pytest.mark.parametrize("nu, m", [(512, 0), (300, -300), (0, 512)])
+    @pytest.mark.parametrize("nu, m", [(512, 0), (300, -300), (0, 512), (900, 0)])
     def test_matern_rule_beyond_max_nodes_raises_value_error(self, nu, m):
-        with pytest.raises(ValueError, match=r"node count=\d+ exceeds the cap 256"):
+        with pytest.raises(ValueError, match=rf"m={m}, nu={nu} needs a rule of \d+ nodes, "
+                                             r"past the cap 256"):
             convolution_oracle("matern", m, 1.0, nu=nu)
+
+    def test_gaussian_rule_beyond_max_nodes_names_m(self):
+        with pytest.raises(ValueError, match=r"m=600 needs a rule of 301 nodes, past the cap 256"):
+            convolution_oracle("gaussian", 600, 0.5)
+
+    def test_gaussian_refuses_nu(self):
+        with pytest.raises(ValueError, match="nu is only meaningful for the matern family"):
+            convolution_oracle("gaussian", 2, 0.5, nu=7)
+
+    def test_matern_order_is_checked_by_matern_order(self):
+        with pytest.raises(ValueError, match="nu=1001 exceeds the cap 1000"):
+            convolution_oracle("matern", 0, 1.0, nu=1001)
 
     @pytest.mark.parametrize("m", [2.5, -2.5])
     def test_matern_index_must_be_an_integer(self, m):
@@ -224,7 +239,7 @@ class TestGramMatrix:
     def test_domain_mismatch_rejected(self, family, rule, match):
         # the error names the family and the rule's node range
         with pytest.raises(ValueError, match=match) as err:
-            gram_matrix(family, range(3), rule, nu=0)
+            gram_matrix(family, range(3), rule, nu=0 if family.startswith("matern") else None)
         assert family in str(err.value)
         assert f"[{rule.nodes[0]:.3g}, {rule.nodes[-1]:.3g}]" in str(err.value)
 
@@ -253,6 +268,13 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="matern gram needs nu"):
             gram_matrix("matern_plus", range(3), gauss_laguerre_rule(8, 1.0))
 
+    @pytest.mark.parametrize("nu", [0, -3])
+    @pytest.mark.parametrize("family", ["hermite_fn", "gaussian_psi", "mercer"])
+    def test_gaussian_families_refuse_nu(self, family, nu):
+        with pytest.raises(ValueError, match=f"nu is only meaningful for the matern families, "
+                                             f"not {family}"):
+            gram_matrix(family, [0], gauss_hermite_rule(4), nu=nu)
+
     @pytest.mark.parametrize("indices, match", [([], "nonempty"), ([2, -1], "nonnegative")])
     def test_bad_indices_rejected(self, indices, match):
         with pytest.raises(ValueError, match=match):
@@ -263,9 +285,10 @@ class TestGramMatrix:
         # index 512 builds its rows on a small rule; 513 is refused before any row is built
         rule = gauss_laguerre_rule(4, 1.0) if family.startswith("matern") else gauss_hermite_rule(4)
         rule = rule.reflected() if family == "matern_minus" else rule
-        assert gram_matrix(family, [0, 512], rule, nu=0).shape == (2, 2)
+        nu = 0 if family.startswith("matern") else None
+        assert gram_matrix(family, [0, 512], rule, nu=nu).shape == (2, 2)
         with pytest.raises(ValueError, match=r"indices\[1\]=513 exceeds the cap 512"):
-            gram_matrix(family, [0, 513], rule, nu=0)
+            gram_matrix(family, [0, 513], rule, nu=nu)
 
     def test_non_integer_index_is_named(self):
         with pytest.raises(ValueError, match=r"indices\[1\] must be a nonnegative integer"):
@@ -300,6 +323,7 @@ class TestGramMatrix:
                 strip = math.pi**-0.25 / math.sqrt(params.beta) * np.exp(params.delta_sq * tpts**2)
                 rows = [mercer_eigenfunction(params, m, tpts) * strip for m in idx]
         B = np.vstack(rows)
+        nu = nu if family.startswith("matern") else None
         G = gram_matrix(family, idx, rule, nu=nu)
         np.testing.assert_allclose(G, (B * rule.weights) @ B.T, rtol=1e-13, atol=1e-15)
         full = gram_matrix(family, range(6), rule, nu=nu)
@@ -374,22 +398,16 @@ class TestSuites:
         assert len(reps) >= 8
         assert all(r.passed for r in reps)
 
-    def test_all_collects_everything_and_passes(self, all_reports):
-        reps = all_reports
-        assert len(reps) >= 60
-        prefixes = {r.check_name.split("/")[0] for r in reps}
-        assert prefixes == {"identities", "matern", "cauchy", "gaussian", "oracle"}
-        failed = [r.check_name for r in reps if not r.passed]
-        assert failed == []
-
-    def test_check_list_is_pinned(self, all_reports):
-        # any dropped, renamed or re-toleranced check changes this list
-        pinned = []
-        for line in CHECK_LIST.read_text().splitlines():
-            if line and not line.startswith("#"):
-                name, tol = line.split("\t")
-                pinned.append((name, float(tol)))
-        assert sorted((r.check_name, r.tolerance) for r in all_reports) == sorted(pinned)
+    def test_all_matches_the_baseline(self, all_reports, tmp_path, capsys):
+        # the one harness gate: scripts/verify_diff.py against the checked-in
+        # report fails on an added or removed check, a changed tolerance, a
+        # newly failing check or an error drifting past its factor K.  Refresh
+        # with `kernelbasis verify all --report tests/verify_baseline.jsonl`
+        report = tmp_path / "all.jsonl"
+        report.write_text("".join(json.dumps(r.to_dict()) + "\n" for r in all_reports))
+        code = runpy.run_path(str(VERIFY_DIFF))["main"]([str(BASELINE), str(report)])
+        assert code == 0, capsys.readouterr().out
+        assert [r.check_name for r in all_reports if not r.passed] == []
 
     def test_nan_deviation_fails(self, monkeypatch):
         # psi_3 NaN at the first point of every call (a scalar call is that
