@@ -20,13 +20,15 @@ import json
 import sys
 
 # Measured with no code change (numpy's OpenBLAS 0.3.31, AVX-512 Xeon): under
-# four OpenBLAS core types 16 to 22 of the 186 rows moved, by at most 3.5x
-# (Prescott, gaussian/krr_gram_identity) or 1.35x with the floor below, and
-# one went 2.2e-16 -> 0.  A past refactor moved matern/gram_plus/nu=0
-# 4.9e-16 -> 2.3e-15, 4.7x.  The oracle rows read about 1e-15 under bars of
+# four OpenBLAS core types 5 to 28 of the 188 rows moved, by at most 4.0x
+# (Nehalem, matern/feature_factorization/nu=1; 3.5x Prescott,
+# gaussian/krr_gram_identity) or 1.35x with the floor below, and one went
+# 2.2e-16 -> 0; the Gram rows (GRAM_TOL, 8e-15 to 4e-14) by at most 1.03x.
+# A past refactor moved one row 4.9e-16 -> 2.3e-15, 4.7x (the then absolute
+# matern/gram_plus/nu=0).  The oracle rows read about 1e-15 under bars of
 # 1e-6, so a factor 10 passes all of these and catches a 1e5-fold loss there.
 K = 10.0
-# Four ulp of 1.0: 27 rows read exactly 0 and 110 at most this, where an error
+# Four ulp of 1.0: 27 rows read exactly 0 and 103 at most this, where an error
 # is rounding noise, not accuracy.
 FLOOR = 2.0**-50
 

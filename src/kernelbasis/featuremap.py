@@ -192,8 +192,11 @@ def krr_fit_predict(spec: FeatureMapSpec, train_x, train_y, ridge: float, test_x
         )
     # one buffer serves the training and the test chunks
     buf = chunk_buffer(spec.dim, x.size, xt.size)
-    block, coef = _fit(spec, x, y, ridge, buf)
-    pred = np.empty(xt.size)
-    for s, b in chunk_blocks(block, xt, buf):
-        pred[s] = coef @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite prediction raises below
+        block, coef = _fit(spec, x, y, ridge, buf)
+        pred = np.empty(xt.size)
+        for s, b in chunk_blocks(block, xt, buf):
+            pred[s] = coef @ b
+    if not np.all(np.isfinite(pred)):
+        raise ValueError("predictions leave the float range; scale train_y down")
     return pred

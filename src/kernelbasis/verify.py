@@ -24,7 +24,7 @@ from . import gaussian as _g
 from . import matern as _m
 from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
-from .laguerre import check_identity, laguerre_fn_ft
+from .laguerre import _X_MAX, check_identity, laguerre_fn_ft
 from .orthopoly import MAX_DEGREE, _hermite_coef, _laguerre_coef, _recur_scaled
 from .quadrature import (MAX_NODES, QuadratureRule, _legendre_panel, gauss_hermite_rule,
                          gauss_laguerre_rule)
@@ -44,7 +44,7 @@ DEFAULT_SEED = 0x5EED
 # t, u in {-5, -4.5, ..., 5}
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 21)
 ALGEBRAIC_TOL = 1e-12
-QUADRATURE_TOL = 1e-8
+GRAM_TOL = 2e-13  # 4x the worst _gram_row entry under five OpenBLAS core types, 3.97e-14
 _QUAD_NODES = 128  # of every Gauss rule behind a Gram or tensor-quadrature check
 # large orders of the Matern checks that need no quadrature rule
 _LARGE_NUS = (30, 100, 300)
@@ -70,6 +70,7 @@ def convolution_oracle(family: str, m: int, t: float, nu: int | None = None) -> 
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    t = min(max(t, -_X_MAX), _X_MAX)  # past it every value is 0, and 2t stays finite
     if family == "matern":
         _m.MaternOrder(nu)  # the one check of nu
     elif family != "gaussian":
@@ -169,9 +170,10 @@ def gram_matrix(family: str, indices, rule: QuadratureRule, nu: int | None = Non
     MERCER_ALPHA_DEFAULT).  The family's block is evaluated once at the
     rule's nodes, and the rows ``indices`` (in any order, each at most
     MAX_DEGREE, past which no rule of MAX_NODES nodes is exact) are taken
-    from it.  The rule's first and last nodes must lie on the family's side
-    of 0 (``_GRAM``).  ``nu`` is the Matern order, checked by ``MaternOrder``,
-    and is refused for the other families.
+    from it.  The rule's end nodes must lie on the family's side of 0
+    (``_GRAM``), and a Gram matrix that is not finite there raises ValueError.
+    ``nu`` is the Matern order, checked by ``MaternOrder``, and is refused
+    for the other families.
     """
     if family not in _GRAM:
         raise ValueError(f"unknown gram family {family!r}; expected one of {GRAM_FAMILIES}")
@@ -186,8 +188,20 @@ def gram_matrix(family: str, indices, rule: QuadratureRule, nu: int | None = Non
     lo, hi = rule.nodes[0], rule.nodes[-1]
     if (1 if lo > 0 else -1 if hi < 0 else 0) != side:
         raise ValueError(f"{family} needs a {_SIDES[side]} rule, got nodes in [{lo:.3g}, {hi:.3g}]")
-    B = rows(max(idx) + 1, rule.nodes, nu)[idx]
-    return (B * rule.weights) @ B.T
+    with np.errstate(all="ignore"):  # a row's 0 times its strip's inf is caught below
+        B = rows(max(idx) + 1, rule.nodes, nu)[idx]
+        G = (B * rule.weights) @ B.T
+    if not np.all(np.isfinite(G)):
+        raise ValueError(f"{family} rows leave the float range on nodes in [{lo:.3g}, {hi:.3g}]")
+    return G
+
+
+def _gram_row(name: str, family: str, rule: QuadratureRule, norms, nu: int | None = None):
+    """A basis Gram check: every entry of ``gram_matrix`` less diag(norms), over
+    sqrt(N_j) sqrt(N_k), an outer product of roots (the norms reach 6.7e-266)."""
+    root, G = np.sqrt(norms), gram_matrix(family, range(len(norms)), rule, nu)
+    return (name, np.abs(G - np.diag(norms)) / np.outer(root, root), None, GRAM_TOL,
+            dict(nodes=rule.nodes.size, m_max=len(norms) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +306,12 @@ def _null_annihilation_residuals(nu: int, t: float) -> np.ndarray:
 
 def suite_matern(seed: int) -> Iterator:
     grid = DEFAULT_GRID
-    # Gram matrices: diagonal = exact norms, off-diagonal = 0
-    idx = list(range(13))
-    for kind, nus in (("plus", range(5)), ("minus", (0, 2, 4))):
-        for nu in nus:
-            rule = gauss_laguerre_rule(_QUAD_NODES, nu + 1.0)
-            G = gram_matrix(f"matern_{kind}", idx, rule if kind == "plus" else rule.reflected(),
-                            nu=nu)
-            expected = np.diag([_m.matern_psi_norm_sq(_m.MaternOrder(nu), m) for m in idx])
-            yield (f"matern/gram_{kind}/nu={nu}", np.abs(G - expected), None, QUADRATURE_TOL,
-                   dict(nodes=_QUAD_NODES, m_max=idx[-1]))
-    # the same diagonals relative to the norms (m < 64), which an absolute check
-    # misses where the norms and the rule's outer weights are small: measured
-    # 6.0e-15, 7.1e-15, 2.8e-14, 4.0e-14; at nu >= 150 the norms underflow
-    for nu, tol in ((6, 5e-13), (10, 3e-12), (30, 3e-8), (100, 2e-13)):
+    # Gram matrices, m < 64: diagonal = the exact norms, off-diagonal = 0
+    for nu in (0, 1, 2, 3, 4, 6, 10, 30, 100):
         rule = gauss_laguerre_rule(_QUAD_NODES, nu + 1.0)
-        norms = np.array([_m.matern_psi_norm_sq(_m.MaternOrder(nu), m) for m in range(64)])
+        norms = [_m.matern_psi_norm_sq(_m.MaternOrder(nu), m) for m in range(64)]
         for kind, r in (("plus", rule), ("minus", rule.reflected())):
-            G = gram_matrix(f"matern_{kind}", range(64), r, nu=nu)
-            yield (f"matern/gram_{kind}_rel/nu={nu}", np.abs(np.diag(G) / norms - 1.0), None, tol,
-                   dict(nodes=_QUAD_NODES, m_max=63))
+            yield _gram_row(f"matern/gram_{kind}/nu={nu}", f"matern_{kind}", r, norms, nu)
     # null-space symmetry psi0_{nu-m}(t) = (-1)^nu psi0_m(-t)
     for nu in range(7):
         block = _m._basis_block(nu, 0, np.concatenate([grid, -grid]))
@@ -420,16 +420,12 @@ def suite_cauchy(seed: int) -> Iterator:
 def suite_gaussian(seed: int) -> Iterator:
     grid = DEFAULT_GRID
     hr = gauss_hermite_rule(_QUAD_NODES)
-    # Hermite functions are orthonormal under the unit weight
-    G = gram_matrix("hermite_fn", range(16), hr)
-    yield "gaussian/hermite_fn_orthonormal", np.abs(G - np.eye(16)), None, 1e-10, {}
-    # basis Gram under the Gaussian weight: diag = 2/3^{m+1}
-    G = gram_matrix("gaussian_psi", range(13), hr)
-    expected = np.diag([2.0 / 3.0 ** (m + 1) for m in range(13)])
-    yield "gaussian/psi_gram", np.abs(G - expected), None, QUADRATURE_TOL, {}
-    # Mercer eigenfunctions are orthonormal
-    G = gram_matrix("mercer", range(13), hr)
-    yield "gaussian/mercer_orthonormal", np.abs(G - np.eye(13)), None, 1e-10, {}
+    # Gram matrices, m < 64: Hermite functions and Mercer eigenfunctions are
+    # orthonormal, the basis under the Gaussian weight has norms 2/3^{m+1}
+    for name, family, norms in (("hermite_fn_orthonormal", "hermite_fn", np.ones(64)),
+                                ("mercer_orthonormal", "mercer", np.ones(64)),
+                                ("psi_gram", "gaussian_psi", 2.0 / 3.0 ** np.arange(1.0, 65.0))):
+        yield _gram_row(f"gaussian/{name}", family, hr, norms)
     # sqrt(mu_m) theta_m == psi_m at alpha = sqrt(2/3)
     params = _g.MercerParams(_g.MERCER_ALPHA_DEFAULT)
     sqrt_mu = np.sqrt([_g.mercer_eigenvalue(params, m) for m in range(16)])

@@ -510,6 +510,19 @@ class TestKRR:
         with pytest.raises(ValueError, match="train_y must be finite"):
             krr_fit_predict(spec, x, np.array([0.0, bad, 1.0]), ridge, x)
 
+    @pytest.mark.parametrize("ridge", [1e-3, 0.0])
+    @pytest.mark.parametrize("family", ["matern", "cauchy", "gaussian"])
+    def test_finite_train_y_near_the_float_maximum_is_a_value_or_raises(self, family, ridge):
+        # b @ y or the solve overflows for some families and ridges: the
+        # predictions must be finite, or a ValueError names train_y
+        spec = FeatureMapSpec(family, n=4, nu=2 if family == "matern" else None)
+        try:
+            pred = krr_fit_predict(spec, [0.0, 1.0, 2.0], [1.0, 2.0, 1e308], ridge, [0.5, 1.5])
+        except ValueError as err:
+            assert "train_y" in str(err)
+        else:
+            assert np.all(np.isfinite(pred))
+
 
 # every finite float: subnormals, +-0.0 and values whose scaling by lam,
 # square or double overflows

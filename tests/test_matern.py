@@ -641,7 +641,8 @@ def test_first_handed_function_is_positive(nu):
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 def test_gram_diagonal_relative_to_the_norms(nu, rtol, kind):
     # measured 1.5e-13 and 8.0e-13 (3.6e-9 and 1.2e-4 with the rows seeded at
-    # the null rows' seed); bars as in the harness rows matern/gram_*_rel
+    # the null rows' seed); the harness rows matern/gram_*/nu= read every
+    # entry relative to the norms, at GRAM_TOL
     rule = gauss_laguerre_rule(128, nu + 1.0)
     G = gram_matrix(f"matern_{kind}", range(64), rule if kind == "plus" else rule.reflected(), nu=nu)
     norms = [matern_psi_norm_sq(MaternOrder(nu), m) for m in range(64)]

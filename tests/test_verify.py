@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import kernelbasis.cauchy as cauchy_mod
+import kernelbasis.matern as matern_mod
 from kernelbasis.featuremap import FeatureMapSpec
 from kernelbasis.gaussian import (MERCER_ALPHA_DEFAULT, MercerParams, gaussian_psi, hermite_fn,
                                   mercer_eigenfunction)
 from kernelbasis.matern import (MaternBasisId, MaternOrder, matern_psi, matern_psi_norm_sq,
                                matern_psi_unified)
-from kernelbasis.quadrature import gauss_hermite_rule, gauss_laguerre_rule
+from kernelbasis.quadrature import QuadratureRule, gauss_hermite_rule, gauss_laguerre_rule
 from kernelbasis.report import VerificationReport
 from kernelbasis.verify import (
     GRAM_FAMILIES,
@@ -166,8 +167,10 @@ class TestConvolutionOracle:
     def test_is_finite_or_raises_value_error(self, family, cases):
         # never RuntimeError, OverflowError, NaN or inf, at any order or degree
         # up to the largest one whose rule fits MAX_NODES
+        big = float(np.finfo(float).max)
         for nu, m in cases:
-            for t in (0.0, 5e-324, 0.5, -0.5, 700.0, -700.0, 1e300, -1e300):
+            for t in (0.0, 5e-324, 0.5, -0.5, 700.0, -700.0, 1e300, -1e300, 1e308, -1e308,
+                      big, -big):
                 try:
                     value = convolution_oracle(family, m, t, nu=nu)
                 except ValueError:
@@ -242,6 +245,23 @@ class TestGramMatrix:
             gram_matrix(family, range(3), rule, nu=0 if family.startswith("matern") else None)
         assert family in str(err.value)
         assert f"[{rule.nodes[0]:.3g}, {rule.nodes[-1]:.3g}]" in str(err.value)
+
+    @pytest.mark.parametrize("family, nodes, nu", [
+        ("hermite_fn", [-40.0, 0.0, 40.0], None),
+        ("gaussian_psi", [-60.0, 0.0, 60.0], None),
+        ("mercer", [-60.0, 0.0, 60.0], None),
+        ("matern_plus", [1e-300, 1.0, 1500.0], 2),
+        ("matern_plus", [1.0, 1e300], 2),
+        ("matern_plus", [1e-320, 1.0], 2),
+        ("matern_minus", [-1e300, -1.0], 2),
+    ])
+    def test_rows_past_the_float_range_raise(self, family, nodes, nu):
+        # the rows underflow where their strip overflows (0 * inf): the error
+        # names the family and the rule's node range instead of a NaN matrix
+        rule = QuadratureRule(np.array(nodes), np.ones(len(nodes)))
+        with pytest.raises(ValueError, match=family) as err:
+            gram_matrix(family, range(3), rule, nu=nu)
+        assert f"[{nodes[0]:.3g}, {nodes[-1]:.3g}]" in str(err.value)
 
     def test_one_node_hermite_rule_serves_the_gaussian_families(self):
         # its only node is 0, on both sides of the origin at once
@@ -408,6 +428,26 @@ class TestSuites:
         code = runpy.run_path(str(VERIFY_DIFF))["main"]([str(BASELINE), str(report)])
         assert code == 0, capsys.readouterr().out
         assert [r.check_name for r in all_reports if not r.passed] == []
+
+    @pytest.mark.parametrize("scale, failing", [
+        (1.2, ["matern/gram_minus/nu=4", "matern/gram_plus/nu=4"]),
+        (1.0 + 1e-9, ["matern/gram_plus/nu=2"]),
+    ])
+    def test_gram_rows_read_every_entry_relative_to_its_norms(self, monkeypatch, scale, failing):
+        # psi+-_12 scaled: its Gram entries move by about 2 (scale - 1) of its
+        # norm, which an absolute check misses where the norms are small (an
+        # absolute check at 1e-8 read 8.5e-9 for the 1.2 at nu = 4)
+        handed = matern_mod._handed_rows
+
+        def patched(nu, count, x, out=None):
+            rows = handed(nu, count, x, out)
+            if count > 12:
+                rows[12] *= scale
+            return rows
+
+        monkeypatch.setattr(matern_mod, "_handed_rows", patched)
+        failed = {r.check_name for r in run_suite("matern") if not r.passed}
+        assert set(failing) <= failed
 
     def test_nan_deviation_fails(self, monkeypatch):
         # psi_3 NaN at the first point of every call (a scalar call is that
