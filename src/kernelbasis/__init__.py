@@ -19,11 +19,10 @@ from .gaussian import (
     gaussian_truncated,
     gaussian_truncation_error,
     hermite_fn,
-    mehler_check,
     mercer_eigenfunction,
     mercer_eigenvalue,
 )
-from .laguerre import check_identity, laguerre_fn, laguerre_fn_ft
+from .laguerre import laguerre_fn, laguerre_fn_ft
 from .matern import (
     MaternBasisId,
     MaternOrder,
@@ -41,6 +40,7 @@ from .matern import (
 from .orthopoly import assoc_laguerre, hermite, hermite_normalized, laguerre
 from .quadrature import QuadratureRule, gauss_hermite_rule, gauss_laguerre_rule
 from .report import VerificationReport
-from .verify import convolution_oracle, gram_matrix, run_suite, truncation_sweep
+from .verify import (check_identity, convolution_oracle, gram_matrix, mehler_check, run_suite,
+                     truncation_sweep)
 
 __version__ = "0.1.0"

@@ -23,15 +23,16 @@ def check_lam(lam) -> None:
         raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
-def check_int(value, name: str, low: int | None = 0, cap: int | None = None) -> None:
+def check_int(value, name: str, low: int | None = 0, cap: int = 2**53) -> None:
     """Reject an index, order, level or node count that is not an integer (numpy
     integers count, a bool does not), is below ``low`` (0 or 1; None for a
-    signed index, such as the m in Z of phi_m and psi_m) or above ``cap``."""
+    signed index, such as the m in Z of phi_m and psi_m) or above ``cap`` in
+    modulus, by default 2**53, the last integer every float formula sees exactly."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or low is not None and value < low):
         kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
         raise ValueError(f"{name} must be {kind} integer, got {value!r}")
-    if cap is not None and value > cap:
+    if not -cap <= value <= cap:
         raise ValueError(f"{name}={value} exceeds the cap {cap}")
 
 

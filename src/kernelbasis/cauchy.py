@@ -31,7 +31,8 @@ import math
 
 import numpy as np
 
-from ._lowrank import block_row, check_int, check_lam, check_not_nan, pair_values, rank_product
+from ._lowrank import check_int, check_lam, check_not_nan, pair_values, rank_product
+from .orthopoly import _last_row
 
 __all__ = [
     "cauchy_kernel",
@@ -91,18 +92,17 @@ def _real_basis_block(n: int, x: np.ndarray, out=None):
 
 
 def cauchy_real_basis(kind: str, m: int, t):
-    """Real Cauchy--Laguerre basis function alpha_m or beta_m: row m or
-    n + m of :func:`_real_basis_block` with n = m + 1, on two rolling row pairs."""
+    """Real Cauchy--Laguerre basis function alpha_m or beta_m, m <= MAX_DEGREE:
+    the last row of the kind's half of :func:`_real_basis_block`, on two rolling row pairs."""
     if kind not in ("alpha", "beta"):
         raise ValueError(f"kind must be 'alpha' or 'beta', got {kind!r}")
-    check_int(m, "m")
-    row = m if kind == "alpha" else 2 * m + 1
 
-    def rolling(p: np.ndarray) -> list[np.ndarray]:  # rows k of alpha, beta in pair k % 2
+    def rolling(n: int, p: np.ndarray) -> list[np.ndarray]:  # rows k of alpha, beta in pair k % 2
         pairs = np.empty((2, 2, p.size))
-        return _real_basis_block(m + 1, p, [pairs[i, k % 2] for i in (0, 1) for k in range(m + 1)])
+        rows = _real_basis_block(n, p, [pairs[i, k % 2] for i in (0, 1) for k in range(n)])
+        return rows[:n] if kind == "alpha" else rows[n:]
 
-    return block_row(rolling, row, t)
+    return _last_row(rolling, m, t)
 
 
 def cauchy_truncated(lam: float, n: int, t, u):

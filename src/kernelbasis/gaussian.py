@@ -36,7 +36,6 @@ import numpy as np
 from ._lowrank import check_int, check_lam, check_not_nan, pair_values, rank_product, scaled
 from .orthopoly import (_check_finite, _hermite_coef, _hermite_gram, _hermite_raw, _last_row,
                         _recur)
-from .report import VerificationReport
 
 __all__ = [
     "GaussianScale",
@@ -51,7 +50,6 @@ __all__ = [
     "mercer_weight",
     "gaussian_truncated",
     "gaussian_truncation_error",
-    "mehler_check",
 ]
 
 MERCER_ALPHA_DEFAULT = math.sqrt(2.0 / 3.0)
@@ -160,11 +158,8 @@ def _scaled_form(kappa: float) -> tuple[float, float, float, float]:
 
 
 def _mercer_form(params: MercerParams) -> tuple[float, float, float, float]:
-    """(c, p, v, w) of :func:`_hermite_rows` for the Mercer eigenfunctions;
-    delta^2 is 0 only where 2/alpha^2 overflows (alpha < ~1e-154), and v =
-    inf then gives e^0."""
-    v = 1.0 / params.delta_sq if params.delta_sq > 0 else math.inf
-    return math.sqrt(params.beta), 1.0, v, 1.0 / (params.alpha * params.beta)
+    """(c, p, v, w) of :func:`_hermite_rows` for the Mercer eigenfunctions."""
+    return math.sqrt(params.beta), 1.0, 1.0 / params.delta_sq, 1.0 / (params.alpha * params.beta)
 
 
 def hermite_fn(m: int, t):
@@ -222,28 +217,3 @@ def gaussian_truncation_error(n: int) -> float:
     for the weight w_alpha with alpha = sqrt(2/3)."""
     check_int(n, "n", 1)
     return 3.0 ** (-n) / math.sqrt(2.0)
-
-
-def mehler_check(rho: float, x: float, y: float) -> VerificationReport:
-    """Check the bilinear Hermite generating series against its closed form to 1e-10.
-
-    Series: sum_m (rho/2)^m / m! H_m(x) H_m(y) e^{-(x^2+y^2)/2} = sqrt(pi)
-    sum_m rho^m h_m(x) h_m(y), with h_m the Hermite functions, the rows of
-    one :func:`_hermite_rows` block.  Cramer's inequality |h_m| <= k pi^{-1/4},
-    k = 1.086435, bounds the tail after M terms by k^2 |rho|^M / (1 - |rho|),
-    and M is the least count that puts it below 1e-16 (ValueError past 500).
-    Closed form: (1-rho^2)^{-1/2} exp((4 x y rho - (1+rho^2)(x^2+y^2)) / (2(1-rho^2))).
-    """
-    if not abs(rho) < 1.0:
-        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    a = abs(rho)
-    terms = 1 if a == 0 else math.ceil(math.log(1e-16 * (1 - a) / 1.086435**2) / math.log(a))
-    if terms > 500:
-        raise ValueError(f"rho={rho}: the tail bound needs {terms} terms, past the 500-term limit")
-    h = _hermite_rows(terms, *_HERMITE_FN, np.array([x, y], dtype=float))
-    total = math.sqrt(math.pi) * float(rho ** np.arange(terms) @ (h[:, 0] * h[:, 1]))
-    closed = math.sqrt(1.0 / (1.0 - rho * rho)) * math.exp(
-        (4.0 * x * y * rho - (1.0 + rho * rho) * (x * x + y * y)) / (2.0 * (1.0 - rho * rho))
-    )
-    return VerificationReport(f"gaussian/mehler/rho={rho:g}/x={x:g}/y={y:g}", total, closed,
-                              1e-10, dict(terms=terms, rho=rho, x=x, y=y))

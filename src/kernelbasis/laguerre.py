@@ -19,9 +19,8 @@ import numpy as np
 
 from ._lowrank import check_int, check_not_nan
 from .orthopoly import _LOG_TINY, _laguerre_coef, _last_row, _recur, _recur_scaled, _split_ln2
-from .report import VerificationReport
 
-__all__ = ["laguerre_fn", "laguerre_fn_ft", "check_identity", "IDENTITIES"]
+__all__ = ["laguerre_fn", "laguerre_fn_ft"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -107,59 +106,3 @@ def laguerre_fn_ft(m: int, omega):
     wf = np.where(inf, 0.0, w)  # 1j * inf is nan+infj
     vals = np.where(inf, 0j, _SQRT2 * _ratio(wf) ** m / (1j * wf + 1.0))
     return complex(vals) if w.ndim == 0 else vals
-
-
-def _dev_conjugate_symmetry(params, w):
-    (m,) = params
-    return np.abs(np.conj(laguerre_fn_ft(-m - 1, w)) + laguerre_fn_ft(m, w))
-
-
-def _dev_shift(params, w):
-    m, k = params
-    lhs = laguerre_fn_ft(m + k, w)
-    rhs = _ratio(w) ** k * laguerre_fn_ft(m, w)
-    return np.abs(lhs - rhs)
-
-
-def _dev_multiplication(params, w):
-    m, k = params
-    lhs = laguerre_fn_ft(m, w) * laguerre_fn_ft(k, w)
-    rhs = (laguerre_fn_ft(m + k, w) - laguerre_fn_ft(m + k + 1, w)) / _SQRT2
-    return np.abs(lhs - rhs)
-
-
-def _dev_binomial(params, w):
-    (nu,) = params
-    lhs = 2.0 ** (nu + 0.5) / (1j * w + 1.0) ** (nu + 1)
-    rhs = sum(
-        math.comb(nu, k) * (-1) ** k * laguerre_fn_ft(k, w) for k in range(nu + 1)
-    )
-    return np.abs(lhs - rhs)
-
-
-IDENTITIES = {
-    "conjugate_symmetry": _dev_conjugate_symmetry,
-    "shift": _dev_shift,
-    "multiplication": _dev_multiplication,
-    "binomial": _dev_binomial,
-}
-
-
-def check_identity(which: str, params: tuple, omega_grid) -> VerificationReport:
-    """Evaluate both sides of a named Fourier-domain identity on a grid.
-
-    ``which`` is one of ``conjugate_symmetry`` (params ``(m,)``), ``shift``
-    (``(m, k)``), ``multiplication`` (``(m, k)``) or ``binomial``
-    (``(nu,)``).  Returns the maximum absolute deviation, checked to 1e-12.
-    """
-    if which not in IDENTITIES:
-        raise ValueError(f"unknown identity {which!r}; expected one of {sorted(IDENTITIES)}")
-    for p in params:
-        check_int(p, "params", None)
-    w = np.asarray(omega_grid, dtype=float)
-    if w.size == 0 or not np.all(np.isfinite(w)):
-        raise ValueError("omega_grid must be nonempty and finite")
-    dev = float(np.max(IDENTITIES[which](tuple(params), w)))
-    name = f"identities/{which}/params={tuple(int(p) for p in params)}"
-    return VerificationReport(name, dev, 0.0, 1e-12, dict(
-        grid_size=int(w.size), omega_min=float(w.min()), omega_max=float(w.max())))

@@ -4,12 +4,13 @@ The module provides three reusable operations (a convolution oracle for the
 basis construction, weighted Gram matrices, and truncation-error sweeps)
 plus named suites that bundle them into checks.  A suite is a table of
 check rows ``(name, computed, reference, tolerance, metadata)``, and
-:func:`run_suite` alone turns rows into :class:`VerificationReport`, so a
-new check is one more row.  Gram matrices and the suites evaluate the
-package's own basis blocks, once per grid; the convolution oracle, the
-independent check, runs only the raw recurrences, both families through
-the exponent-tracked ``orthopoly._recur_scaled``.  All randomness is drawn
-from a fixed seed so reports are bit-reproducible on one platform.
+:func:`_report` alone turns rows into :class:`VerificationReport`, so a new
+check is one more row; the public checks :func:`check_identity` and
+:func:`mehler_check` build theirs by it too.  Gram matrices and the suites
+evaluate the package's own basis blocks, once per grid; the convolution
+oracle, the independent check, runs only the raw recurrences, both families
+through the exponent-tracked ``orthopoly._recur_scaled``.  All randomness
+is drawn from a fixed seed so reports are bit-reproducible on one platform.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import gaussian as _g
 from . import matern as _m
 from ._lowrank import check_int
 from .featuremap import FeatureMapSpec
-from .laguerre import _X_MAX, check_identity, laguerre_fn_ft
+from .laguerre import _X_MAX, _ratio, laguerre_fn_ft
 from .orthopoly import MAX_DEGREE, _hermite_coef, _laguerre_coef, _recur_scaled
 from .quadrature import (MAX_NODES, QuadratureRule, _legendre_panel, gauss_hermite_rule,
                          gauss_laguerre_rule)
@@ -33,6 +34,9 @@ from .report import VerificationReport
 __all__ = [
     "VerificationReport",
     "DEFAULT_SEED",
+    "IDENTITIES",
+    "check_identity",
+    "mehler_check",
     "convolution_oracle",
     "gram_matrix",
     "truncation_sweep",
@@ -44,6 +48,7 @@ DEFAULT_SEED = 0x5EED
 # t, u in {-5, -4.5, ..., 5}
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 21)
 ALGEBRAIC_TOL = 1e-12
+MEHLER_TOL = 1e-10  # of mehler_check and both gaussian/mehler_* rows
 GRAM_TOL = 2e-13  # 4x the worst _gram_row entry under five OpenBLAS core types, 3.97e-14
 _QUAD_NODES = 128  # of every Gauss rule behind a Gram or tensor-quadrature check
 # large orders of the Matern checks that need no quadrature rule
@@ -274,6 +279,59 @@ def _sample_pairs(count: int, lo: float, hi: float, seed: int) -> list[tuple[flo
     return [(float(a), float(b)) for a, b in pts]
 
 
+def _dev_conjugate_symmetry(params, w):
+    (m,) = params
+    return np.abs(np.conj(laguerre_fn_ft(-m - 1, w)) + laguerre_fn_ft(m, w))
+
+
+def _dev_shift(params, w):
+    m, k = params
+    lhs = laguerre_fn_ft(m + k, w)
+    rhs = _ratio(w) ** k * laguerre_fn_ft(m, w)
+    return np.abs(lhs - rhs)
+
+
+def _dev_multiplication(params, w):
+    m, k = params
+    lhs = laguerre_fn_ft(m, w) * laguerre_fn_ft(k, w)
+    rhs = (laguerre_fn_ft(m + k, w) - laguerre_fn_ft(m + k + 1, w)) / math.sqrt(2.0)
+    return np.abs(lhs - rhs)
+
+
+def _dev_binomial(params, w):
+    (nu,) = params
+    lhs = 2.0 ** (nu + 0.5) / (1j * w + 1.0) ** (nu + 1)
+    rhs = sum(math.comb(nu, k) * (-1) ** k * laguerre_fn_ft(k, w) for k in range(nu + 1))
+    return np.abs(lhs - rhs)
+
+
+IDENTITIES = {
+    "conjugate_symmetry": _dev_conjugate_symmetry,
+    "shift": _dev_shift,
+    "multiplication": _dev_multiplication,
+    "binomial": _dev_binomial,
+}
+
+
+def check_identity(which: str, params: tuple, omega_grid) -> VerificationReport:
+    """Evaluate both sides of a named Laguerre Fourier-domain identity on a grid.
+
+    ``which`` is one of ``conjugate_symmetry`` (params ``(m,)``), ``shift``
+    (``(m, k)``), ``multiplication`` (``(m, k)``) or ``binomial``
+    (``(nu,)``).  Returns the maximum absolute deviation, checked to ALGEBRAIC_TOL.
+    """
+    if which not in IDENTITIES:
+        raise ValueError(f"unknown identity {which!r}; expected one of {sorted(IDENTITIES)}")
+    for p in params:
+        check_int(p, "params", None)
+    w = np.asarray(omega_grid, dtype=float)
+    if w.size == 0 or not np.all(np.isfinite(w)):
+        raise ValueError("omega_grid must be nonempty and finite")
+    name = f"identities/{which}/params={tuple(int(p) for p in params)}"
+    return _report((name, IDENTITIES[which](tuple(params), w), None, ALGEBRAIC_TOL, dict(
+        grid_size=int(w.size), omega_min=float(w.min()), omega_max=float(w.max()))))
+
+
 def suite_identities(seed: int) -> Iterator:
     grid = np.linspace(-20.0, 20.0, 50)
     ks = range(-6, 7)
@@ -417,6 +475,31 @@ def suite_cauchy(seed: int) -> Iterator:
             for m in range(31)], None, ALGEBRAIC_TOL, {})
 
 
+def mehler_check(rho: float, x: float, y: float) -> VerificationReport:
+    """Check the bilinear Hermite generating series against its closed form to MEHLER_TOL.
+
+    Series: sum_m (rho/2)^m / m! H_m(x) H_m(y) e^{-(x^2+y^2)/2} = sqrt(pi)
+    sum_m rho^m h_m(x) h_m(y), with h_m the Hermite functions, the rows of
+    one ``gaussian._hermite_rows`` block.  Cramer's inequality |h_m| <= k pi^{-1/4},
+    k = 1.086435, bounds the tail after M terms by k^2 |rho|^M / (1 - |rho|),
+    and M is the least count that puts it below 1e-16 (ValueError past 500).
+    Closed form: (1-rho^2)^{-1/2} exp((4 x y rho - (1+rho^2)(x^2+y^2)) / (2(1-rho^2))).
+    """
+    if not abs(rho) < 1.0:
+        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
+    a = abs(rho)
+    terms = 1 if a == 0 else math.ceil(math.log(1e-16 * (1 - a) / 1.086435**2) / math.log(a))
+    if terms > 500:
+        raise ValueError(f"rho={rho}: the tail bound needs {terms} terms, past the 500-term limit")
+    h = _g._hermite_rows(terms, *_g._HERMITE_FN, np.array([x, y], dtype=float))
+    total = math.sqrt(math.pi) * float(rho ** np.arange(terms) @ (h[:, 0] * h[:, 1]))
+    closed = math.sqrt(1.0 / (1.0 - rho * rho)) * math.exp(
+        (4.0 * x * y * rho - (1.0 + rho * rho) * (x * x + y * y)) / (2.0 * (1.0 - rho * rho))
+    )
+    return _report((f"gaussian/mehler/rho={rho:g}/x={x:g}/y={y:g}", total, closed, MEHLER_TOL,
+                    dict(terms=terms, rho=rho, x=x, y=y)))
+
+
 def suite_gaussian(seed: int) -> Iterator:
     grid = DEFAULT_GRID
     hr = gauss_hermite_rule(_QUAD_NODES)
@@ -451,15 +534,15 @@ def suite_gaussian(seed: int) -> Iterator:
     # Mehler series vs closed form on a 5x5 grid at rho = 1/3
     mgrid = np.linspace(-2.0, 2.0, 5)
     yield ("gaussian/mehler_grid",
-           [_g.mehler_check(1.0 / 3.0, float(x), float(y)).abs_error for x in mgrid for y in mgrid],
-           None, 1e-10, {})
+           [mehler_check(1.0 / 3.0, float(x), float(y)).abs_error for x in mgrid for y in mgrid],
+           None, MEHLER_TOL, {})
     # rho = 1/3 substitution reproduces the kernel
     pairs = _sample_pairs(20, -3.0, 3.0, seed)
     root3 = math.sqrt(3.0)
     yield ("gaussian/mehler_kernel",
            [abs((2.0 * math.sqrt(2.0) / 3.0) * math.exp((t * t + u * u) / 3.0)
-                * _g.mehler_check(1.0 / 3.0, 2.0 * t / root3, 2.0 * u / root3).computed
-                - _g.gaussian_kernel(scale, t, u)) for t, u in pairs], None, 1e-10, {})
+                * mehler_check(1.0 / 3.0, 2.0 * t / root3, 2.0 * u / root3).computed
+                - _g.gaussian_kernel(scale, t, u)) for t, u in pairs], None, MEHLER_TOL, {})
     # multiplication theorem: psi_m as a combination of Hermite functions;
     # matching the m = 0 term pins the constant at (2 sqrt(2 pi)/3)^{1/2}
     tg = np.linspace(-4.0, 4.0, 41)

@@ -226,6 +226,14 @@ def test_real_basis_is_exact_block_row(m, t):
         assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
 
 
+@pytest.mark.parametrize("kind", ["alpha", "beta"])
+def test_real_basis_degree_is_capped(kind):
+    # the degree cap of every table-backed scalar evaluator, orthopoly._last_row
+    assert math.isfinite(cauchy_real_basis(kind, 512, 0.5))
+    with pytest.raises(ValueError, match="m=513 exceeds the cap 512"):
+        cauchy_real_basis(kind, 513, 0.5)
+
+
 _LARGE_T = [37.5, -37.5, 1e3, -1e3, 1e6, -1e6]
 
 

@@ -305,6 +305,38 @@ def test_index_must_be_an_integer(name):
             call(m)
 
 
+# past the float range: the integer check caps |m| at 2**53 where no cap is
+# declared, so each call raises ValueError, never OverflowError.
+# cauchy_real_basis reads through orthopoly._last_row, and
+# test_cauchy.py::test_real_basis_degree_is_capped checks its cap
+@pytest.mark.parametrize("name", sorted(set(_INDEXED) - {"cauchy_real_basis"}))
+def test_index_past_the_float_range_raises(name):
+    call, signed = _INDEXED[name]
+    for m in (10**400, -(10**400)) if signed else (10**400,):
+        with pytest.raises(ValueError, match=r"m=-?10* exceeds the cap"):
+            call(m)
+
+
+# call(n) for the functions of a level n or of integer parameters
+_LEVELS = {
+    "MaternTruncation": lambda n: kb.MaternTruncation(kb.MaternOrder(1), n),
+    "FeatureMapSpec": lambda n: kb.FeatureMapSpec("cauchy", n=n),
+    "cauchy_partial_sum_closed_form": lambda n: kb.cauchy_partial_sum_closed_form(n, 0.3, 0.4),
+    "gaussian_truncation_error": kb.gaussian_truncation_error,
+    "matern_exact_hs_error": lambda n: kb.matern_exact_hs_error(kb.MaternOrder(1), n),
+    "matern_truncation_error_bound": lambda n: kb.matern_truncation_error_bound(
+        kb.MaternOrder(1), n),
+    "check_identity/params": lambda n: kb.check_identity("shift", (1, n), [0.0, 1.0]),
+    "check_identity/negative_params": lambda n: kb.check_identity("shift", (1, -n), [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEVELS))
+def test_level_past_the_float_range_raises(name):
+    with pytest.raises(ValueError, match=r"(n|params)=-?10* exceeds the cap 9007199254740992"):
+        _LEVELS[name](10**400)
+
+
 def test_every_public_function_of_an_index_is_in_the_index_table():
     found = set()
     for info in pkgutil.iter_modules(kb.__path__):

@@ -16,7 +16,6 @@ from kernelbasis.gaussian import (
     gaussian_truncated,
     gaussian_truncation_error,
     hermite_fn,
-    mehler_check,
     mercer_eigenfunction,
     mercer_eigenvalue,
     mercer_weight,
@@ -29,7 +28,7 @@ from kernelbasis.gaussian import (
 )
 from kernelbasis._lowrank import CHUNK
 from kernelbasis.quadrature import gauss_hermite_rule
-from kernelbasis.verify import DEFAULT_SEED, _sample_pairs
+from kernelbasis.verify import DEFAULT_SEED, _sample_pairs, mehler_check
 from oracles import gaussian_psi_mp
 
 ALPHA = math.sqrt(2.0 / 3.0)

@@ -2,7 +2,8 @@
 exactly that: no public call, the verification harness included, loads
 scipy, and the declared dependencies match the imports of the source.  The
 runtime check runs in a fresh interpreter, since this test process has scipy
-loaded already (the tests use it as an independent reference)."""
+loaded already (the tests use it as an independent reference).  Inside the
+package, the numerical modules import neither the report nor the harness."""
 
 import ast
 import json
@@ -124,3 +125,35 @@ def test_declared_dependencies_match_the_imports():
     tests = _third_party_imports(sorted(TESTS.glob("*.py")), local)
     assert tests <= runtime | _names(project["optional-dependencies"]["test"])
     assert "scipy" in tests  # the scan sees the tests' independent reference
+
+
+def _package_imports(path) -> set:
+    """Package modules a file imports, relative or absolute (function-level
+    imports included), by their names under the package; each name of a
+    ``from`` import counts as a possible submodule."""
+    mods = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            mods.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("kernelbasis" + (f".{node.module}" if node.module else "")
+                    if node.level else node.module)
+            mods.update([base, *(f"{base}.{alias.name}" for alias in node.names)])
+    return {m.split(".")[1] for m in mods if m.startswith("kernelbasis.")}
+
+
+@pytest.mark.parametrize("module", ["_lowrank", "orthopoly", "laguerre", "matern", "cauchy",
+                                    "gaussian", "quadrature", "featuremap"])
+def test_numerical_layers_import_neither_the_report_nor_the_harness(module):
+    # every check, and so every VerificationReport, lives in the harness above them
+    assert not _package_imports(SRC / "kernelbasis" / f"{module}.py") & {"report", "verify"}
+    # positive control: the same scan sees the harness import the report
+    assert "report" in _package_imports(SRC / "kernelbasis" / "verify.py")
+
+
+def test_only_the_harness_report_builder_constructs_a_report():
+    calls = [(path.stem, fn.name) for path in sorted((SRC / "kernelbasis").glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "VerificationReport"]
+    assert calls == [("verify", "_report")]

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 from kernelbasis._lowrank import CHUNK
-from kernelbasis.laguerre import _laguerre_rows, check_identity, laguerre_fn, laguerre_fn_ft
+from kernelbasis.laguerre import _laguerre_rows, laguerre_fn, laguerre_fn_ft
 from kernelbasis.quadrature import gauss_laguerre_rule
+from kernelbasis.verify import check_identity
 from oracles import integrate, uniform_truncated_rule
 
 SQRT2 = math.sqrt(2.0)
