@@ -33,7 +33,9 @@ def check_int(value, name: str, low: int | None = 0, cap: int = 2**53) -> None:
         kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
         raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     if not -cap <= value <= cap:
-        raise ValueError(f"{name}={value} exceeds the cap {cap}")
+        bits = abs(int(value)).bit_length()  # str() may refuse over 640 digits; 2**2048 has 617
+        shown = value if bits <= 2048 else f"{'-' * (value < 0)}(a {bits}-bit integer)"
+        raise ValueError(f"{name}={shown} exceeds the cap {cap}")
 
 
 def chunks(n: int):

@@ -13,12 +13,14 @@ sequence with |z| = |t|/sqrt(1+t^2) < 1.  The block forms w_0 = (1 + it)/(1 + t^
 and z = (t^2 - it)/(1 + t^2) in real arithmetic, from r = 1/t where |t| > 1
 (1/(1+t^2) = r^2/(1+r^2), t/(1+t^2) = r/(1+r^2), t^2/(1+t^2) = 1/(1+r^2)), so
 t^2 never overflows and every finite t gives finite values; each further row
-costs four real multiplies in place.  numpy's complex multiply would be faster
-but rounds a one-point array differently from the same point in a longer one,
-which would make values depend on the chunking.  The recurrence is more
-accurate than the polar form s^m sqrt(1-s) cos/sin((m+1) arctan t),
-s = t^2/(t^2+1), whose sqrt(1-s) cancels as |t| grows (absolute error 1.1e-11
-against 3e-20 at |t| = 1e6).  The explicit real-parameter polynomial sums
+is one complex multiply w_m = z w_{m-1} on two rolling complex rows.  numpy
+2.4.6 rounds that multiply alike at every array length (1-4097, any offset)
+under its X86_V4, X86_V3 and X86_V2 targets, so values do not depend on the
+chunking (tests/test_cauchy.py checks each target present).  The recurrence
+is more accurate than the polar form s^(m/2) sqrt(1-s) cos/sin(phi_m),
+phi_m = (m+1) arctan t - m sign(t) pi/2, s = t^2/(t^2+1), whose sqrt(1-s)
+cancels as |t| grows (absolute error 1.1e-11 against 5e-20 over m < 512 at
+|t| = 1e6, 40-digit reference).  The explicit real-parameter polynomial sums
 overflow through t^{2m} and cancel catastrophically (the raw alternating sums
 lose ~15 digits by m ~ 100 at |t| ~ 3); they serve only as exact Fraction
 oracles in the tests.
@@ -77,17 +79,14 @@ def _real_basis_block(n: int, x: np.ndarray, out=None):
     rrc = r * beta0
     alpha0 = np.where(big, rrc, c)  # 1/(1+t^2)
     p = np.where(big, c, rrc)  # t^2/(1+t^2)
+    z, w = np.empty(x.size, dtype=complex), np.empty((2, x.size), dtype=complex)
+    z.real, z.imag = p, -beta0
+    w[0].real, w[0].imag = alpha0, beta0
     out = np.empty((2 * n, x.size)) if out is None else out
-    alpha, beta = out[:n], out[n:]
-    alpha[0][...], beta[0][...] = alpha0, beta0  # into the rows: a list item would be rebound
-    tmp = np.empty(x.size)
-    for m in range(n - 1):  # w_{m+1} = (p - i beta0) w_m
-        np.multiply(p, alpha[m], out=alpha[m + 1])
-        np.multiply(beta0, beta[m], out=tmp)
-        alpha[m + 1] += tmp
-        np.multiply(p, beta[m], out=beta[m + 1])
-        np.multiply(beta0, alpha[m], out=tmp)
-        beta[m + 1] -= tmp
+    for m in range(n):  # w_m = z w_{m-1} in rolling row m % 2
+        if m:
+            np.multiply(z, w[(m - 1) % 2], out=w[m % 2])
+        out[m][...], out[n + m][...] = w[m % 2].real, w[m % 2].imag  # a list item would be rebound
     return out
 
 

@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from ._lowrank import check_int, check_not_nan
-from .orthopoly import _LOG_TINY, _laguerre_coef, _last_row, _recur, _recur_scaled, _split_ln2
+from .orthopoly import (MAX_DEGREE, _LOG_TINY, _laguerre_coef, _last_row, _recur, _recur_scaled,
+                        _split_ln2)
 
 __all__ = ["laguerre_fn", "laguerre_fn_ft"]
 
@@ -79,10 +80,12 @@ def _laguerre_rows(count: int, x: np.ndarray) -> np.ndarray:
 
 
 def laguerre_fn(m: int, t):
-    """Laguerre function phi_m(t) for any integer index m: row j of
-    :func:`_laguerre_rows`, signed and kept on its side of the origin."""
+    """Laguerre function phi_m(t) for any integer index -MAX_DEGREE - 1 <= m <=
+    MAX_DEGREE: row j of :func:`_laguerre_rows`, signed and kept on its side
+    of the origin."""
     check_int(m, "m", None)
     j, sign = (m, 1.0) if m >= 0 else (-m - 1, -1.0)
+    check_int(m, "m", None, MAX_DEGREE + 1 if m < 0 else MAX_DEGREE)  # names m, not the row j
 
     def signed_row(count: int, x: np.ndarray) -> np.ndarray:
         side = x >= 0 if m >= 0 else x < 0

@@ -36,7 +36,7 @@ import numpy as np
 from ._lowrank import (block_row, check_int, check_lam, check_not_nan, pair_values, rank_product,
                        scaled, stack_rows)
 from .laguerre import _weighted_rows
-from .orthopoly import _LN2_HI, _LN2_LO, _laguerre_coef, _last_row
+from .orthopoly import MAX_DEGREE, _LN2_HI, _LN2_LO, _laguerre_coef, _last_row
 from .quadrature import _legendre_panel
 
 __all__ = [
@@ -232,7 +232,8 @@ def matern_psi_unified(order: MaternOrder, m: int, t):
     """Basis function by its two-sided integer index.
 
     m >= 0 is the plus class, -nu-1 <= m <= -1 the null class (member
-    m + nu + 1), and m <= -nu-2 the minus class (member -nu-2-m).
+    m + nu + 1), and m <= -nu-2 the minus class (member -nu-2-m), each
+    handed member capped at MAX_DEGREE.
     """
     check_int(m, "m", None)
     nu = order.nu
@@ -240,6 +241,7 @@ def matern_psi_unified(order: MaternOrder, m: int, t):
         return matern_psi(order, MaternBasisId("plus", m), t)
     if m >= -nu - 1:
         return matern_psi(order, MaternBasisId("null", m + nu + 1), t)
+    check_int(m, "m", None, MAX_DEGREE + nu + 2)  # names m, not the member -nu-2-m
     return matern_psi(order, MaternBasisId("minus", -nu - 2 - m), t)
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernelbasis
 from kernelbasis._lowrank import CHUNK
 from kernelbasis.cauchy import (
     cauchy_kernel,
@@ -217,13 +222,49 @@ def test_two_expansions_agree_groupwise():
                                np.array(-0.4), np.array([]), np.linspace(-4.0, 4.0, CHUNK + 1)],
                          ids=["scalar", "neg_zero", "pos_zero", "array_2d", "zero_d", "empty",
                               "chunk_plus_one"])
-@pytest.mark.parametrize("m", [0, 1, 2, 7, 30])
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 30, 512])
 def test_real_basis_is_exact_block_row(m, t):
     block = _real_basis_block(m + 1, np.atleast_1d(t).ravel())
     for kind, row in (("alpha", block[m]), ("beta", block[2 * m + 1])):
         got = cauchy_real_basis(kind, m, t)
         assert np.array_equal(got, row.reshape(np.shape(t)))
         assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+
+
+_SAME_ROUNDING = """
+import numpy as np
+from kernelbasis import FeatureMapSpec, features
+from kernelbasis._lowrank import CHUNK
+from kernelbasis.cauchy import _real_basis_block
+
+rng = np.random.default_rng(5)
+k = CHUNK // 4
+x = np.concatenate([rng.uniform(-3.0, 3.0, 2 * k), rng.uniform(-1e3, 1e3, k),
+                    np.geomspace(1e-8, 1e8, k + 1) * rng.choice([-1.0, 1.0], k + 1)])
+block = _real_basis_block(32, x)
+# features runs chunks of CHUNK points and 1 point
+assert np.array_equal(features(FeatureMapSpec("cauchy", n=32), x), block.T)
+for i in range(0, x.size, 61):  # every lane offset, in each range of values
+    assert np.array_equal(_real_basis_block(32, x[i:i + 1])[:, 0], block[:, i]), i
+"""
+
+
+# the complex multiply of _real_basis_block must round a point alike in an
+# array of any length, or values would depend on the chunking: checked under
+# each x86 SIMD target numpy dispatches to, selected by disabling the better ones
+@pytest.mark.parametrize("disabled", ["", "AVX512_SPR AVX512_ICL X86_V4",
+                                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"],
+                         ids=["best", "no_X86_V4", "no_X86_V3"])
+def test_complex_multiply_rounds_alike_at_every_length_on_each_target(disabled):
+    if disabled and disabled.split()[-1] not in np.show_config(mode="dicts")[
+            "SIMD Extensions"]["found"]:
+        pytest.skip(f"numpy found no {disabled.split()[-1]} on this machine")
+    src = str(pathlib.Path(kernelbasis.__file__).resolve().parent.parent)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _SAME_ROUNDING], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("kind", ["alpha", "beta"])

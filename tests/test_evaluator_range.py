@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import kernelbasis as kb
 import kernelbasis.gaussian
 from kernelbasis import orthopoly
+from kernelbasis._lowrank import check_int
 
 # call(index, nu, u, t): index in [-121, 120], nu in [0, 40], u in [0, 1]
 # picks a class or a width; each evaluator maps them into its own domain
@@ -308,12 +309,17 @@ def test_index_must_be_an_integer(name):
 # past the float range: the integer check caps |m| at 2**53 where no cap is
 # declared, so each call raises ValueError, never OverflowError.
 # cauchy_real_basis reads through orthopoly._last_row, and
-# test_cauchy.py::test_real_basis_degree_is_capped checks its cap
+# test_cauchy.py::test_real_basis_degree_is_capped checks its cap.  A signed
+# index past the degree cap of the row it reads is named as passed
+_ROW_CAPPED = {"laguerre_fn", "matern_psi_unified"}
+
+
 @pytest.mark.parametrize("name", sorted(set(_INDEXED) - {"cauchy_real_basis"}))
 def test_index_past_the_float_range_raises(name):
     call, signed = _INDEXED[name]
-    for m in (10**400, -(10**400)) if signed else (10**400,):
-        with pytest.raises(ValueError, match=r"m=-?10* exceeds the cap"):
+    past_row_cap = (-600,) if name in _ROW_CAPPED else ()
+    for m in (10**400, -(10**400), *past_row_cap) if signed else (10**400,):
+        with pytest.raises(ValueError, match=f"m={m} exceeds the cap"):
             call(m)
 
 
@@ -335,6 +341,14 @@ _LEVELS = {
 def test_level_past_the_float_range_raises(name):
     with pytest.raises(ValueError, match=r"(n|params)=-?10* exceeds the cap 9007199254740992"):
         _LEVELS[name](10**400)
+
+
+# past Python's int-to-str digit limit the message gives the bit length
+@pytest.mark.parametrize("value, low", [(10**5000, 0), (-(10**5000), None)],
+                         ids=["nonnegative", "signed"])
+def test_integer_past_the_digit_limit_names_parameter_and_cap(value, low):
+    with pytest.raises(ValueError, match=r"m=-?\(a 16610-bit integer\) exceeds the cap 9007199"):
+        check_int(value, "m", low)
 
 
 def test_every_public_function_of_an_index_is_in_the_index_table():

@@ -194,8 +194,10 @@ class TestBasisFunctions:
         o = MaternOrder(2)
         with pytest.raises(ValueError, match="m=513 exceeds the cap 512"):
             matern_psi(o, MaternBasisId(kind, 513), t)
-        with pytest.raises(ValueError, match="m=513 exceeds the cap 512"):
-            matern_psi_unified(o, 513 if kind == "plus" else -o.nu - 2 - 513, t)
+        # the two-sided index is named as passed: member 513 of the minus class is m = -517
+        m, cap = (513, 512) if kind == "plus" else (-o.nu - 2 - 513, 512 + o.nu + 2)
+        with pytest.raises(ValueError, match=f"m={m} exceeds the cap {cap}"):
+            matern_psi_unified(o, m, t)
 
     @pytest.mark.parametrize("kind", ["plus", "minus"])
     def test_handed_index_at_the_degree_cap(self, kind):
